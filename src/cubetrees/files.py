@@ -67,13 +67,13 @@ def decomposition_from_bytes(
     kind = _KIND_NAMES[kind_code]
     if kind != (EVEN if n % 2 == 0 else ODD):
         raise DecompositionParseError(f"kind {kind!r} inconsistent with n={n}")
-    body = data[_HEADER.size :]
+    payload = len(data) - _HEADER.size
     expected = num_edges(n)
-    if len(body) != expected:
+    if payload != expected:
         raise DecompositionParseError(
-            f"label payload has {len(body)} bytes, expected {expected}"
+            f"label payload has {payload} bytes, expected {expected}"
         )
-    labels = np.frombuffer(body, dtype=np.uint8).copy()
+    labels = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size).copy()
     if labels.size and int(labels.max()) > k:
         raise DecompositionParseError(
             f"label {int(labels.max())} exceeds tree count k={k}"

@@ -1,9 +1,14 @@
 """Independent structural checks for hypercube edge-set decompositions.
 
-Everything here works from first principles on the label array: union-find
-connectivity, acyclicity, and plain counting.  Nothing is imported from the
-construction code, so a verified decomposition is certified by a second,
-unrelated route.
+Everything here works from first principles on the label array, using only
+the cube's own structure: each edge set becomes a per-vertex uint32 bitmask
+(bit d marks the edge to x ^ 1<<d), built one dimension block at a time by
+a reshape of the label array.  A tree is connected iff a frontier BFS from
+vertex 0 over its mask reaches all 2^n vertices; a leftover's components
+and acyclicity come from peeling degree-1 vertices, then one search and
+label propagation over whatever remains; the rest is plain counting.
+Nothing is imported from the construction code, so a verified decomposition
+is certified by a second, unrelated route.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .hypercube import edge_endpoints, num_edges, num_vertices
+from .hypercube import MalformedEdgeError, edge_endpoints, num_edges, num_vertices
 
 if TYPE_CHECKING:  # annotation only; the checker never calls into construct
     from .construct import Decomposition
@@ -33,53 +38,134 @@ EVEN_KIND = "even"
 ODD_KIND = "odd"
 
 
-class UnionFind:
-    """Array-based disjoint sets with path compression."""
-
-    __slots__ = ("parent", "merges")
-
-    def __init__(self, size: int) -> None:
-        self.parent = list(range(size))
-        self.merges = 0
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]  # path halving
-            x = parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra = self.find(a)
-        rb = self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        self.merges += 1
-        return True
-
-
 def _as_id_array(edge_ids: Iterable[int] | np.ndarray) -> np.ndarray:
     return np.asarray(edge_ids, dtype=np.int64).reshape(-1)
 
 
-def _union_all(u: np.ndarray, v: np.ndarray, size: int) -> UnionFind:
-    uf = UnionFind(size)
-    parent = uf.parent
-    merges = 0
-    # Inlined find/union: this loop dominates verification time at n=20.
-    for a, b in zip(u.tolist(), v.tolist()):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a != b:
-            parent[b] = a
-            merges += 1
-    uf.merges = merges
-    return uf
+def _edge_mask(labels: np.ndarray, value: int, n: int) -> tuple[np.ndarray, int]:
+    """Per-vertex bitmask of the edges labelled value, and their number.
+
+    Bit d of mask[x] is the edge x -- x ^ 1<<d.
+
+    Dimension block d of the edge-id layout, viewed as (2^(n-1-d), 1, 2^d),
+    lines up with the vertex array viewed as (2^(n-1-d), 2, 2^d): the
+    squeezed-out bit d becomes the middle axis, so one broadcast OR gives the
+    bit to both ends of every edge in the block.
+    """
+    half = 1 << (n - 1)
+    mask = np.zeros(1 << n, dtype=np.uint32)
+    edges = 0
+    for d in range(n):
+        picked = labels[d * half : (d + 1) * half].reshape(half >> d, 1, 1 << d) == value
+        edges += int(np.count_nonzero(picked))
+        cube = mask.reshape(half >> d, 2, 1 << d)
+        cube |= picked * np.uint32(1 << d)
+    return mask, edges
+
+
+def _id_mask(ids: np.ndarray, n: int) -> np.ndarray:
+    total = num_edges(n)
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= total):
+        raise MalformedEdgeError(f"edge ids must lie in [0, {total}) for n={n}")
+    chosen = np.zeros(total, dtype=np.uint8)
+    chosen[ids] = 1
+    return _edge_mask(chosen, 1, n)[0]
+
+
+def _single_bit(m: np.ndarray) -> np.ndarray:
+    return (m != 0) & ((m & (m - 1)) == 0)
+
+
+def _neighbors(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(x[i] ^ bit, bit) for every set bit of m[i], peeling the lowest bit each pass.
+
+    The source vertex of each pair is end ^ bit.
+    """
+    ends, bits = [], []
+    while True:
+        keep = m != 0
+        x, m = x[keep], m[keep]
+        if not x.size:
+            break
+        low = m & -m
+        ends.append(x ^ low)
+        bits.append(low)
+        m = m ^ low
+    if not ends:
+        return x, m
+    return np.concatenate(ends), np.concatenate(bits)
+
+
+def _first_copies(v: np.ndarray, stamp: np.ndarray) -> np.ndarray:
+    """Boolean mask keeping one copy of each value of v; stamp is scratch indexed by vertex."""
+    order = np.arange(v.size, dtype=stamp.dtype)
+    stamp[v] = order
+    return stamp[v] == order
+
+
+def _search(mask: np.ndarray, start: int) -> np.ndarray:
+    """Frontier BFS from start over the masked edges: a vertex-indexed array, >= 0 where reached."""
+    stamp = np.full(mask.size, -1, dtype=np.int32)
+    stamp[start] = 0
+    frontier, todo = np.array([start], dtype=np.intp), mask[start : start + 1]
+    while frontier.size:
+        ends, bits = _neighbors(frontier, todo)
+        fresh = stamp[ends] < 0
+        ends, bits = ends[fresh], bits[fresh]
+        keep = _first_copies(ends, stamp)  # also marks the new frontier reached
+        frontier = ends[keep]
+        todo = mask[frontier] ^ bits[keep]  # every edge but the one just arrived by
+    return stamp
+
+
+def _spans_all(mask: np.ndarray) -> bool:
+    return bool((_search(mask, 0) >= 0).all())
+
+
+def _component_count(mask: np.ndarray) -> int:
+    """Connected components among the vertices with an edge in mask, which is consumed.
+
+    Degree-1 vertices are peeled round by round, so every tree component
+    (a matching, a star, the leftover forest) vanishes without a search of
+    its own.  Each component of what remains has a cycle.  One search takes
+    the component of the smallest remaining vertex; in whatever is left after
+    that, the smallest vertex id spreads by frontier label propagation through
+    all components at once, and each component keeps one vertex labelled itself.
+    """
+    stamp = np.empty(mask.size, dtype=np.int32)
+    components = 0
+    leaves = np.flatnonzero(_single_bit(mask))
+    while leaves.size:
+        bits = mask[leaves]
+        ends = leaves ^ bits
+        lone = mask[ends] == bits  # both ends are leaves: a lone edge, seen from each end
+        components += int(np.count_nonzero(lone)) // 2
+        mask[leaves] = 0
+        ends, bits = ends[~lone], bits[~lone]
+        np.bitwise_xor.at(mask, ends, bits)
+        ends = ends[_first_copies(ends, stamp)]
+        rest = mask[ends]
+        components += int(np.count_nonzero(rest == 0))  # the last vertex of a tree
+        leaves = ends[_single_bit(rest)]
+
+    core = np.flatnonzero(mask)
+    if core.size:
+        # A cyclic leftover is most often one big component: a search takes
+        # it whole, where propagation would relabel each vertex many times.
+        components += 1
+        core = core[_search(mask, int(core[0]))[core] < 0]
+    if core.size:
+        label = np.arange(mask.size, dtype=np.intp)
+        frontier = core
+        while frontier.size:
+            ends, bits = _neighbors(frontier, mask[frontier])
+            offer = label[ends ^ bits]
+            lower = offer < label[ends]
+            ends = ends[lower]
+            np.minimum.at(label, ends, offer[lower])
+            frontier = ends[_first_copies(ends, stamp)]
+        components += int(np.count_nonzero(label[core] == core))
+    return components
 
 
 def is_spanning_tree(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
@@ -93,8 +179,7 @@ def is_spanning_tree(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
     vertices = num_vertices(n)
     if ids.size != vertices - 1:
         return False
-    u, v = edge_endpoints(ids, n)
-    return _union_all(u, v, vertices).merges == vertices - 1
+    return _spans_all(_id_mask(ids, n))
 
 
 def is_matching(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
@@ -111,23 +196,16 @@ def forest_components(edge_ids: Iterable[int] | np.ndarray, n: int) -> tuple[boo
     """(acyclic?, component count) of an edge set.
 
     Components are counted over the endpoints of the given edges only, so
-    cube vertices touched by no edge do not contribute.
+    cube vertices touched by no edge do not contribute.  A repeated edge id
+    counts as a cycle.
     """
     ids = _as_id_array(edge_ids)
     if ids.size == 0:
         return True, 0
-    u, v = edge_endpoints(ids, n)
-    uf = _union_all(u, v, num_vertices(n))
-    touched = int(np.unique(np.concatenate([u, v])).size)
-    is_forest = uf.merges == ids.size  # every edge merged two distinct sets
-    return is_forest, touched - uf.merges
-
-
-def _incident_to_all(u: np.ndarray, v: np.ndarray, vertices: int) -> bool:
-    seen = np.zeros(vertices, dtype=bool)
-    seen[u] = True
-    seen[v] = True
-    return bool(seen.all())
+    mask = _id_mask(ids, n)
+    touched = int(np.count_nonzero(mask))
+    components = _component_count(mask)
+    return ids.size == touched - components, components
 
 
 @dataclass(frozen=True)
@@ -245,28 +323,25 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             f"label {int(labels.max())} exceeds tree count k={k}"
         )
 
-    # With one label per edge id, the labeling is a partition exactly when
-    # the structural checks above hold; record the covering count anyway.
-    counts = np.bincount(labels, minlength=k + 1)
-    partition_ok = int(counts.sum()) == total
-
     vertices = num_vertices(n)
     tree_checks = []
     for j in range(1, k + 1):
-        ids = np.flatnonzero(labels == j)
-        u, v = edge_endpoints(ids, n)
-        uf = _union_all(u, v, vertices)
+        mask, edges = _edge_mask(labels, j, n)
         tree_checks.append(
             TreeCheck(
                 label=j,
-                edge_count=int(ids.size),
-                size_ok=int(ids.size) == vertices - 1,
-                connected=vertices - uf.merges == 1,
-                incident_to_all=_incident_to_all(u, v, vertices),
+                edge_count=edges,
+                size_ok=edges == vertices - 1,
+                connected=_spans_all(mask),
+                incident_to_all=bool(mask.all()),
             )
         )
 
     leftover_ids = np.flatnonzero(labels == 0)
+    # With one label per edge id, the labeling is a partition exactly when
+    # the structural checks above hold; record the covering count anyway.
+    covered = leftover_ids.size + sum(t.edge_count for t in tree_checks)
+    partition_ok = covered == total
     if dec.kind == EVEN_KIND:
         leftover = LeftoverCheck(
             size=int(leftover_ids.size),

@@ -151,3 +151,18 @@ def test_criterion_8_desk_scale_stress():
     ok &= elapsed < 120.0
     ok &= peak_mb < 2048.0
     _report(8, f"n=20 stress ({elapsed:.1f}s, peak {peak_mb:.0f} MB)", ok)
+
+
+@pytest.mark.slow
+def test_desk_scale_stress_n22():
+    """construct(22) plus full verification in < 60 s and < 2 GB."""
+    start = time.perf_counter()
+    dec = construct(22)
+    report = verify_decomposition(dec)
+    elapsed = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert report.overall
+    assert dec.num_edges == 46_137_344
+    assert elapsed < 60.0, f"n=22 took {elapsed:.1f}s"
+    assert peak_mb < 2048.0, f"peak RSS {peak_mb:.0f} MB"
+    print(f"\n[stress] n=22 ({elapsed:.1f}s, peak {peak_mb:.0f} MB)")

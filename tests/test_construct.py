@@ -17,7 +17,8 @@ from cubetrees.construct import (
     even_extension_tree_sizes,
 )
 from cubetrees.hypercube import CapExceededError, edge_endpoints, edge_id, num_edges
-from cubetrees.verify import UnionFind, forest_components, is_matching, is_spanning_tree
+from cubetrees.verify import forest_components, is_matching, is_spanning_tree
+from union_find_reference import UnionFind
 
 
 def test_base_q2():

@@ -6,14 +6,20 @@ from hypothesis import given, settings, strategies as st
 
 import cubetrees.verify
 from cubetrees.construct import Decomposition, construct
-from cubetrees.hypercube import edge_endpoints, edge_id, Edge, num_edges
+from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
+from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, edge_id, Edge, num_edges
 from cubetrees.verify import (
     MalformedDecompositionError,
-    UnionFind,
     forest_components,
     is_matching,
     is_spanning_tree,
     verify_decomposition,
+)
+from union_find_reference import (
+    UnionFind,
+    reference_forest_components,
+    reference_is_spanning_tree,
+    reference_report,
 )
 
 
@@ -180,3 +186,104 @@ def test_matching_matches_endpoint_count_oracle(id_set):
     u, v = edge_endpoints(np.array(ids, dtype=np.int64), 4)
     ends = u.tolist() + v.tolist()
     assert is_matching(ids, 4) == (len(set(ends)) == len(ends))
+
+
+def assert_same_report(dec):
+    got, want = verify_decomposition(dec), reference_report(dec)
+    assert got.to_dict() == want.to_dict()
+    assert got.to_text() == want.to_text()
+    return got
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_random_labels_match_union_find_reference(n, seed, skew):
+    # skew > 0 makes one label dominate, so some trees come out connected
+    # or cyclic instead of always scattered.
+    k = n // 2
+    rng = np.random.default_rng(seed)
+    weights = rng.random(k + 1) ** (4 * skew)
+    labels = rng.choice(k + 1, size=num_edges(n), p=weights / weights.sum()).astype(np.uint8)
+    kind = "even" if n % 2 == 0 else "odd"
+    assert_same_report(Decomposition(n=n, k=k, kind=kind, labels=labels))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_single_mutations_match_union_find_reference(data):
+    n = data.draw(st.integers(2, 10))  # Q_1 has k = 0: no other label to move to
+    dec = construct(n)
+    eid = data.draw(st.integers(0, num_edges(n) - 1))
+    new = data.draw(st.integers(0, dec.k).filter(lambda j: j != dec.labels[eid]))
+    labels = dec.labels.copy()
+    labels[eid] = new
+    report = assert_same_report(Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels))
+    assert not report.overall
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_edge_sets_match_union_find_reference(data):
+    n = data.draw(st.integers(1, 10))
+    total = num_edges(n)
+    if data.draw(st.booleans()) and n > 1:
+        # near a spanning tree: a constructed tree with a few ids swapped
+        ids = set(construct(n).tree_edge_ids(data.draw(st.integers(1, n // 2))).tolist())
+        ids -= data.draw(st.sets(st.sampled_from(sorted(ids)), max_size=3))
+        ids |= data.draw(st.sets(st.integers(0, total - 1), max_size=3))
+    else:
+        ids = data.draw(st.sets(st.integers(0, total - 1), max_size=min(total, 2 << n)))
+    ids = sorted(ids)
+    assert is_spanning_tree(ids, n) == reference_is_spanning_tree(ids, n)
+    assert forest_components(ids, n) == reference_forest_components(ids, n)
+
+
+def test_repeated_edge_ids_count_as_a_cycle():
+    tree = construct(4).tree_edge_ids(1).tolist()
+    ids = tree[:-1] + tree[:1]
+    assert forest_components(ids, 4) == reference_forest_components(ids, 4)
+    assert forest_components(ids, 4)[0] is False
+    assert not is_spanning_tree(ids, 4)
+
+
+def test_out_of_range_edge_ids_are_rejected():
+    for bad in ([-1], [num_edges(3)]):
+        with pytest.raises(MalformedEdgeError):
+            forest_components(bad, 3)
+        with pytest.raises(MalformedEdgeError):
+            is_spanning_tree(bad + [0] * 6, 3)
+
+
+@pytest.mark.parametrize("n", [3, 7, 11])
+def test_leftover_perfect_matching_along_dimension_0(tmp_path, n):
+    """Odd file whose leftover is the whole dimension-0 block: 2^(n-1) components."""
+    k = n // 2
+    half = 1 << (n - 1)
+    labels = np.zeros(num_edges(n), dtype=np.uint8)
+    labels[half:] = 1 + np.arange(num_edges(n) - half) % k
+    path = tmp_path / f"q{n}.dec"
+    path.write_bytes(decomposition_to_bytes(Decomposition(n=n, k=k, kind="odd", labels=labels)))
+    dec = decomposition_from_bytes(path.read_bytes())
+    report = assert_same_report(dec)
+    assert report.leftover.components == half
+    assert report.leftover.is_forest is True
+    assert forest_components(np.arange(half), n) == (True, half)
+
+
+@pytest.mark.parametrize("n", [3, 7, 11])
+def test_all_zero_labels_leave_the_whole_cube(n):
+    """Every edge in the leftover: one component, full of cycles."""
+    k = n // 2
+    dec = Decomposition(n=n, k=k, kind="odd", labels=np.zeros(num_edges(n), dtype=np.uint8))
+    report = assert_same_report(dec)
+    assert report.leftover.components == 1
+    assert report.leftover.is_forest is False
+    assert not any(t.connected or t.incident_to_all for t in report.trees)
+
+
+def test_many_cyclic_components_are_counted_at_once():
+    # 2^(n-2) disjoint 4-cycles (dimensions 0 and 1): nothing peels, so the
+    # count comes from label propagation alone.
+    n = 10
+    ids = np.arange(1 << n)  # the dimension-0 and dimension-1 blocks
+    assert forest_components(ids, n) == reference_forest_components(ids, n) == (False, 1 << (n - 2))

@@ -3,10 +3,11 @@
 Everything here works from first principles on the label array, using only
 the cube's own structure: each edge set becomes a per-vertex uint32 bitmask
 (bit d marks the edge to x ^ 1<<d), built one dimension block at a time by
-a reshape of the label array.  A tree is connected iff a frontier BFS from
-vertex 0 over its mask reaches all 2^n vertices; a leftover's components
-and acyclicity come from peeling degree-1 vertices, then one search and
-label propagation over whatever remains; the rest is plain counting.
+a reshape of the label array.  Connected components come from min-label
+hooking with pointer jumping over the masked edges, whose round count does
+not grow with the depth of a tree.  A tree is connected iff its edges leave
+one component over all 2^n vertices; a leftover's component count and
+acyclicity come from the same routine; the rest is plain counting.
 Nothing is imported from the construction code, so a verified decomposition
 is certified by a second, unrelated route.
 """
@@ -72,100 +73,62 @@ def _id_mask(ids: np.ndarray, n: int) -> np.ndarray:
     return _edge_mask(chosen, 1, n)[0]
 
 
-def _single_bit(m: np.ndarray) -> np.ndarray:
-    return (m != 0) & ((m & (m - 1)) == 0)
+def _edge_ends(mask: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) ends of every masked edge; x is the vertex id array.
 
-
-def _neighbors(x: np.ndarray, m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(x[i] ^ bit, bit) for every set bit of m[i], peeling the lowest bit each pass.
-
-    The source vertex of each pair is end ^ bit.
+    Bit d of mask[x] names an upward edge exactly when bit d of x is clear.
+    Those bits are peeled lowest first, one pass per upward edge of the
+    vertex that has the most.
     """
-    ends, bits = [], []
+    up = mask & ~x
+    lower = np.flatnonzero(up).astype(np.uint32)
+    bits = up[lower]
+    lowers, uppers = [], []
     while True:
-        keep = m != 0
-        x, m = x[keep], m[keep]
-        if not x.size:
+        low = bits & -bits
+        lowers.append(lower)
+        uppers.append(lower | low)
+        bits = bits ^ low
+        keep = bits != 0
+        if not keep.any():
             break
-        low = m & -m
-        ends.append(x ^ low)
-        bits.append(low)
-        m = m ^ low
-    if not ends:
-        return x, m
-    return np.concatenate(ends), np.concatenate(bits)
+        lower, bits = lower[keep], bits[keep]
+    return np.concatenate(lowers), np.concatenate(uppers)
 
 
-def _first_copies(v: np.ndarray, stamp: np.ndarray) -> np.ndarray:
-    """Boolean mask keeping one copy of each value of v; stamp is scratch indexed by vertex."""
-    order = np.arange(v.size, dtype=stamp.dtype)
-    stamp[v] = order
-    return stamp[v] == order
+def _roots(mask: np.ndarray) -> np.ndarray:
+    """True at the smallest vertex of each connected component of the masked edges.
 
-
-def _search(mask: np.ndarray, start: int) -> np.ndarray:
-    """Frontier BFS from start over the masked edges: a vertex-indexed array, >= 0 where reached."""
-    stamp = np.full(mask.size, -1, dtype=np.int32)
-    stamp[start] = 0
-    frontier, todo = np.array([start], dtype=np.intp), mask[start : start + 1]
-    while frontier.size:
-        ends, bits = _neighbors(frontier, todo)
-        fresh = stamp[ends] < 0
-        ends, bits = ends[fresh], bits[fresh]
-        keep = _first_copies(ends, stamp)  # also marks the new frontier reached
-        frontier = ends[keep]
-        todo = mask[frontier] ^ bits[keep]  # every edge but the one just arrived by
-    return stamp
+    Min-label hooking with pointer jumping.  Each round, every root hooks
+    onto the smallest root it shares an edge with; chains of roots hooked in
+    that round are jumped until each points at a root that stayed one; edges
+    inside one component are dropped.  A component that is a local minimum
+    and gains nothing in one round has only smaller neighbours in the next,
+    so every component with an edge left merges within two rounds: at most
+    about 2 n rounds run, whatever the depth of the trees.  A vertex no edge
+    touches is a component of its own.
+    """
+    x = np.arange(mask.size, dtype=np.uint32)
+    lower, upper = _edge_ends(mask, x)
+    root = x.copy()
+    while lower.size:
+        np.minimum.at(root, upper, lower)
+        hooked = upper
+        while hooked.size:
+            up = root[hooked]
+            upup = root[up]
+            moving = upup != up
+            hooked = hooked[moving]
+            root[hooked] = upup[moving]
+        a, b = root[lower], root[upper]
+        live = a != b
+        a, b = a[live], b[live]
+        lower, upper = np.minimum(a, b), np.maximum(a, b)
+    return root == x
 
 
 def _spans_all(mask: np.ndarray) -> bool:
-    return bool((_search(mask, 0) >= 0).all())
-
-
-def _component_count(mask: np.ndarray) -> int:
-    """Connected components among the vertices with an edge in mask, which is consumed.
-
-    Degree-1 vertices are peeled round by round, so every tree component
-    (a matching, a star, the leftover forest) vanishes without a search of
-    its own.  Each component of what remains has a cycle.  One search takes
-    the component of the smallest remaining vertex; in whatever is left after
-    that, the smallest vertex id spreads by frontier label propagation through
-    all components at once, and each component keeps one vertex labelled itself.
-    """
-    stamp = np.empty(mask.size, dtype=np.int32)
-    components = 0
-    leaves = np.flatnonzero(_single_bit(mask))
-    while leaves.size:
-        bits = mask[leaves]
-        ends = leaves ^ bits
-        lone = mask[ends] == bits  # both ends are leaves: a lone edge, seen from each end
-        components += int(np.count_nonzero(lone)) // 2
-        mask[leaves] = 0
-        ends, bits = ends[~lone], bits[~lone]
-        np.bitwise_xor.at(mask, ends, bits)
-        ends = ends[_first_copies(ends, stamp)]
-        rest = mask[ends]
-        components += int(np.count_nonzero(rest == 0))  # the last vertex of a tree
-        leaves = ends[_single_bit(rest)]
-
-    core = np.flatnonzero(mask)
-    if core.size:
-        # A cyclic leftover is most often one big component: a search takes
-        # it whole, where propagation would relabel each vertex many times.
-        components += 1
-        core = core[_search(mask, int(core[0]))[core] < 0]
-    if core.size:
-        label = np.arange(mask.size, dtype=np.intp)
-        frontier = core
-        while frontier.size:
-            ends, bits = _neighbors(frontier, mask[frontier])
-            offer = label[ends ^ bits]
-            lower = offer < label[ends]
-            ends = ends[lower]
-            np.minimum.at(label, ends, offer[lower])
-            frontier = ends[_first_copies(ends, stamp)]
-        components += int(np.count_nonzero(label[core] == core))
-    return components
+    return int(np.count_nonzero(_roots(mask))) == 1
 
 
 def is_spanning_tree(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
@@ -203,9 +166,9 @@ def forest_components(edge_ids: Iterable[int] | np.ndarray, n: int) -> tuple[boo
     if ids.size == 0:
         return True, 0
     mask = _id_mask(ids, n)
-    touched = int(np.count_nonzero(mask))
-    components = _component_count(mask)
-    return ids.size == touched - components, components
+    touched = mask != 0
+    components = int(np.count_nonzero(_roots(mask) & touched))
+    return ids.size == int(np.count_nonzero(touched)) - components, components
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import time
 import types
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cubetrees.verify
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
-from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, edge_id, Edge, num_edges
+from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, edge_id, Edge, num_edges, squeeze_bit
 from cubetrees.verify import (
     MalformedDecompositionError,
     forest_components,
@@ -282,8 +283,43 @@ def test_all_zero_labels_leave_the_whole_cube(n):
 
 
 def test_many_cyclic_components_are_counted_at_once():
-    # 2^(n-2) disjoint 4-cycles (dimensions 0 and 1): nothing peels, so the
-    # count comes from label propagation alone.
+    # 2^(n-2) disjoint 4-cycles (dimensions 0 and 1), all merged in one pass.
     n = 10
     ids = np.arange(1 << n)  # the dimension-0 and dimension-1 blocks
     assert forest_components(ids, n) == reference_forest_components(ids, n) == (False, 1 << (n - 2))
+
+
+def gray_code_path(n):
+    """Edge ids of the Hamiltonian path 0, 1, 3, 2, 6, ... through Q_n."""
+    step = np.arange(1, 1 << n, dtype=np.int64)
+    d = np.log2(step & -step).astype(np.int64)  # the bit flipped at each step
+    before = (step - 1) ^ ((step - 1) >> 1)
+    return d * (1 << (n - 1)) + squeeze_bit(before & ~(1 << d), d)
+
+
+def best_of_three(check, ids, n):
+    times = []
+    for _ in range(3):
+        start = time.perf_counter()
+        result = check(ids, n)
+        times.append(time.perf_counter() - start)
+    return result, min(times)
+
+
+@pytest.mark.parametrize(
+    "check, reference",
+    [
+        (is_spanning_tree, reference_is_spanning_tree),
+        (forest_components, reference_forest_components),
+    ],
+)
+def test_hamiltonian_path_costs_no_more_than_the_reference(check, reference):
+    """A spanning tree of depth 2^n - 1: the checks must not slow down with depth."""
+    n = 16
+    ids = gray_code_path(n)
+    assert np.unique(ids).size == ids.size == (1 << n) - 1
+    got, fast = best_of_three(check, ids, n)
+    want, slow = best_of_three(reference, ids, n)
+    assert got == want
+    assert got in (True, (True, 1))
+    assert fast <= slow

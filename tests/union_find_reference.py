@@ -1,6 +1,7 @@
 """Slow reference verifier: per-edge union-find over decoded endpoints.
 
-This is the connectivity check the library used before its bitmask BFS.
+This is the connectivity check the library used before its bitmask
+hooking.
 It stays here as an oracle: `reference_report` rebuilds a VerifyReport
 with it, and the property tests require the library's report to match.
 """

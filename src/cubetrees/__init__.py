@@ -4,84 +4,22 @@ Construct the floor(n/2) edge-disjoint spanning trees of the n-cube with
 their structured leftover (a matching for even n, a k-component forest for
 odd n), verify every claimed property independently, and cross-check the
 closed-form invariants against brute-force oracles on small graphs.
+
+The names below are the documented library API; everything else lives in
+the submodules (cubetrees.hypercube, cubetrees.oracle, ...).
 """
 
-from .bounds import BoundsReport, bounds_for, inequality_chain
-from .broadcast import (
-    BroadcastMetrics,
-    broadcast_metrics,
-    broadcast_time,
-    link_load,
-    tree_depths,
-)
-from .construct import (
-    EVEN,
-    LEFTOVER,
-    ODD,
-    Decomposition,
-    base_q2,
-    construct,
-    construct_even,
-    construct_odd,
-    even_extension_tree_sizes,
-)
+from .bounds import bounds_for
+from .broadcast import broadcast_metrics, tree_depths
+from .construct import Decomposition, construct
 from .files import read_decomposition, write_decomposition
-from .hypercube import (
-    DEFAULT_DIMENSION_CAP,
-    CapExceededError,
-    Edge,
-    MalformedEdgeError,
-    edge_from_id,
-    edge_id,
-    embed,
-    num_edges,
-    num_vertices,
-)
-from .oracle import SmallGraph, catlin_spot_check, nw_arboricity, packing_upper_bound
-from .verify import (
-    MalformedDecompositionError,
-    VerifyReport,
-    forest_components,
-    is_matching,
-    is_spanning_tree,
-    verify_decomposition,
-)
+from .verify import verify_decomposition
 
 __all__ = [
-    "BoundsReport",
-    "BroadcastMetrics",
-    "CapExceededError",
-    "DEFAULT_DIMENSION_CAP",
     "Decomposition",
-    "EVEN",
-    "Edge",
-    "LEFTOVER",
-    "MalformedDecompositionError",
-    "MalformedEdgeError",
-    "ODD",
-    "SmallGraph",
-    "VerifyReport",
-    "base_q2",
     "bounds_for",
     "broadcast_metrics",
-    "broadcast_time",
-    "catlin_spot_check",
     "construct",
-    "construct_even",
-    "construct_odd",
-    "edge_from_id",
-    "edge_id",
-    "embed",
-    "even_extension_tree_sizes",
-    "forest_components",
-    "inequality_chain",
-    "is_matching",
-    "is_spanning_tree",
-    "link_load",
-    "num_edges",
-    "num_vertices",
-    "nw_arboricity",
-    "packing_upper_bound",
     "read_decomposition",
     "tree_depths",
     "verify_decomposition",

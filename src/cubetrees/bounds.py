@@ -66,10 +66,3 @@ def bounds_for(n: int) -> BoundsReport:
         assert report.tree_packing == report.trivial_upper
     return report
 
-
-def inequality_chain(edges: int, vertices: int, packing_witness: int) -> bool:
-    """True iff a family of packing_witness edge-disjoint spanning trees is
-    consistent with the trivial density bound floor(edges/(vertices-1))."""
-    if vertices < 2:
-        raise ValueError(f"need at least 2 vertices, got {vertices}")
-    return packing_witness <= edges // (vertices - 1)

@@ -16,9 +16,6 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable
-
-import numpy as np
 
 from .construct import Decomposition
 from .hypercube import edge_endpoints, num_vertices
@@ -50,32 +47,10 @@ def tree_depths(dec: Decomposition, root: int) -> list[int]:
     return depths
 
 
-def link_load_over_trees(tree_edge_ids: Iterable[np.ndarray], total_edges: int) -> int:
-    """Maximum number of trees claiming any single edge id."""
-    counts = np.zeros(total_edges, dtype=np.int64)
-    for ids in tree_edge_ids:
-        counts[np.asarray(ids, dtype=np.int64)] += 1
-    return int(counts.max()) if total_edges else 0
-
-
 def link_load(dec: Decomposition) -> int:
-    """Per-link tree load of a decomposition; 1 whenever the labeling is a
-    genuine partition with at least one tree (leftover edges carry none)."""
-    return link_load_over_trees(
-        (dec.tree_edge_ids(j) for j in range(1, dec.k + 1)), dec.num_edges
-    )
-
-
-def broadcast_time(
-    dec: Decomposition, root: int, parts: int = 1, hop_cost: float = 1.0
-) -> float:
-    """Pipelined completion time: hop_cost * max over trees of (depth + parts - 1)."""
-    if dec.k == 0:
-        raise ValueError("broadcast model undefined with zero trees (n = 1)")
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    depths = tree_depths(dec, root)
-    return hop_cost * (max(depths) + parts - 1)
+    """Maximum number of trees sharing one link: each edge carries one label,
+    so this is 1 whenever there is a tree edge and 0 when there is none."""
+    return int(dec.labels.any())
 
 
 @dataclass(frozen=True)
@@ -98,11 +73,13 @@ class BroadcastMetrics:
 def broadcast_metrics(
     dec: Decomposition, root: int, parts: int = 1, hop_cost: float = 1.0
 ) -> BroadcastMetrics:
-    depths = tuple(tree_depths(dec, root))
+    """Per-tree depths from root, link load, and the pipelined completion
+    time hop_cost * max over trees of (depth + parts - 1)."""
     if dec.k == 0:
         raise ValueError("broadcast model undefined with zero trees (n = 1)")
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
+    depths = tuple(tree_depths(dec, root))
     return BroadcastMetrics(
         root=root,
         depths=depths,

@@ -6,7 +6,9 @@ Exit codes are stable per failure class so scripts can branch on them:
     1  I/O failure (unreadable or unwritable paths)
     2  usage errors, including invalid dimensions and bad model arguments
     3  file parse errors (corrupt or truncated inputs)
-    4  size cap exceeded (cube dimension or oracle vertex caps)
+    4  size cap exceeded (cube dimension or oracle vertex caps), or out of
+       memory (a MemoryError ends the command with an error line, not a
+       traceback)
     5  verification failed (file parsed fine but a structural check failed)
 """
 
@@ -174,6 +176,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except CapExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAP
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAP
     except (DecompositionParseError, EdgeListParseError, MalformedDecompositionError) as exc:
         print(f"error: {exc}", file=sys.stderr)

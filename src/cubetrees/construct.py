@@ -35,10 +35,13 @@ matching; the leftover collects copy 1's matching, one selected cross
 edge, and copy 2's last tree, which form a forest with k components.
 
 Labels are kept in a flat uint8 array in dense edge-id order, and each
-extension step is pure block arithmetic on that array: embedding a copy
-shifts every dimension block by copy_bits * 2^(m-1), so copies are
-contiguous slices and the whole step runs in O(edges) with no per-edge
-Python work.
+extension step is pure block arithmetic on that array.  Copy c of the
+smaller cube (c = the new top coordinates read as a number: Gray order
+puts copies 1..4 at c = 0, 1, 3, 2) shifts every dimension block by
+c * 2^(m-1), so the first m output blocks are an (m, copies, 2^(m-1))
+reshape of the copies' labels.  The cross matchings are whole blocks plus
+one fancy-index write of the selected edges per matching, and the step runs
+in O(edges) with no per-edge Python work.
 """
 
 from __future__ import annotations
@@ -48,27 +51,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypercube import (
-    DEFAULT_DIMENSION_CAP,
-    Edge,
-    check_dimension,
-    edge_endpoints,
-    edge_id,
-    embed,
-    num_edges,
-)
+from .hypercube import DEFAULT_DIMENSION_CAP, check_dimension, edge_endpoints, num_edges
 
 EVEN = "even"
 ODD = "odd"
 
 # Label 0 marks leftover edges; labels 1..k are the spanning trees.
 LEFTOVER = 0
-
-# Copy index -> top-coordinate bits, Gray order.  Consecutive entries (and
-# the first/last pair) differ in exactly one bit, so copy pairs (1,2),
-# (2,3), (3,4), (1,4) are joined by perfect matchings.
-EVEN_COPY_BITS = (0, 1, 3, 2)
-ODD_COPY_BITS = (0, 1)
 
 
 @dataclass(frozen=True)
@@ -136,10 +125,24 @@ def _leftover_lower_endpoints(labels: np.ndarray, m: int) -> np.ndarray:
     return u
 
 
+def _place_copies(
+    out: np.ndarray, sub_labels: np.ndarray, m: int, copies: int, moved: np.ndarray
+) -> None:
+    """Write the copies' labels into dimension blocks 0..m-1 of out.
+
+    Output block d holds copy c's block d at offset c * 2^(m-1), so those
+    blocks form an (m, copies, 2^(m-1)) view.  The copy at offset 0 keeps
+    sub_labels; every other copy relabels them through moved.
+    """
+    half = 1 << (m - 1)
+    blocks = out[: m * copies * half].reshape(m, copies, half)
+    blocks[:, 0] = sub_labels.reshape(m, half)
+    blocks[:, 1:] = moved[sub_labels].reshape(m, 1, half)
+
+
 def _extend_even(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     """One even step: labels of Q_{2*sub_k} -> labels of Q_{2*sub_k + 2}."""
     m = 2 * sub_k
-    half = 1 << (m - 1)  # local dimension-block size
     full = 1 << (m + 1)  # output dimension-block size
     out = np.empty((m + 2) * full, dtype=np.uint8)
 
@@ -148,13 +151,7 @@ def _extend_even(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     moved = np.arange(sub_k + 2, dtype=np.uint8)
     moved[LEFTOVER] = sub_k
     moved[sub_k] = sub_k + 1
-
-    for copy_bits in EVEN_COPY_BITS:
-        remap = None if copy_bits == 0 else moved
-        for d in range(m):
-            block = sub_labels[d * half : (d + 1) * half]
-            lo = d * full + copy_bits * half
-            out[lo : lo + half] = block if remap is None else remap[block]
+    _place_copies(out, sub_labels, m, 4, moved)
 
     # Cross matchings.  Dimension m holds the copy pairs (1,2) and (3,4),
     # dimension m+1 holds (1,4) and (2,3); within each half-block the offset
@@ -169,19 +166,22 @@ def _extend_even(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     out[m14:m23] = sub_k + 1  # the (1,4) matching belongs entirely to the final tree
     out[m23 : m23 + q] = sub_k
 
+    # The selected edge paired with leftover edge j joins tree j in every
+    # pair; the last one goes to the final tree in (1,2) and (3,4) and
+    # stays leftover in (2,3).
     chosen = _leftover_lower_endpoints(sub_labels, m)
-    for j, u in enumerate(chosen.tolist(), start=1):
-        last = j == sub_k
-        out[m12 + u] = sub_k + 1 if last else j
-        out[m23 + u] = LEFTOVER if last else j
-        out[m34 + u] = sub_k + 1 if last else j
+    selected = np.arange(1, sub_k + 1, dtype=np.uint8)
+    selected[-1] = sub_k + 1
+    out[m12 + chosen] = selected
+    out[m34 + chosen] = selected
+    selected[-1] = LEFTOVER
+    out[m23 + chosen] = selected
     return out
 
 
 def _extend_odd(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     """Odd step: labels of Q_{2*sub_k} -> labels of Q_{2*sub_k + 1}."""
     m = 2 * sub_k
-    half = 1 << (m - 1)
     full = 1 << m
     out = np.empty((m + 1) * full, dtype=np.uint8)
 
@@ -190,19 +190,14 @@ def _extend_odd(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     moved = np.arange(sub_k + 1, dtype=np.uint8)
     moved[LEFTOVER] = sub_k
     moved[sub_k] = LEFTOVER
-
-    for copy_bits in ODD_COPY_BITS:
-        remap = None if copy_bits == 0 else moved
-        for d in range(m):
-            block = sub_labels[d * half : (d + 1) * half]
-            lo = d * full + copy_bits * half
-            out[lo : lo + half] = block if remap is None else remap[block]
+    _place_copies(out, sub_labels, m, 2, moved)
 
     cross = m * full
     out[cross : cross + full] = sub_k
     chosen = _leftover_lower_endpoints(sub_labels, m)
-    for j, u in enumerate(chosen.tolist(), start=1):
-        out[cross + u] = LEFTOVER if j == sub_k else j
+    selected = np.arange(1, sub_k + 1, dtype=np.uint8)
+    selected[-1] = LEFTOVER
+    out[cross + chosen] = selected
     return out
 
 
@@ -260,75 +255,3 @@ def even_extension_tree_sizes(sub_k: int) -> EvenStepSizes:
         remainder_tree=(q - 1) + 3 * (q - sub_k) + 3 * sub_k,
         final_tree=3 * (q - 1) + q + 2,
     )
-
-
-@dataclass(frozen=True)
-class CopyDecomposition:
-    """A smaller cube's decomposition embedded as one copy of a larger cube.
-
-    trees[j-1] holds the global edge ids of the copy's tree j; independents
-    are the copy's leftover edges in global coordinates, ordered by local
-    edge id (the order that pairs them with cross-matching selections).
-    """
-
-    copy_bits: int
-    trees: tuple[np.ndarray, ...]
-    independents: tuple[Edge, ...]
-
-
-def embed_copy(sub: Decomposition, copy_bits: int, n_out: int) -> CopyDecomposition:
-    """Embed sub as the copy selected by copy_bits inside the n_out-cube."""
-    m = sub.n
-    half = 1 << (m - 1)
-    out_half = 1 << (n_out - 1)
-
-    def to_global(local_ids: np.ndarray) -> np.ndarray:
-        d, s = np.divmod(local_ids, half)
-        return d * out_half + copy_bits * half + s
-
-    trees = tuple(to_global(sub.tree_edge_ids(j)) for j in range(1, sub.k + 1))
-    ids = sub.leftover_edge_ids()
-    u, _ = edge_endpoints(ids, m)
-    d = (ids >> (m - 1)).tolist()
-    independents = tuple(
-        Edge(embed(int(ul), copy_bits, m), int(dl)) for ul, dl in zip(u.tolist(), d)
-    )
-    return CopyDecomposition(copy_bits=copy_bits, trees=trees, independents=independents)
-
-
-@dataclass(frozen=True)
-class CrossMatching:
-    """Perfect matching between two adjacent copies, plus the selected edges.
-
-    all_ids are the 2^m cross edges; chosen_ids[j-1] is the selected edge
-    for the copies' j-th leftover edge (the cross edge at its numerically
-    smaller endpoint).
-    """
-
-    dim: int
-    all_ids: np.ndarray
-    chosen_ids: np.ndarray
-
-
-def cross_matching(
-    sub: Decomposition, bits_a: int, bits_b: int, n_out: int
-) -> CrossMatching:
-    """Cross matching between the copies at bits_a and bits_b of the n_out-cube."""
-    m = sub.n
-    diff = bits_a ^ bits_b
-    if diff.bit_count() != 1:
-        raise ValueError(f"copies {bits_a:#b} and {bits_b:#b} are not adjacent")
-    dim = m + diff.bit_length() - 1
-    low_bits = bits_a if not bits_a & diff else bits_b  # side with the edge bit clear
-    all_ids = np.fromiter(
-        (edge_id(Edge(embed(u, low_bits, m), dim), n_out) for u in range(1 << m)),
-        dtype=np.int64,
-        count=1 << m,
-    )
-    chosen = _leftover_lower_endpoints(sub.labels, m)
-    chosen_ids = np.fromiter(
-        (edge_id(Edge(embed(int(u), low_bits, m), dim), n_out) for u in chosen),
-        dtype=np.int64,
-        count=chosen.size,
-    )
-    return CrossMatching(dim=dim, all_ids=all_ids, chosen_ids=chosen_ids)

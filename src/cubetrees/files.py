@@ -89,24 +89,30 @@ def read_decomposition(path: str | Path, cap: int = DEFAULT_DIMENSION_CAP) -> De
     return decomposition_from_bytes(Path(path).read_bytes(), cap)
 
 
+# Edges are decoded and formatted this many at a time, so the Python ints
+# and strings alive at once stay bounded whatever n is.
+_EXPORT_BLOCK = 4096
+
+
+def _edge_lines(dec: Decomposition, line: str) -> str:
+    """line % (u, v, label) for every edge, in dense edge-id order."""
+    blocks = []
+    for start in range(0, dec.num_edges, _EXPORT_BLOCK):
+        stop = min(start + _EXPORT_BLOCK, dec.num_edges)
+        u, v = edge_endpoints(np.arange(start, stop), dec.n)
+        rows = zip(u.tolist(), v.tolist(), dec.labels[start:stop].tolist())
+        blocks.append("".join([line % row for row in rows]))
+    return "".join(blocks)
+
+
 def export_dot(dec: Decomposition) -> str:
     """DOT graph with a tree=<label> attribute per edge (0 = leftover)."""
-    u, v = edge_endpoints(np.arange(dec.num_edges), dec.n)
-    lines = [f"graph q{dec.n} {{"]
-    for a, b, label in zip(u.tolist(), v.tolist(), dec.labels.tolist()):
-        lines.append(f"  {a} -- {b} [tree={label}];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    return f"graph q{dec.n} {{\n" + _edge_lines(dec, "  %d -- %d [tree=%d];\n") + "}\n"
 
 
 def export_edgelist(dec: Decomposition) -> str:
     """One "u v label" line per edge, dense edge-id order."""
-    u, v = edge_endpoints(np.arange(dec.num_edges), dec.n)
-    lines = [
-        f"{a} {b} {label}"
-        for a, b, label in zip(u.tolist(), v.tolist(), dec.labels.tolist())
-    ]
-    return "\n".join(lines) + "\n"
+    return _edge_lines(dec, "%d %d %d\n")
 
 
 def export_json_doc(dec: Decomposition) -> str:

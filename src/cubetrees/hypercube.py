@@ -105,15 +105,6 @@ def edge_from_id(eid: int, n: int) -> Edge:
     return Edge(unsqueeze_bit(s, d), d)
 
 
-def embed(v: int, copy_bits: int, at: int) -> int:
-    """Place v inside the subcube copy selected by copy_bits at bit positions at, at+1, ...
-
-    Pre-validated: v must satisfy v < 2^at.  Copy 0 is the identity embedding;
-    the images of distinct copy_bits values partition the larger vertex range.
-    """
-    return v | (copy_bits << at)
-
-
 def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized edge_from_id: decode an id array to (u, v) endpoint arrays."""
     ids = np.asarray(ids, dtype=np.int64)

@@ -1,6 +1,6 @@
 import pytest
 
-from cubetrees.bounds import bounds_for, inequality_chain
+from cubetrees.bounds import bounds_for
 from cubetrees.hypercube import num_edges, num_vertices
 
 
@@ -72,15 +72,13 @@ def test_chain_ordering(n):
     assert report.trivial_lower <= report.arboricity <= report.tree_number
 
 
-def test_inequality_chain_examples():
-    assert inequality_chain(num_edges(6), num_vertices(6), 3)  # 3 <= floor(192/63)
-    assert inequality_chain(num_edges(3), num_vertices(3), 1)  # 1 <= floor(12/7)
-    for k in range(1, 9):
-        n = 2 * k
-        assert inequality_chain(num_edges(n), num_vertices(n), k)
-        assert not inequality_chain(num_edges(n), num_vertices(n), k + 1)
-    with pytest.raises(ValueError):
-        inequality_chain(1, 1, 0)
+def test_density_bound_examples():
+    assert bounds_for(6).trivial_upper == 3  # floor(192/63)
+    assert bounds_for(3).trivial_upper == 1  # floor(12/7)
+    for n in range(2, 17):
+        # room for floor(n/2) edge-disjoint spanning trees, not for one more
+        k = n // 2
+        assert k <= bounds_for(n).trivial_upper < k + 1
 
 
 def test_as_dict_round_trip():

@@ -1,13 +1,7 @@
-import numpy as np
 import pytest
 
-from cubetrees.broadcast import (
-    broadcast_metrics,
-    broadcast_time,
-    link_load,
-    link_load_over_trees,
-    tree_depths,
-)
+import cubetrees.broadcast
+from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import construct
 
 
@@ -40,37 +34,42 @@ def test_link_load_is_one_on_valid_decompositions(n):
     assert link_load(construct(n)) == 1
 
 
-def test_link_load_detects_overlapping_trees():
-    dec = construct(4)
-    tree = dec.tree_edge_ids(1)
-    # the same tree claimed twice: every one of its edges carries load 2
-    assert link_load_over_trees([tree, tree], dec.num_edges) == 2
-    overlap = np.concatenate([dec.tree_edge_ids(2), tree[:1]])
-    assert link_load_over_trees([tree, overlap], dec.num_edges) == 2
+def test_link_load_is_zero_without_trees():
+    assert link_load(construct(1)) == 0
+
+
+def _time(dec, root, parts=1, hop_cost=1.0):
+    return broadcast_metrics(dec, root, parts, hop_cost).total_time_model
 
 
 def test_broadcast_time_model():
     dec = construct(4)
     depths = tree_depths(dec, 0)
-    assert broadcast_time(dec, 0, parts=1, hop_cost=1.0) == max(depths)
+    assert _time(dec, 0, parts=1, hop_cost=1.0) == max(depths)
     # pinned regression values from the first run
-    assert broadcast_time(dec, 0, parts=1, hop_cost=1.0) == 7.0
-    assert broadcast_time(dec, 0, parts=4, hop_cost=2.0) == 20.0
+    assert _time(dec, 0, parts=1, hop_cost=1.0) == 7.0
+    assert _time(dec, 0, parts=4, hop_cost=2.0) == 20.0
     # doubling the chunk count adds exactly hop_cost * parts
     for parts in (1, 2, 5):
-        gap = broadcast_time(dec, 0, 2 * parts) - broadcast_time(dec, 0, parts)
+        gap = _time(dec, 0, 2 * parts) - _time(dec, 0, parts)
         assert gap == parts
     # monotone in both knobs
-    times = [broadcast_time(dec, 0, parts=p) for p in range(1, 8)]
+    times = [_time(dec, 0, parts=p) for p in range(1, 8)]
     assert times == sorted(times)
-    assert broadcast_time(dec, 0, 3, hop_cost=2.0) == 2 * broadcast_time(dec, 0, 3)
+    assert _time(dec, 0, 3, hop_cost=2.0) == 2 * _time(dec, 0, 3)
 
 
-def test_broadcast_time_errors():
-    with pytest.raises(ValueError):
-        broadcast_time(construct(1), 0)  # zero trees: model undefined
-    with pytest.raises(ValueError):
-        broadcast_time(construct(4), 0, parts=0)
+def test_broadcast_time_errors(monkeypatch):
+    def no_search(dec, root):
+        raise AssertionError("tree_depths ran before the arguments were checked")
+
+    # bad arguments are rejected before any tree is searched
+    monkeypatch.setattr(cubetrees.broadcast, "tree_depths", no_search)
+    with pytest.raises(ValueError, match="zero trees"):
+        broadcast_metrics(construct(1), 0)  # zero trees: model undefined
+    for parts in (0, -3):
+        with pytest.raises(ValueError, match="parts"):
+            broadcast_metrics(construct(4), 0, parts=parts)
 
 
 def test_metrics_bundle():

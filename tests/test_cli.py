@@ -175,3 +175,15 @@ def test_broadcast_command(tmp_path, capsys):
     assert run("broadcast", "-n", "1") == EXIT_USAGE  # zero trees: model undefined
     assert run("broadcast") == EXIT_USAGE  # neither input nor -n
     assert run("broadcast", str(dec_path), "-n", "4") == EXIT_USAGE  # both
+
+
+def test_memory_error_exits_with_cap_code(monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("cubetrees.cli.construct", exhausted)
+    assert run("construct", "-n", "6") == EXIT_CAP
+    assert run("broadcast", "-n", "6") == EXIT_CAP
+    err = capsys.readouterr().err
+    assert err.count("error: out of memory") == 2
+    assert "Traceback" not in err

@@ -3,21 +3,18 @@ import pytest
 
 from cubetrees.construct import (
     EVEN,
-    EVEN_COPY_BITS,
     LEFTOVER,
     ODD,
-    ODD_COPY_BITS,
     Decomposition,
     base_q2,
     construct,
     construct_even,
     construct_odd,
-    cross_matching,
-    embed_copy,
     even_extension_tree_sizes,
 )
 from cubetrees.hypercube import CapExceededError, edge_endpoints, edge_id, num_edges
 from cubetrees.verify import forest_components, is_matching, is_spanning_tree
+from construct_reference import EVEN_COPY_BITS, ODD_COPY_BITS, cross_matching, embed_copy
 from union_find_reference import UnionFind
 
 

@@ -10,12 +10,12 @@ from cubetrees.hypercube import (
     edge_endpoints,
     edge_from_id,
     edge_id,
-    embed,
     num_edges,
     num_vertices,
     squeeze_bit,
     unsqueeze_bit,
 )
+from construct_reference import embed
 
 
 def brute_force_edges(n):

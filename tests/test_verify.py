@@ -1,5 +1,7 @@
+import ast
 import time
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -144,6 +146,51 @@ def test_checker_does_not_use_the_constructor():
         if callable(value)
     }
     assert "cubetrees.construct" not in funcs
+
+
+# The package __init__ imports construct too, so only the source can show
+# that the checker never reaches it.
+BUILDER_MODULES = {"construct", "files", "broadcast"}
+
+
+def _builder_imports(source):
+    """Imports of construct, files or broadcast outside `if TYPE_CHECKING:`."""
+    found = []
+
+    def visit(node):
+        if isinstance(node, ast.If) and getattr(node.test, "id", None) == "TYPE_CHECKING":
+            for child in node.orelse:
+                visit(child)
+            return
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}".lstrip(".") for alias in node.names]
+        else:
+            names = []
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "cubetrees":
+                parts = parts[1:]
+            if parts and parts[0] in BUILDER_MODULES:
+                found.append(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_checker_source_imports_no_builder_module():
+    assert _builder_imports(Path(cubetrees.verify.__file__).read_text()) == []
+    # the scan itself sees every import form it has to rule out
+    assert _builder_imports("from .construct import Decomposition")
+    assert _builder_imports("from . import files")
+    assert _builder_imports("def f():\n    import cubetrees.broadcast")
+    assert _builder_imports("if TYPE_CHECKING:\n    pass\nelse:\n    from .files import x")
+    assert not _builder_imports("if TYPE_CHECKING:\n    from .construct import Decomposition")
+    assert not _builder_imports("from .hypercube import num_edges")
 
 
 def dfs_forest_oracle(edge_pairs):

@@ -72,7 +72,7 @@ def test_chain_ordering(n):
     assert report.trivial_lower <= report.arboricity <= report.tree_number
 
 
-def test_density_bound_examples():
+def test_inequality_chain_examples():
     assert bounds_for(6).trivial_upper == 3  # floor(192/63)
     assert bounds_for(3).trivial_upper == 1  # floor(12/7)
     for n in range(2, 17):

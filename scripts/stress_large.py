@@ -7,18 +7,16 @@ import resource
 import time
 
 from cubetrees.construct import construct
-from cubetrees.hypercube import DEFAULT_DIMENSION_CAP
 from cubetrees.verify import verify_decomposition
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("-n", "--dimension", type=int, default=20)
-    parser.add_argument("--cap-override", type=int, default=DEFAULT_DIMENSION_CAP)
     args = parser.parse_args()
 
     start = time.perf_counter()
-    dec = construct(args.dimension, cap=args.cap_override)
+    dec = construct(args.dimension)
     built = time.perf_counter()
     report = verify_decomposition(dec)
     done = time.perf_counter()

@@ -29,7 +29,7 @@ from .files import (
     read_decomposition,
     write_decomposition,
 )
-from .hypercube import DEFAULT_DIMENSION_CAP, CapExceededError, check_dimension
+from .hypercube import CapExceededError, check_dimension
 from .oracle import EdgeListParseError, load_edge_list, nw_arboricity, packing_upper_bound
 from .verify import MalformedDecompositionError, verify_decomposition
 
@@ -48,31 +48,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    capped = argparse.ArgumentParser(add_help=False)
-    capped.add_argument(
-        "--cap-override",
-        type=int,
-        default=DEFAULT_DIMENSION_CAP,
-        metavar="N",
-        help="expert: raise or lower the dimension cap "
-        f"(default {DEFAULT_DIMENSION_CAP}; memory grows as n * 2^(n-1) bytes)",
-    )
-
-    p = sub.add_parser("construct", parents=[capped], help="build a decomposition")
+    p = sub.add_parser("construct", help="build a decomposition")
     p.add_argument("-n", "--dimension", type=int, required=True)
     p.add_argument("-o", "--output", type=Path, help="write the binary decomposition file")
     p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("verify", parents=[capped], help="check a decomposition file")
+    p = sub.add_parser("verify", help="check a decomposition file")
     p.add_argument("input", type=Path)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("info", parents=[capped], help="closed-form invariants for Q_n")
+    p = sub.add_parser("info", help="closed-form invariants for Q_n")
     p.add_argument("-n", "--dimension", type=int, required=True)
     p.set_defaults(func=cmd_info)
 
-    p = sub.add_parser("export", parents=[capped], help="render a decomposition file")
+    p = sub.add_parser("export", help="render a decomposition file")
     p.add_argument("input", type=Path)
     p.add_argument("--format", choices=EXPORT_FORMATS, default="edgelist")
     p.add_argument("-o", "--output", type=Path, help="default: stdout")
@@ -83,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--which", choices=("arboricity", "packing"), required=True)
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("broadcast", parents=[capped], help="multi-tree broadcast metrics")
+    p = sub.add_parser("broadcast", help="multi-tree broadcast metrics")
     p.add_argument("input", type=Path, nargs="?", help="decomposition file")
     p.add_argument("-n", "--dimension", type=int, help="construct instead of reading a file")
     p.add_argument("--root", type=int, default=0)
@@ -95,7 +85,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_construct(args: argparse.Namespace) -> int:
-    dec = construct(args.dimension, cap=args.cap_override)
+    dec = construct(args.dimension)
     if args.output is not None:
         write_decomposition(dec, args.output)
         target = f", written to {args.output}"
@@ -110,7 +100,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    dec = read_decomposition(args.input, cap=args.cap_override)
+    dec = read_decomposition(args.input)
     report = verify_decomposition(dec)
     if args.format == "json":
         print(json.dumps(report.to_dict(), indent=2))
@@ -120,7 +110,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_info(args: argparse.Namespace) -> int:
-    n = check_dimension(args.dimension, cap=args.cap_override)
+    n = check_dimension(args.dimension)
     report = bounds_for(n)
     print(f"Q_{n}: {report.vertices} vertices, {report.edges} edges")
     print(f"  spanning tree packing: {report.tree_packing}")
@@ -137,7 +127,7 @@ def cmd_info(args: argparse.Namespace) -> int:
 
 
 def cmd_export(args: argparse.Namespace) -> int:
-    dec = read_decomposition(args.input, cap=args.cap_override)
+    dec = read_decomposition(args.input)
     rendered = export_decomposition(dec, args.format)
     if args.output is None:
         sys.stdout.write(rendered)
@@ -160,9 +150,9 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.dimension is None):
         raise ValueError("give either a decomposition file or -n, not both")
     if args.input is not None:
-        dec = read_decomposition(args.input, cap=args.cap_override)
+        dec = read_decomposition(args.input)
     else:
-        dec = construct(args.dimension, cap=args.cap_override)
+        dec = construct(args.dimension)
     metrics = broadcast_metrics(dec, args.root, parts=args.parts, hop_cost=args.hop_cost)
     print(f"Q_{dec.n}, k={dec.k}, parts={args.parts}, hop cost={args.hop_cost}")
     print(metrics.to_text())

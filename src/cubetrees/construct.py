@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hypercube import DEFAULT_DIMENSION_CAP, check_dimension, edge_endpoints, num_edges
+from .hypercube import check_dimension, edge_endpoints, num_edges
 
 EVEN = "even"
 ODD = "odd"
@@ -65,7 +65,7 @@ class Decomposition:
     """Complete edge labeling of the n-cube.
 
     labels[edge_id] is 0 for leftover edges and j in 1..k for tree j.
-    The array is uint8 (k <= 12 under the default dimension cap) and must
+    The array is uint8 (k <= 12 under the dimension cap) and must
     be treated as immutable once constructed.
     """
 
@@ -201,38 +201,30 @@ def _extend_odd(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     return out
 
 
-def construct_even(k: int, cap: int = DEFAULT_DIMENSION_CAP) -> Decomposition:
+def construct_even(k: int) -> Decomposition:
     """Decomposition of Q_{2k}: k spanning trees plus a leftover matching of size k."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    check_dimension(2 * k, cap)
-    labels = base_q2().labels
-    for sub_k in range(1, k):
-        labels = _extend_even(labels, sub_k)
-    return Decomposition(n=2 * k, k=k, kind=EVEN, labels=labels)
+    return construct(2 * k)
 
 
-def construct_odd(k: int, cap: int = DEFAULT_DIMENSION_CAP) -> Decomposition:
-    """Decomposition of Q_{2k+1}: k spanning trees plus a k-component leftover forest."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    check_dimension(2 * k + 1, cap)
-    sub = construct_even(k, cap)
-    return Decomposition(n=2 * k + 1, k=k, kind=ODD, labels=_extend_odd(sub.labels, k))
-
-
-def construct(n: int, cap: int = DEFAULT_DIMENSION_CAP) -> Decomposition:
+def construct(n: int) -> Decomposition:
     """Decomposition of Q_n with floor(n/2) trees.
 
+    The even steps build Q_{2k} up from Q_2; odd n adds the one odd step.
     n = 1 is degenerate: floor(1/2) = 0 trees, so the single edge is
     emitted as leftover (a forest with one component).
     """
-    check_dimension(n, cap)
-    if n == 1:
+    check_dimension(n)
+    k = n // 2
+    if k == 0:
         return Decomposition(n=1, k=0, kind=ODD, labels=np.zeros(1, dtype=np.uint8))
-    if n % 2 == 0:
-        return construct_even(n // 2, cap)
-    return construct_odd(n // 2, cap)
+    labels = base_q2().labels
+    for sub_k in range(1, k):
+        labels = _extend_even(labels, sub_k)
+    if n % 2:
+        labels = _extend_odd(labels, k)
+    return Decomposition(n=n, k=k, kind=ODD if n % 2 else EVEN, labels=labels)
 
 
 class EvenStepSizes(NamedTuple):

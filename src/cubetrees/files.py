@@ -18,14 +18,13 @@ document mirroring the binary fields with explicit endpoints.
 
 from __future__ import annotations
 
-import json
 import struct
 from pathlib import Path
 
 import numpy as np
 
 from .construct import EVEN, ODD, Decomposition
-from .hypercube import DEFAULT_DIMENSION_CAP, edge_endpoints, num_edges
+from .hypercube import DIMENSION_CAP, edge_endpoints, num_edges
 
 MAGIC = b"QDEC"
 FORMAT_VERSION = 1
@@ -46,9 +45,7 @@ def decomposition_to_bytes(dec: Decomposition) -> bytes:
     return header + dec.labels.tobytes()
 
 
-def decomposition_from_bytes(
-    data: bytes, cap: int = DEFAULT_DIMENSION_CAP
-) -> Decomposition:
+def decomposition_from_bytes(data: bytes) -> Decomposition:
     if len(data) < _HEADER.size:
         raise DecompositionParseError(
             f"file too short: {len(data)} bytes, header needs {_HEADER.size}"
@@ -58,8 +55,8 @@ def decomposition_from_bytes(
         raise DecompositionParseError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
         raise DecompositionParseError(f"unsupported format version {version}")
-    if n < 1 or n > cap:
-        raise DecompositionParseError(f"dimension {n} outside [1, {cap}]")
+    if n < 1 or n > DIMENSION_CAP:
+        raise DecompositionParseError(f"dimension {n} outside [1, {DIMENSION_CAP}]")
     if k != n // 2:
         raise DecompositionParseError(f"k={k} inconsistent with n={n}")
     if kind_code not in _KIND_NAMES:
@@ -85,8 +82,8 @@ def write_decomposition(dec: Decomposition, path: str | Path) -> None:
     Path(path).write_bytes(decomposition_to_bytes(dec))
 
 
-def read_decomposition(path: str | Path, cap: int = DEFAULT_DIMENSION_CAP) -> Decomposition:
-    return decomposition_from_bytes(Path(path).read_bytes(), cap)
+def read_decomposition(path: str | Path) -> Decomposition:
+    return decomposition_from_bytes(Path(path).read_bytes())
 
 
 # Edges are decoded and formatted this many at a time, so the Python ints
@@ -115,20 +112,20 @@ def export_edgelist(dec: Decomposition) -> str:
     return _edge_lines(dec, "%d %d %d\n")
 
 
+_JSON_EDGE = '    {\n      "u": %d,\n      "v": %d,\n      "label": %d\n    },\n'
+
+
 def export_json_doc(dec: Decomposition) -> str:
-    """JSON document mirroring the binary fields, with explicit endpoints."""
-    u, v = edge_endpoints(np.arange(dec.num_edges), dec.n)
-    doc = {
-        "format_version": FORMAT_VERSION,
-        "n": dec.n,
-        "k": dec.k,
-        "kind": dec.kind,
-        "edges": [
-            {"u": a, "v": b, "label": label}
-            for a, b, label in zip(u.tolist(), v.tolist(), dec.labels.tolist())
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    """JSON document mirroring the binary fields, with explicit endpoints.
+
+    The text is json.dumps(doc, indent=2) plus a newline, with the edge
+    objects formatted block-wise like the other exports.
+    """
+    edges = _edge_lines(dec, _JSON_EDGE)[: -len(",\n")]
+    return (
+        f'{{\n  "format_version": {FORMAT_VERSION},\n  "n": {dec.n},\n  "k": {dec.k},\n'
+        f'  "kind": "{dec.kind}",\n  "edges": [\n{edges}\n  ]\n}}\n'
+    )
 
 
 def export_decomposition(dec: Decomposition, fmt: str) -> str:

@@ -21,9 +21,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Default dimension cap.  n = 24 means ~201M one-byte edge labels, which is
-# the practical desk ceiling; callers may override per call.
-DEFAULT_DIMENSION_CAP = 24
+# The largest n that construct + verify has been run at: n = 24 is ~201M
+# one-byte edge labels, verified in about half a minute under 1 GB.
+DIMENSION_CAP = 24
 
 
 class CapExceededError(ValueError):
@@ -48,16 +48,15 @@ class Edge(NamedTuple):
         return self.u, self.v
 
 
-def check_dimension(n: int, cap: int = DEFAULT_DIMENSION_CAP) -> int:
+def check_dimension(n: int) -> int:
     """Validate a cube dimension, returning it unchanged."""
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"dimension must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
-    if n > cap:
+    if n > DIMENSION_CAP:
         raise CapExceededError(
-            f"dimension {n} exceeds cap {cap} "
-            f"(~{num_edges(n)} edge labels); raise the cap explicitly to proceed"
+            f"dimension {n} exceeds cap {DIMENSION_CAP} (~{num_edges(n)} edge labels)"
         )
     return n
 

@@ -14,7 +14,7 @@ is certified by a second, unrelated route.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
@@ -39,8 +39,12 @@ EVEN_KIND = "even"
 ODD_KIND = "odd"
 
 
-def _as_id_array(edge_ids: Iterable[int] | np.ndarray) -> np.ndarray:
-    return np.asarray(edge_ids, dtype=np.int64).reshape(-1)
+def _as_id_array(edge_ids: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
+    ids = np.asarray(edge_ids, dtype=np.int64).reshape(-1)
+    total = num_edges(n)
+    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= total):
+        raise MalformedEdgeError(f"edge ids must lie in [0, {total}) for n={n}")
+    return ids
 
 
 def _edge_mask(labels: np.ndarray, value: int, n: int) -> tuple[np.ndarray, int]:
@@ -65,10 +69,7 @@ def _edge_mask(labels: np.ndarray, value: int, n: int) -> tuple[np.ndarray, int]
 
 
 def _id_mask(ids: np.ndarray, n: int) -> np.ndarray:
-    total = num_edges(n)
-    if ids.size and (int(ids.min()) < 0 or int(ids.max()) >= total):
-        raise MalformedEdgeError(f"edge ids must lie in [0, {total}) for n={n}")
-    chosen = np.zeros(total, dtype=np.uint8)
+    chosen = np.zeros(num_edges(n), dtype=np.uint8)
     chosen[ids] = 1
     return _edge_mask(chosen, 1, n)[0]
 
@@ -138,7 +139,7 @@ def is_spanning_tree(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
     every vertex is implied too, but verify_decomposition still records it
     separately.
     """
-    ids = _as_id_array(edge_ids)
+    ids = _as_id_array(edge_ids, n)
     vertices = num_vertices(n)
     if ids.size != vertices - 1:
         return False
@@ -147,7 +148,7 @@ def is_spanning_tree(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
 
 def is_matching(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
     """True iff no two edges share an endpoint (the empty set qualifies)."""
-    ids = _as_id_array(edge_ids)
+    ids = _as_id_array(edge_ids, n)
     if ids.size == 0:
         return True
     u, v = edge_endpoints(ids, n)
@@ -162,7 +163,7 @@ def forest_components(edge_ids: Iterable[int] | np.ndarray, n: int) -> tuple[boo
     cube vertices touched by no edge do not contribute.  A repeated edge id
     counts as a cycle.
     """
-    ids = _as_id_array(edge_ids)
+    ids = _as_id_array(edge_ids, n)
     if ids.size == 0:
         return True, 0
     mask = _id_mask(ids, n)
@@ -216,33 +217,11 @@ class VerifyReport:
         return self.partition_ok and self.leftover.ok and all(t.ok for t in self.trees)
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "k": self.k,
-            "kind": self.kind,
-            "partition_ok": self.partition_ok,
-            "trees": [
-                {
-                    "label": t.label,
-                    "edge_count": t.edge_count,
-                    "size_ok": t.size_ok,
-                    "connected": t.connected,
-                    "incident_to_all": t.incident_to_all,
-                    "ok": t.ok,
-                }
-                for t in self.trees
-            ],
-            "leftover": {
-                "size": self.leftover.size,
-                "expected_size": self.leftover.expected_size,
-                "is_matching": self.leftover.is_matching,
-                "is_forest": self.leftover.is_forest,
-                "components": self.leftover.components,
-                "expected_components": self.leftover.expected_components,
-                "ok": self.leftover.ok,
-            },
-            "overall": self.overall,
-        }
+        doc = asdict(self)
+        doc["trees"] = [{**tree, "ok": t.ok} for tree, t in zip(doc["trees"], self.trees)]
+        doc["leftover"]["ok"] = self.leftover.ok
+        doc["overall"] = self.overall
+        return doc
 
     def to_text(self) -> str:
         lines = [

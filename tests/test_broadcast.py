@@ -1,8 +1,11 @@
+import numpy as np
 import pytest
 
 import cubetrees.broadcast
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
-from cubetrees.construct import construct
+from cubetrees.construct import Decomposition, construct
+from cubetrees.hypercube import num_edges
+from test_verify import gray_code_path
 
 
 def test_depth_of_base_path_tree():
@@ -20,6 +23,17 @@ def test_depths_at_least_the_diameter(n):
 def test_depths_regression_constants():
     assert tree_depths(construct(6), 0) == [10, 9, 10]
     assert tree_depths(construct(4), 0) == [7, 5]
+
+
+def test_depths_along_a_hamiltonian_path_tree():
+    """Tree 1 is the Gray-code path through Q_16, every other edge leftover."""
+    n = 16
+    labels = np.zeros(num_edges(n), dtype=np.uint8)
+    labels[gray_code_path(n)] = 1
+    dec = Decomposition(n=n, k=n // 2, kind="even", labels=labels)
+    assert tree_depths(dec, 0) == [(1 << n) - 1] + [0] * (dec.k - 1)
+    mid = 1 << (n - 1)
+    assert tree_depths(dec, mid ^ (mid >> 1))[0] == mid
 
 
 def test_root_out_of_range():

@@ -58,15 +58,11 @@ def test_construct_is_byte_identical_across_processes(tmp_path):
 def test_construct_usage_errors(capsys):
     assert run("construct", "-n", "0") == EXIT_USAGE
     assert "error" in capsys.readouterr().err
+    assert run("construct", "-n", "25") == EXIT_CAP
     assert run("construct", "-n", "30") == EXIT_CAP
     with pytest.raises(SystemExit) as exc:
         run("construct")  # missing -n
     assert exc.value.code == 2
-
-
-def test_construct_cap_override():
-    # lowering the cap turns an ordinary dimension into a cap error
-    assert run("construct", "-n", "8", "--cap-override", "6") == EXIT_CAP
 
 
 def test_verify_round_trip(tmp_path, capsys):
@@ -96,6 +92,8 @@ def test_verify_parse_and_io_errors(tmp_path):
     assert run("construct", "-n", "4", "-o", str(good)) == EXIT_OK
     bad.write_bytes(good.read_bytes()[:10])
     assert run("verify", str(bad)) == EXIT_PARSE
+    bad.write_bytes(b"QDEC\x01\x00" + bytes([25, 12, 1]))  # header of Q_25, over the cap
+    assert run("verify", str(bad)) == EXIT_PARSE
     assert run("verify", str(tmp_path / "missing.dec")) == EXIT_IO
 
 
@@ -116,6 +114,7 @@ def test_info_reports_bounds(capsys):
     assert run("info", "-n", "1") == EXIT_OK
     assert "packing: 0" in capsys.readouterr().out
     assert run("info", "-n", "0") == EXIT_USAGE
+    assert run("info", "-n", "25") == EXIT_CAP
     assert run("info", "-n", "99") == EXIT_CAP
 
 

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,6 @@ from cubetrees.construct import (
     base_q2,
     construct,
     construct_even,
-    construct_odd,
     even_extension_tree_sizes,
 )
 from cubetrees.hypercube import CapExceededError, edge_endpoints, edge_id, num_edges
@@ -53,10 +54,19 @@ def test_construct_dispatch():
         construct(25)
     with pytest.raises(CapExceededError):
         construct_even(13)
-    with pytest.raises(CapExceededError):
-        construct_odd(12)
     with pytest.raises(ValueError):
         construct_even(0)
+
+
+def test_construct_checks_the_dimension_once(monkeypatch):
+    # `cubetrees.construct` is shadowed by the function of that name.
+    module = importlib.import_module("cubetrees.construct")
+    check, calls = module.check_dimension, []
+    monkeypatch.setattr(module, "check_dimension", lambda n: calls.append(n) or check(n))
+    for n in (1, 2, 7, 8):
+        construct(n)
+    construct_even(3)
+    assert calls == [1, 2, 7, 8, 6]
 
 
 def test_q4_tree_and_leftover_sizes():
@@ -69,7 +79,7 @@ def test_q4_tree_and_leftover_sizes():
 
 
 def test_q3_tree_and_leftover_shape():
-    dec = construct_odd(1)
+    dec = construct(3)
     tree = dec.tree_edge_ids(1)
     assert tree.size == 7  # 3 tree edges + 3 unselected cross edges + 1 leftover edge
     assert is_spanning_tree(tree, 3)
@@ -94,7 +104,7 @@ def test_odd_leftover_component_structure():
     # The selected cross edge shares an endpoint with its paired leftover
     # edge, so the component holding copy 2's donated tree also holds both.
     for k, n in ((1, 3), (2, 5)):
-        dec = construct_odd(k)
+        dec = construct(2 * k + 1)
         comps = _component_vertices(dec.leftover_edge_ids(), n)
         assert len(comps) == k
         big = max(comps, key=len)
@@ -171,7 +181,7 @@ def test_even_step_matches_reference_assembly(k):
 def test_odd_step_matches_reference_assembly(k):
     sub = construct_even(k)
     expected = _reference_odd_labels(sub, 2 * k + 1)
-    assert np.array_equal(construct_odd(k).labels, expected)
+    assert np.array_equal(construct(2 * k + 1).labels, expected)
 
 
 def _spans_exactly(edge_ids, vertex_set, n):

@@ -1,5 +1,6 @@
 import json
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -59,9 +60,11 @@ def test_parse_errors():
 
 
 def test_dimension_cap_respected_at_parse_time():
-    blob = decomposition_to_bytes(construct(6))
-    with pytest.raises(DecompositionParseError):
-        decomposition_from_bytes(blob, cap=5)
+    # A bare header for n = 25, k = 12, odd: refused before any payload.
+    header = struct.pack("<4sHBBB", b"QDEC", 1, 25, 12, 1)
+    assert len(header) == 9
+    with pytest.raises(DecompositionParseError, match="dimension 25"):
+        decomposition_from_bytes(header)
 
 
 DOT_EDGE = re.compile(r"^  (\d+) -- (\d+) \[tree=(\d+)\];$")
@@ -105,6 +108,23 @@ def test_json_doc_export():
         e = doc["edges"][eid]
         assert (e["u"], e["v"]) == edge_from_id(eid, 4).endpoints()
         assert e["label"] == dec.labels[eid]
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 12])
+def test_json_doc_export_is_json_dumps(n):
+    dec = construct(n)
+    doc = {
+        "format_version": 1,
+        "n": n,
+        "k": dec.k,
+        "kind": dec.kind,
+        "edges": [
+            {"u": u, "v": v, "label": int(dec.labels[eid])}
+            for eid in range(num_edges(n))
+            for u, v in [edge_from_id(eid, n).endpoints()]
+        ],
+    }
+    assert export_json_doc(dec) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_unknown_export_format():

@@ -78,7 +78,6 @@ def test_dimension_cap():
         check_dimension(0)
     with pytest.raises(CapExceededError):
         check_dimension(25)
-    assert check_dimension(25, cap=26) == 25
 
 
 def test_embed_identity_and_placement():

@@ -116,6 +116,17 @@ def test_report_rendering():
     doc = report.to_dict()
     assert doc["overall"] and doc["n"] == 5 and len(doc["trees"]) == 2
     assert doc["leftover"]["components"] == 2
+    for n in (5, 6):
+        doc = verify_decomposition(construct(n)).to_dict()
+        assert list(doc) == ["n", "k", "kind", "partition_ok", "trees", "leftover", "overall"]
+        assert isinstance(doc["trees"], list)
+        assert list(doc["trees"][0]) == [
+            "label", "edge_count", "size_ok", "connected", "incident_to_all", "ok"
+        ]
+        assert list(doc["leftover"]) == [
+            "size", "expected_size", "is_matching", "is_forest",
+            "components", "expected_components", "ok",
+        ]
 
 
 @pytest.mark.parametrize("n", [7, 8])
@@ -300,6 +311,8 @@ def test_out_of_range_edge_ids_are_rejected():
             forest_components(bad, 3)
         with pytest.raises(MalformedEdgeError):
             is_spanning_tree(bad + [0] * 6, 3)
+        with pytest.raises(MalformedEdgeError):
+            is_matching(bad, 3)
 
 
 @pytest.mark.parametrize("n", [3, 7, 11])

@@ -5,6 +5,8 @@ of a message down different trees simultaneously without any link carrying
 two trees' traffic.  This module reports the quantities that drive such a
 schedule: per-tree depth from the root, the worst-case per-link tree load
 (1 for any valid decomposition), and a first-order pipelined time estimate.
+Depths come from a breadth-first search over each tree's per-vertex edge
+mask (hypercube.edge_mask), the same edge-set form the verifier checks.
 
 The time model is deliberately simple: the message is cut into k * parts
 equal chunks, each tree streams its chunks in a pipeline, hops have uniform
@@ -14,35 +16,36 @@ cost and there is no contention, so a tree of depth D finishes after
 
 from __future__ import annotations
 
-from collections import deque
+import math
 from dataclasses import dataclass
 
 from .construct import Decomposition
-from .hypercube import edge_endpoints, num_vertices
+from .hypercube import edge_mask, num_vertices
 
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
-    """Eccentricity of root within each tree, by breadth-first traversal."""
-    vertices = num_vertices(dec.n)
-    if not 0 <= root < vertices:
+    """Eccentricity of root within each tree, by breadth-first search over the
+    tree's edge mask; reached vertices are marked, so a cycle cannot loop it."""
+    if not 0 <= root < num_vertices(dec.n):
         raise ValueError(f"root {root} out of range for n={dec.n}")
     depths = []
     for j in range(1, dec.k + 1):
-        u, v = edge_endpoints(dec.tree_edge_ids(j), dec.n)
-        adjacency: dict[int, list[int]] = {}
-        for a, b in zip(u.tolist(), v.tolist()):
-            adjacency.setdefault(a, []).append(b)
-            adjacency.setdefault(b, []).append(a)
-        depth = {root: 0}
-        queue = deque([root])
-        far = 0
-        while queue:
-            node = queue.popleft()
-            for nxt in adjacency.get(node, ()):
-                if nxt not in depth:
-                    depth[nxt] = depth[node] + 1
-                    far = max(far, depth[nxt])
-                    queue.append(nxt)
+        mask = edge_mask(dec.labels, j, dec.n)[0].tolist()
+        seen = bytearray(num_vertices(dec.n))
+        seen[root] = 1
+        frontier, far = [root], -1
+        while frontier:
+            far += 1
+            reached = []
+            for x in frontier:
+                bits = mask[x]
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    if not seen[x ^ low]:
+                        seen[x ^ low] = 1
+                        reached.append(x ^ low)
+            frontier = reached
         depths.append(far)
     return depths
 
@@ -79,6 +82,8 @@ def broadcast_metrics(
         raise ValueError("broadcast model undefined with zero trees (n = 1)")
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
+    if not 0 < hop_cost < math.inf:
+        raise ValueError(f"hop_cost must be finite and > 0, got {hop_cost}")
     depths = tuple(tree_depths(dec, root))
     return BroadcastMetrics(
         root=root,

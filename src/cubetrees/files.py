@@ -18,6 +18,8 @@ document mirroring the binary fields with explicit endpoints.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 from pathlib import Path
 
@@ -45,10 +47,11 @@ def decomposition_to_bytes(dec: Decomposition) -> bytes:
     return header + dec.labels.tobytes()
 
 
-def decomposition_from_bytes(data: bytes) -> Decomposition:
-    if len(data) < _HEADER.size:
+def _parse_header(data: bytes, size: int) -> tuple[int, int, str]:
+    """(n, k, kind) from a header, checked against the whole file's size."""
+    if size < _HEADER.size:
         raise DecompositionParseError(
-            f"file too short: {len(data)} bytes, header needs {_HEADER.size}"
+            f"file too short: {size} bytes, header needs {_HEADER.size}"
         )
     magic, version, n, k, kind_code = _HEADER.unpack_from(data)
     if magic != MAGIC:
@@ -64,13 +67,16 @@ def decomposition_from_bytes(data: bytes) -> Decomposition:
     kind = _KIND_NAMES[kind_code]
     if kind != (EVEN if n % 2 == 0 else ODD):
         raise DecompositionParseError(f"kind {kind!r} inconsistent with n={n}")
-    payload = len(data) - _HEADER.size
+    payload = size - _HEADER.size
     expected = num_edges(n)
     if payload != expected:
         raise DecompositionParseError(
             f"label payload has {payload} bytes, expected {expected}"
         )
-    labels = np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size).copy()
+    return n, k, kind
+
+
+def _checked(n: int, k: int, kind: str, labels: np.ndarray) -> Decomposition:
     if labels.size and int(labels.max()) > k:
         raise DecompositionParseError(
             f"label {int(labels.max())} exceeds tree count k={k}"
@@ -78,12 +84,25 @@ def decomposition_from_bytes(data: bytes) -> Decomposition:
     return Decomposition(n=n, k=k, kind=kind, labels=labels)
 
 
+def decomposition_from_bytes(data: bytes) -> Decomposition:
+    n, k, kind = _parse_header(data, len(data))
+    return _checked(n, k, kind, np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size).copy())
+
+
 def write_decomposition(dec: Decomposition, path: str | Path) -> None:
     Path(path).write_bytes(decomposition_to_bytes(dec))
 
 
 def read_decomposition(path: str | Path) -> Decomposition:
-    return decomposition_from_bytes(Path(path).read_bytes())
+    """Parse a decomposition file.  A regular file's size is checked against
+    its header before any label is read; a pipe has no size and is read whole."""
+    with open(path, "rb") as f:
+        info = os.fstat(f.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            return decomposition_from_bytes(f.read())
+        n, k, kind = _parse_header(f.read(_HEADER.size), info.st_size)
+        labels = np.fromfile(f, dtype=np.uint8, count=num_edges(n))
+    return _checked(n, k, kind, labels)
 
 
 # Edges are decoded and formatted this many at a time, so the Python ints

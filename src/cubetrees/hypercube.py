@@ -1,23 +1,24 @@
-"""Bit-arithmetic model of the n-dimensional hypercube.
+"""Vectorized model of the n-dimensional hypercube.
 
 Vertices are integers in [0, 2^n); bit i of the label is coordinate i, and
 two vertices are adjacent iff their labels differ in exactly one bit.  An
-edge is stored canonically as (u, d): the endpoint whose bit d is 0, plus
-the dimension d along which the edge runs.
+edge is named by its endpoint u whose bit d is 0, plus the dimension d
+along which it runs.
 
 Edges also get a dense integer id, laid out dimension-major:
 
-    edge_id = d * 2^(n-1) + squeeze_bit(u, d)
+    edge_id = d * 2^(n-1) + (u & (2^d - 1)) + ((u >> (d+1)) << d)
 
-where squeeze_bit removes bit d from u and closes the gap.  For each
-dimension there are exactly 2^(n-1) edges, so ids cover [0, n * 2^(n-1))
-bijectively.  This order is the normative edge order for label arrays and
-file formats throughout the package.
+that is, bit d is removed from u and the bits above it move down one.  For
+each dimension there are exactly 2^(n-1) edges, so ids cover
+[0, n * 2^(n-1)) bijectively.  This order is the normative edge order for
+label arrays and file formats throughout the package.
+
+An edge set given by a label array can also be held per vertex: edge_mask
+sets bit d of mask[x] for the edge x -- x ^ 1<<d.
 """
 
 from __future__ import annotations
-
-from typing import NamedTuple
 
 import numpy as np
 
@@ -32,20 +33,6 @@ class CapExceededError(ValueError):
 
 class MalformedEdgeError(ValueError):
     """An edge or edge id is not well-formed for the given dimension."""
-
-
-class Edge(NamedTuple):
-    """Canonical hypercube edge: u has bit d clear, the other endpoint is u | 1<<d."""
-
-    u: int
-    d: int
-
-    @property
-    def v(self) -> int:
-        return self.u | (1 << self.d)
-
-    def endpoints(self) -> tuple[int, int]:
-        return self.u, self.v
 
 
 def check_dimension(n: int) -> int:
@@ -69,43 +56,8 @@ def num_edges(n: int) -> int:
     return n << (n - 1)
 
 
-def squeeze_bit(value: int, d: int) -> int:
-    """Remove bit d from value: low bits keep positions, higher bits shift down one."""
-    return (value & ((1 << d) - 1)) | ((value >> (d + 1)) << d)
-
-
-def unsqueeze_bit(value: int, d: int) -> int:
-    """Inverse of squeeze_bit: reopen a zero bit at position d."""
-    return (value & ((1 << d) - 1)) | ((value >> d) << (d + 1))
-
-
-def validate_edge(e: Edge, n: int) -> Edge:
-    u, d = e
-    if not 0 <= d < n:
-        raise MalformedEdgeError(f"dimension index {d} out of range for n={n}")
-    if not 0 <= u < (1 << n):
-        raise MalformedEdgeError(f"vertex {u} out of range for n={n}")
-    if u & (1 << d):
-        raise MalformedEdgeError(f"vertex {u:#x} has bit {d} set; not a canonical endpoint")
-    return e
-
-
-def edge_id(e: Edge, n: int) -> int:
-    """Dense id of a canonical edge (dimension-major layout)."""
-    validate_edge(e, n)
-    return e.d * (1 << (n - 1)) + squeeze_bit(e.u, e.d)
-
-
-def edge_from_id(eid: int, n: int) -> Edge:
-    """Inverse of edge_id."""
-    if not 0 <= eid < num_edges(n):
-        raise MalformedEdgeError(f"edge id {eid} out of range for n={n}")
-    d, s = divmod(eid, 1 << (n - 1))
-    return Edge(unsqueeze_bit(s, d), d)
-
-
 def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized edge_from_id: decode an id array to (u, v) endpoint arrays."""
+    """Decode an edge-id array to (u, v) endpoint arrays, u with bit d clear."""
     ids = np.asarray(ids, dtype=np.int64)
     half = np.int64(1) << (n - 1)
     d = ids >> (n - 1)
@@ -114,3 +66,24 @@ def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     u = (s & low) | ((s >> d) << (d + 1))
     v = u | (np.int64(1) << d)
     return u, v
+
+
+def edge_mask(labels: np.ndarray, value: int, n: int) -> tuple[np.ndarray, int]:
+    """Per-vertex bitmask of the edges labelled value, and their number.
+
+    Bit d of mask[x] is the edge x -- x ^ 1<<d.
+
+    Dimension block d of the edge-id layout, viewed as (2^(n-1-d), 1, 2^d),
+    lines up with the vertex array viewed as (2^(n-1-d), 2, 2^d): the
+    squeezed-out bit d becomes the middle axis, so one broadcast OR gives the
+    bit to both ends of every edge in the block.
+    """
+    half = 1 << (n - 1)
+    mask = np.zeros(1 << n, dtype=np.uint32)
+    edges = 0
+    for d in range(n):
+        picked = labels[d * half : (d + 1) * half].reshape(half >> d, 1, 1 << d) == value
+        edges += int(np.count_nonzero(picked))
+        cube = mask.reshape(half >> d, 2, 1 << d)
+        cube |= picked * np.uint32(1 << d)
+    return mask, edges

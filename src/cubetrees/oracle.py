@@ -27,7 +27,6 @@ from .hypercube import CapExceededError
 
 ARBORICITY_VERTEX_CAP = 16  # 2^V induced subgraphs
 PACKING_VERTEX_CAP = 10  # Bell(V) vertex partitions
-SPOT_CHECK_VERTEX_CAP = 8
 
 
 class EdgeListParseError(ValueError):
@@ -70,13 +69,6 @@ class SmallGraph:
             if not v & (1 << d)
         ]
         return cls(num_vertices=1 << n, edges=tuple(edges))
-
-    def without_edges(self, removed: set[tuple[int, int]]) -> "SmallGraph":
-        removed = {(min(u, v), max(u, v)) for u, v in removed}
-        return SmallGraph(
-            num_vertices=self.num_vertices,
-            edges=tuple(e for e in self.edges if e not in removed),
-        )
 
 
 def load_edge_list(text: str) -> SmallGraph:
@@ -188,18 +180,3 @@ def packing_upper_bound(g: SmallGraph) -> int:
                 break
     assert best is not None  # n >= 2 always has the all-singletons partition
     return best
-
-
-def catlin_spot_check(g: SmallGraph, removed: set[tuple[int, int]]) -> bool:
-    """After deleting |removed| edges from g, can |removed| edge-disjoint
-    spanning trees still be packed?
-
-    Statement-level sanity test only: the caller is responsible for g being
-    2*|removed|-edge-connected, which is what makes a True answer expected.
-    """
-    if g.num_vertices > SPOT_CHECK_VERTEX_CAP:
-        raise CapExceededError(
-            f"{g.num_vertices} vertices exceeds the spot-check cap "
-            f"of {SPOT_CHECK_VERTEX_CAP}"
-        )
-    return packing_upper_bound(g.without_edges(removed)) >= len(removed)

@@ -1,15 +1,15 @@
 """Independent structural checks for hypercube edge-set decompositions.
 
 Everything here works from first principles on the label array, using only
-the cube's own structure: each edge set becomes a per-vertex uint32 bitmask
-(bit d marks the edge to x ^ 1<<d), built one dimension block at a time by
-a reshape of the label array.  Connected components come from min-label
-hooking with pointer jumping over the masked edges, whose round count does
-not grow with the depth of a tree.  A tree is connected iff its edges leave
-one component over all 2^n vertices; a leftover's component count and
-acyclicity come from the same routine; the rest is plain counting.
-Nothing is imported from the construction code, so a verified decomposition
-is certified by a second, unrelated route.
+the cube's own structure: each edge set becomes the per-vertex uint32
+bitmask of hypercube.edge_mask (bit d marks the edge to x ^ 1<<d), built
+one dimension block at a time by a reshape of the label array.  Connected
+components come from min-label hooking with pointer jumping over the masked
+edges, whose round count does not grow with the depth of a tree.  A tree is
+connected iff its edges leave one component over all 2^n vertices; a
+leftover's component count and acyclicity come from the same routine; the
+rest is plain counting.  Nothing is imported from the construction code, so
+a verified decomposition is certified by a second, unrelated route.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .hypercube import MalformedEdgeError, edge_endpoints, num_edges, num_vertices
+from .hypercube import MalformedEdgeError, edge_endpoints, edge_mask, num_edges, num_vertices
 
 if TYPE_CHECKING:  # annotation only; the checker never calls into construct
     from .construct import Decomposition
@@ -47,31 +47,10 @@ def _as_id_array(edge_ids: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     return ids
 
 
-def _edge_mask(labels: np.ndarray, value: int, n: int) -> tuple[np.ndarray, int]:
-    """Per-vertex bitmask of the edges labelled value, and their number.
-
-    Bit d of mask[x] is the edge x -- x ^ 1<<d.
-
-    Dimension block d of the edge-id layout, viewed as (2^(n-1-d), 1, 2^d),
-    lines up with the vertex array viewed as (2^(n-1-d), 2, 2^d): the
-    squeezed-out bit d becomes the middle axis, so one broadcast OR gives the
-    bit to both ends of every edge in the block.
-    """
-    half = 1 << (n - 1)
-    mask = np.zeros(1 << n, dtype=np.uint32)
-    edges = 0
-    for d in range(n):
-        picked = labels[d * half : (d + 1) * half].reshape(half >> d, 1, 1 << d) == value
-        edges += int(np.count_nonzero(picked))
-        cube = mask.reshape(half >> d, 2, 1 << d)
-        cube |= picked * np.uint32(1 << d)
-    return mask, edges
-
-
 def _id_mask(ids: np.ndarray, n: int) -> np.ndarray:
     chosen = np.zeros(num_edges(n), dtype=np.uint8)
     chosen[ids] = 1
-    return _edge_mask(chosen, 1, n)[0]
+    return edge_mask(chosen, 1, n)[0]
 
 
 def _edge_ends(mask: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -268,7 +247,7 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
     vertices = num_vertices(n)
     tree_checks = []
     for j in range(1, k + 1):
-        mask, edges = _edge_mask(labels, j, n)
+        mask, edges = edge_mask(labels, j, n)
         tree_checks.append(
             TreeCheck(
                 label=j,

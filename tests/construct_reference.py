@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from cubetrees.construct import Decomposition
-from cubetrees.hypercube import Edge, edge_endpoints, edge_id
+from cubetrees.hypercube import edge_endpoints
+from cube_reference import Edge, edge_id
 
 # Copy index -> top-coordinate bits, Gray order.  Consecutive entries (and
 # the first/last pair) differ in exactly one bit, so copy pairs (1,2),

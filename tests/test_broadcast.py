@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cubetrees.broadcast
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.hypercube import num_edges
+from broadcast_reference import reference_tree_depths
 from test_verify import gray_code_path
 
 
@@ -34,6 +36,36 @@ def test_depths_along_a_hamiltonian_path_tree():
     assert tree_depths(dec, 0) == [(1 << n) - 1] + [0] * (dec.k - 1)
     mid = 1 << (n - 1)
     assert tree_depths(dec, mid ^ (mid >> 1))[0] == mid
+
+
+def assert_depths_match_reference(dec, data):
+    for root in data.draw(st.lists(st.integers(0, (1 << dec.n) - 1), min_size=1, max_size=4)):
+        assert tree_depths(dec, root) == reference_tree_depths(dec, root)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_random_labels_match_dict_bfs_reference(n, seed, skew, data):
+    # Random "trees" hold cycles, fall apart or are empty; skew > 0 makes one
+    # label dominate, so some of them are large and cyclic.
+    k = n // 2
+    rng = np.random.default_rng(seed)
+    weights = rng.random(k + 1) ** (4 * skew)
+    labels = rng.choice(k + 1, size=num_edges(n), p=weights / weights.sum()).astype(np.uint8)
+    kind = "even" if n % 2 == 0 else "odd"
+    assert_depths_match_reference(Decomposition(n=n, k=k, kind=kind, labels=labels), data)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_single_mutations_match_dict_bfs_reference(data):
+    n = data.draw(st.integers(2, 10))  # Q_1 has k = 0: no other label to move to
+    dec = construct(n)
+    eid = data.draw(st.integers(0, num_edges(n) - 1))
+    new = data.draw(st.integers(0, dec.k).filter(lambda j: j != dec.labels[eid]))
+    labels = dec.labels.copy()
+    labels[eid] = new
+    assert_depths_match_reference(Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels), data)
 
 
 def test_root_out_of_range():
@@ -84,6 +116,9 @@ def test_broadcast_time_errors(monkeypatch):
     for parts in (0, -3):
         with pytest.raises(ValueError, match="parts"):
             broadcast_metrics(construct(4), 0, parts=parts)
+    for hop_cost in (0, -2.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="hop_cost"):
+            broadcast_metrics(construct(4), 0, hop_cost=hop_cost)
 
 
 def test_metrics_bundle():

@@ -92,6 +92,10 @@ def test_verify_parse_and_io_errors(tmp_path):
     assert run("construct", "-n", "4", "-o", str(good)) == EXIT_OK
     bad.write_bytes(good.read_bytes()[:10])
     assert run("verify", str(bad)) == EXIT_PARSE
+    bad.write_bytes(good.read_bytes()[:5])  # shorter than the header
+    assert run("verify", str(bad)) == EXIT_PARSE
+    bad.write_bytes(good.read_bytes()[:-1] + b"\x09")  # label 9 > k = 2
+    assert run("verify", str(bad)) == EXIT_PARSE
     bad.write_bytes(b"QDEC\x01\x00" + bytes([25, 12, 1]))  # header of Q_25, over the cap
     assert run("verify", str(bad)) == EXIT_PARSE
     assert run("verify", str(tmp_path / "missing.dec")) == EXIT_IO
@@ -174,6 +178,7 @@ def test_broadcast_command(tmp_path, capsys):
     assert run("broadcast", "-n", "1") == EXIT_USAGE  # zero trees: model undefined
     assert run("broadcast") == EXIT_USAGE  # neither input nor -n
     assert run("broadcast", str(dec_path), "-n", "4") == EXIT_USAGE  # both
+    assert run("broadcast", "-n", "4", "--hop-cost", "-2") == EXIT_USAGE
 
 
 def test_memory_error_exits_with_cap_code(monkeypatch, capsys):

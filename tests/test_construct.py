@@ -13,9 +13,10 @@ from cubetrees.construct import (
     construct_even,
     even_extension_tree_sizes,
 )
-from cubetrees.hypercube import CapExceededError, edge_endpoints, edge_id, num_edges
+from cubetrees.hypercube import CapExceededError, edge_endpoints, num_edges
 from cubetrees.verify import forest_components, is_matching, is_spanning_tree
 from construct_reference import EVEN_COPY_BITS, ODD_COPY_BITS, cross_matching, embed_copy
+from cube_reference import edge_id
 from union_find_reference import UnionFind
 
 

@@ -1,6 +1,9 @@
 import json
+import os
 import re
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +20,8 @@ from cubetrees.files import (
     read_decomposition,
     write_decomposition,
 )
-from cubetrees.hypercube import edge_from_id, num_edges
+from cubetrees.hypercube import num_edges
+from cube_reference import edge_from_id
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
@@ -65,6 +69,37 @@ def test_dimension_cap_respected_at_parse_time():
     assert len(header) == 9
     with pytest.raises(DecompositionParseError, match="dimension 25"):
         decomposition_from_bytes(header)
+
+
+def test_oversized_file_is_refused_before_its_payload_is_read(tmp_path):
+    # A valid n = 4 header (32 labels) followed by a 64 MB sparse payload.
+    path = tmp_path / "huge.dec"
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sHBBB", b"QDEC", 1, 4, 2, 0))
+        f.truncate(9 + (64 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompositionParseError, match="has 67108864 bytes, expected 32"):
+            read_decomposition(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_read_from_a_pipe(tmp_path):
+    # A pipe has no size to check first, so it is read whole.
+    path = tmp_path / "pipe.dec"
+    os.mkfifo(path)
+    blob = decomposition_to_bytes(construct(5))
+    writer = threading.Thread(target=path.write_bytes, args=(blob,), daemon=True)
+    writer.start()
+    try:
+        dec = read_decomposition(path)
+    finally:
+        writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert decomposition_to_bytes(dec) == blob
 
 
 DOT_EDGE = re.compile(r"^  (\d+) -- (\d+) \[tree=(\d+)\];$")

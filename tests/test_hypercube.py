@@ -4,18 +4,14 @@ from hypothesis import given, strategies as st
 
 from cubetrees.hypercube import (
     CapExceededError,
-    Edge,
     MalformedEdgeError,
     check_dimension,
     edge_endpoints,
-    edge_from_id,
-    edge_id,
     num_edges,
     num_vertices,
-    squeeze_bit,
-    unsqueeze_bit,
 )
 from construct_reference import embed
+from cube_reference import Edge, edge_from_id, edge_id, squeeze_bit, unsqueeze_bit
 
 
 def brute_force_edges(n):

@@ -7,7 +7,6 @@ from cubetrees.hypercube import CapExceededError
 from cubetrees.oracle import (
     EdgeListParseError,
     SmallGraph,
-    catlin_spot_check,
     load_edge_list,
     nw_arboricity,
     packing_upper_bound,
@@ -15,6 +14,30 @@ from cubetrees.oracle import (
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
+SPOT_CHECK_VERTEX_CAP = 8
+
+
+def without_edges(g: SmallGraph, removed: set[tuple[int, int]]) -> SmallGraph:
+    removed = {(min(u, v), max(u, v)) for u, v in removed}
+    return SmallGraph(
+        num_vertices=g.num_vertices,
+        edges=tuple(e for e in g.edges if e not in removed),
+    )
+
+
+def catlin_spot_check(g: SmallGraph, removed: set[tuple[int, int]]) -> bool:
+    """After deleting |removed| edges from g, can |removed| edge-disjoint
+    spanning trees still be packed?
+
+    Statement-level sanity test only: the caller is responsible for g being
+    2*|removed|-edge-connected, which is what makes a True answer expected.
+    """
+    if g.num_vertices > SPOT_CHECK_VERTEX_CAP:
+        raise CapExceededError(
+            f"{g.num_vertices} vertices exceeds the spot-check cap "
+            f"of {SPOT_CHECK_VERTEX_CAP}"
+        )
+    return packing_upper_bound(without_edges(g, removed)) >= len(removed)
 
 
 def complete_graph(v):

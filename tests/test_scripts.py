@@ -1,0 +1,23 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_scripts_run_and_pass():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    for script, *args in (
+        ("decomposition_sweep.py", "--max", "6"),
+        ("stress_large.py", "-n", "8"),
+    ):
+        proc = subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / script), *args],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "PASS" in proc.stdout and "FAIL" not in proc.stdout, proc.stdout

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 import cubetrees.verify
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
-from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, edge_id, Edge, num_edges, squeeze_bit
+from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, num_edges
 from cubetrees.verify import (
     MalformedDecompositionError,
     forest_components,
@@ -18,6 +18,7 @@ from cubetrees.verify import (
     is_spanning_tree,
     verify_decomposition,
 )
+from cube_reference import Edge, edge_id, squeeze_bit
 from union_find_reference import (
     UnionFind,
     reference_forest_components,

@@ -42,9 +42,12 @@ class DecompositionParseError(ValueError):
     """The bytes do not form a valid decomposition file."""
 
 
+def _header(dec: Decomposition) -> bytes:
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, dec.n, dec.k, _KIND_CODES[dec.kind])
+
+
 def decomposition_to_bytes(dec: Decomposition) -> bytes:
-    header = _HEADER.pack(MAGIC, FORMAT_VERSION, dec.n, dec.k, _KIND_CODES[dec.kind])
-    return header + dec.labels.tobytes()
+    return _header(dec) + dec.labels.tobytes()
 
 
 def _parse_header(data: bytes, size: int) -> tuple[int, int, str]:
@@ -90,7 +93,10 @@ def decomposition_from_bytes(data: bytes) -> Decomposition:
 
 
 def write_decomposition(dec: Decomposition, path: str | Path) -> None:
-    Path(path).write_bytes(decomposition_to_bytes(dec))
+    """Write the header, then the labels straight from the array's buffer."""
+    with open(path, "wb") as f:
+        f.write(_header(dec))
+        f.write(np.ascontiguousarray(dec.labels))
 
 
 def read_decomposition(path: str | Path) -> Decomposition:

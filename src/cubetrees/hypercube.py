@@ -23,7 +23,8 @@ from __future__ import annotations
 import numpy as np
 
 # The largest n that construct + verify has been run at: n = 24 is ~201M
-# one-byte edge labels, verified in about half a minute under 1 GB.
+# one-byte edge labels, verified in under a minute and 2 GB (a slow test
+# holds it there; about 18 s and 1.4 GB on two CPUs, 34 s and 0.8 GB on one).
 DIMENSION_CAP = 24
 
 

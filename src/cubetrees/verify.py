@@ -10,10 +10,17 @@ connected iff its edges leave one component over all 2^n vertices; a
 leftover's component count and acyclicity come from the same routine; the
 rest is plain counting.  Nothing is imported from the construction code, so
 a verified decomposition is certified by a second, unrelated route.
+
+The tree checks are independent of each other.  On a cube of at least 2^16
+vertices with two or more usable CPUs, a helper thread checks the even
+labels while the calling thread checks the odd ones and then the leftover;
+afterwards the freed heap is handed back to the OS (glibc's malloc_trim).
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -227,6 +234,71 @@ def _mark(ok: bool) -> str:
     return "ok" if ok else "FAIL"
 
 
+def _check_tree(labels: np.ndarray, j: int, n: int) -> TreeCheck:
+    mask, edges = edge_mask(labels, j, n)
+    return TreeCheck(
+        label=j,
+        edge_count=edges,
+        size_ok=edges == num_vertices(n) - 1,
+        connected=_spans_all(mask),
+        incident_to_all=bool(mask.all()),
+    )
+
+
+# Cubes below this many vertices were measured no faster on two threads.
+_THREAD_MIN_VERTICES = 1 << 16
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not provided on every platform
+        return os.cpu_count() or 1
+
+
+def _check_trees_on_two_threads(labels: np.ndarray, n: int, k: int) -> list[TreeCheck]:
+    """TreeChecks for labels 1..k, in label order.
+
+    The checks are independent and numpy releases the GIL inside them, so a
+    helper thread takes the even labels while this thread takes the odd
+    ones.  An exception in the helper is raised again here.
+    """
+    helped: dict[str, object] = {}
+
+    def helper() -> None:
+        try:
+            helped["checks"] = [_check_tree(labels, j, n) for j in range(2, k + 1, 2)]
+        except BaseException as exc:  # re-raised on the calling thread below
+            helped["error"] = exc
+
+    thread = threading.Thread(target=helper, name="cubetrees-verify")
+    thread.start()
+    try:
+        own = [_check_tree(labels, j, n) for j in range(1, k + 1, 2)]
+    finally:
+        thread.join()
+    if "error" in helped:
+        raise helped["error"]
+    return sorted(own + helped["checks"], key=lambda t: t.label)
+
+
+def _trim_heap() -> None:
+    """Return freed heap pages to the OS with glibc's malloc_trim, where it exists.
+
+    The helper thread's malloc arena otherwise keeps the tens of MB its
+    temporaries used, and later allocations land on top of them.
+    """
+    import ctypes
+
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
+
+
 def verify_decomposition(dec: "Decomposition") -> VerifyReport:
     """Check every claimed property of a decomposition from first principles.
 
@@ -244,19 +316,11 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             f"label {int(labels.max())} exceeds tree count k={k}"
         )
 
-    vertices = num_vertices(n)
-    tree_checks = []
-    for j in range(1, k + 1):
-        mask, edges = edge_mask(labels, j, n)
-        tree_checks.append(
-            TreeCheck(
-                label=j,
-                edge_count=edges,
-                size_ok=edges == vertices - 1,
-                connected=_spans_all(mask),
-                incident_to_all=bool(mask.all()),
-            )
-        )
+    threaded = k >= 2 and num_vertices(n) >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
+    if threaded:
+        tree_checks = _check_trees_on_two_threads(labels, n, k)
+    else:
+        tree_checks = [_check_tree(labels, j, n) for j in range(1, k + 1)]
 
     leftover_ids = np.flatnonzero(labels == 0)
     # With one label per edge id, the labeling is a partition exactly when
@@ -285,6 +349,8 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             expected_components=expected_comps,
         )
 
+    if threaded:
+        _trim_heap()  # once every check is done, so the helper's arena is all free
     return VerifyReport(
         n=n,
         k=k,

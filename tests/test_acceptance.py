@@ -166,3 +166,18 @@ def test_desk_scale_stress_n22():
     assert elapsed < 60.0, f"n=22 took {elapsed:.1f}s"
     assert peak_mb < 2048.0, f"peak RSS {peak_mb:.0f} MB"
     print(f"\n[stress] n=22 ({elapsed:.1f}s, peak {peak_mb:.0f} MB)")
+
+
+@pytest.mark.slow
+def test_desk_scale_stress_n24():
+    """construct(24), the dimension cap, plus full verification in < 60 s and < 2 GB."""
+    start = time.perf_counter()
+    dec = construct(24)
+    report = verify_decomposition(dec)
+    elapsed = time.perf_counter() - start
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    assert report.overall
+    assert dec.num_edges == 201_326_592
+    assert elapsed < 60.0, f"n=24 took {elapsed:.1f}s"
+    assert peak_mb < 2048.0, f"peak RSS {peak_mb:.0f} MB"
+    print(f"\n[stress] n=24 ({elapsed:.1f}s, peak {peak_mb:.0f} MB)")

@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from cubetrees.construct import construct
+from cubetrees.construct import Decomposition, construct
 from cubetrees.files import (
     DecompositionParseError,
     decomposition_from_bytes,
@@ -100,6 +100,37 @@ def test_read_from_a_pipe(tmp_path):
         writer.join(timeout=10)
     assert not writer.is_alive()
     assert decomposition_to_bytes(dec) == blob
+
+
+def test_write_makes_no_copy_of_the_labels(tmp_path):
+    dec = construct(18)  # 2.4 MB of labels
+    path = tmp_path / "q18.dec"
+    tracemalloc.start()
+    try:
+        write_decomposition(dec, path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < dec.labels.nbytes // 16
+    assert path.read_bytes() == decomposition_to_bytes(dec)
+
+
+def test_write_to_a_pipe_and_from_a_strided_array(tmp_path):
+    # A pipe has no file position, and a strided view has no flat buffer.
+    path = tmp_path / "pipe.dec"
+    os.mkfifo(path)
+    dec = construct(9)
+    strided = Decomposition(n=9, k=4, kind="odd", labels=np.repeat(dec.labels, 2)[::2])
+    assert not strided.labels.flags.c_contiguous
+    chunks = []
+    reader = threading.Thread(target=lambda: chunks.append(path.read_bytes()), daemon=True)
+    reader.start()
+    try:
+        write_decomposition(strided, path)
+    finally:
+        reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert chunks == [decomposition_to_bytes(dec)]
 
 
 DOT_EDGE = re.compile(r"^  (\d+) -- (\d+) \[tree=(\d+)\];$")

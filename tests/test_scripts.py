@@ -11,6 +11,7 @@ def test_scripts_run_and_pass():
     for script, *args in (
         ("decomposition_sweep.py", "--max", "6"),
         ("stress_large.py", "-n", "8"),
+        ("stress_large.py", "-n", "16"),  # large enough for a helper thread
     ):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), *args],

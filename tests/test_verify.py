@@ -1,4 +1,5 @@
 import ast
+import threading
 import time
 import types
 from pathlib import Path
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cubetrees.cli
 import cubetrees.verify
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
@@ -255,9 +257,7 @@ def assert_same_report(dec):
     return got
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
-def test_random_labels_match_union_find_reference(n, seed, skew):
+def random_labels(n, seed, skew):
     # skew > 0 makes one label dominate, so some trees come out connected
     # or cyclic instead of always scattered.
     k = n // 2
@@ -265,20 +265,104 @@ def test_random_labels_match_union_find_reference(n, seed, skew):
     weights = rng.random(k + 1) ** (4 * skew)
     labels = rng.choice(k + 1, size=num_edges(n), p=weights / weights.sum()).astype(np.uint8)
     kind = "even" if n % 2 == 0 else "odd"
-    assert_same_report(Decomposition(n=n, k=k, kind=kind, labels=labels))
+    return Decomposition(n=n, k=k, kind=kind, labels=labels)
 
 
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_single_mutations_match_union_find_reference(data):
+def single_mutation(data):
     n = data.draw(st.integers(2, 10))  # Q_1 has k = 0: no other label to move to
     dec = construct(n)
     eid = data.draw(st.integers(0, num_edges(n) - 1))
     new = data.draw(st.integers(0, dec.k).filter(lambda j: j != dec.labels[eid]))
     labels = dec.labels.copy()
     labels[eid] = new
-    report = assert_same_report(Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels))
-    assert not report.overall
+    return Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_random_labels_match_union_find_reference(n, seed, skew):
+    assert_same_report(random_labels(n, seed, skew))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_single_mutations_match_union_find_reference(data):
+    assert not assert_same_report(single_mutation(data)).overall
+
+
+def tree_check_threads(mp):
+    """Take the two-thread path at every size; return the idents of the
+    threads that check a tree, one per check."""
+    idents = []
+    check = cubetrees.verify._check_tree
+
+    def recorded(labels, j, n):
+        idents.append(threading.get_ident())
+        return check(labels, j, n)
+
+    mp.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
+    mp.setattr(cubetrees.verify, "_usable_cpus", lambda: 2)
+    mp.setattr(cubetrees.verify, "_check_tree", recorded)
+    return idents
+
+
+def assert_same_report_on_two_threads(dec):
+    with pytest.MonkeyPatch.context() as mp:
+        idents = tree_check_threads(mp)
+        report = assert_same_report(dec)
+    here = threading.get_ident()
+    assert idents.count(here) == (dec.k + 1) // 2
+    assert len(idents) - idents.count(here) == dec.k // 2
+    return report
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_random_labels_match_union_find_reference_on_two_threads(n, seed, skew):
+    assert_same_report_on_two_threads(random_labels(n, seed, skew))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_single_mutations_match_union_find_reference_on_two_threads(data):
+    assert not assert_same_report_on_two_threads(single_mutation(data)).overall
+
+
+def test_a_helper_thread_failure_is_raised_on_the_calling_thread(monkeypatch, tmp_path, capsys):
+    tree_check_threads(monkeypatch)
+    check = cubetrees.verify._check_tree
+
+    def exhausted_off_the_main_thread(labels, j, n):
+        if threading.current_thread() is not threading.main_thread():
+            raise MemoryError
+        return check(labels, j, n)
+
+    monkeypatch.setattr(cubetrees.verify, "_check_tree", exhausted_off_the_main_thread)
+    dec = construct(6)
+    with pytest.raises(MemoryError):
+        verify_decomposition(dec)
+    path = tmp_path / "q6.dec"
+    path.write_bytes(decomposition_to_bytes(dec))
+    assert cubetrees.cli.main(["verify", str(path)]) == cubetrees.cli.EXIT_CAP
+    err = capsys.readouterr().err
+    assert "error: out of memory" in err and "Traceback" not in err
+
+
+def test_no_helper_thread_for_small_cubes_one_tree_or_one_cpu(monkeypatch):
+    def no_helper(*args, **kwargs):
+        raise AssertionError("a helper thread was started")
+
+    idents = tree_check_threads(monkeypatch)
+    monkeypatch.setattr(cubetrees.verify, "threading", types.SimpleNamespace(Thread=no_helper))
+    monkeypatch.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1 << 16)
+    assert_same_report(construct(15))  # 2^15 vertices: below the crossover
+    monkeypatch.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
+    for n in (2, 3):  # k = 1
+        assert_same_report(construct(n))
+    monkeypatch.setattr(cubetrees.verify, "_usable_cpus", lambda: 1)
+    assert_same_report(construct(8))
+    assert len(idents) == 7 + 1 + 1 + 4
+    assert set(idents) == {threading.get_ident()}
 
 
 @settings(max_examples=80, deadline=None)

@@ -1,11 +1,12 @@
 #!/usr/bin/env python3
-"""Time and memory profile of construction plus full verification at desk
-scale (n = 20 is ~10.5M edges)."""
+"""Time and memory profile of construction, full verification and the
+broadcast depths from root 0 at desk scale (n = 20 is ~10.5M edges)."""
 
 import argparse
 import resource
 import time
 
+from cubetrees.broadcast import tree_depths
 from cubetrees.construct import construct
 from cubetrees.verify import verify_decomposition
 
@@ -20,11 +21,14 @@ def main() -> None:
     built = time.perf_counter()
     report = verify_decomposition(dec)
     done = time.perf_counter()
+    depths = tree_depths(dec, 0)
+    searched = time.perf_counter()
 
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"n={dec.n}: {dec.k} trees over {dec.num_edges} edges")
     print(f"construct: {built - start:.2f}s")
     print(f"verify:    {done - built:.2f}s ({'PASS' if report.overall else 'FAIL'})")
+    print(f"broadcast: {searched - done:.2f}s (depths from root 0: {depths})")
     print(f"peak RSS:  {peak_mb:.0f} MB")
 
 

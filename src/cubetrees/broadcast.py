@@ -7,6 +7,13 @@ schedule: per-tree depth from the root, the worst-case per-link tree load
 (1 for any valid decomposition), and a first-order pipelined time estimate.
 Depths come from a breadth-first search over each tree's per-vertex edge
 mask (hypercube.edge_mask), the same edge-set form the verifier checks.
+The search goes one level at a time and picks, per level, who expands it:
+a wide level goes to numpy in a few dozen whole-array calls, a narrow one to
+an interpreter loop over its few vertices.  A bushy tree spends most of its
+vertices in a handful of wide levels, so numpy does nearly all of its work;
+a deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex)
+would pay numpy's fixed cost per call at every level, so it stays in the
+loop.  Reached vertices are marked in one byte array that both share.
 
 The time model is deliberately simple: the message is cut into k * parts
 equal chunks, each tree streams its chunks in a pipeline, hops have uniform
@@ -19,35 +26,93 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .construct import Decomposition
 from .hypercube import edge_mask, num_vertices
+
+# A BFS level with at least this many vertices is expanded by numpy, a
+# narrower one by the interpreter loop.  Measured crossover: on Q_16 a
+# level of 64 vertices of tree 1 took about 35 us either way; 8 vertices
+# took 6 us in the loop and 35 us in numpy, 256 took 146 us and 67 us.
+_WIDE_LEVEL = 64
+
+
+def _integer(name: str, value: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _check_root(dec: Decomposition, root: int) -> int:
+    root = _integer("root", root)
+    if not 0 <= root < num_vertices(dec.n):
+        raise ValueError(f"root {root} out of range for n={dec.n}")
+    return root
 
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
     """Eccentricity of root within each tree, by breadth-first search over the
     tree's edge mask; reached vertices are marked, so a cycle cannot loop it."""
-    if not 0 <= root < num_vertices(dec.n):
-        raise ValueError(f"root {root} out of range for n={dec.n}")
+    root = _check_root(dec, root)
+    vertices = num_vertices(dec.n)
+    slot = np.empty(vertices, dtype=np.intp)
     depths = []
     for j in range(1, dec.k + 1):
-        mask = edge_mask(dec.labels, j, dec.n)[0].tolist()
-        seen = bytearray(num_vertices(dec.n))
+        marks = edge_mask(dec.labels, j, dec.n)[0]
+        mask = memoryview(marks)
+        seen = bytearray(vertices)
+        seen_view = np.frombuffer(seen, dtype=np.uint8)
         seen[root] = 1
         frontier, far = [root], -1
-        while frontier:
+        while len(frontier):
             far += 1
-            reached = []
-            for x in frontier:
-                bits = mask[x]
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    if not seen[x ^ low]:
-                        seen[x ^ low] = 1
-                        reached.append(x ^ low)
-            frontier = reached
+            if len(frontier) >= _WIDE_LEVEL:
+                wide = _wide_level(marks, frontier, seen_view, slot)
+                frontier = wide if wide.size >= _WIDE_LEVEL else wide.tolist()
+            else:
+                reached = []
+                for x in frontier:
+                    bits = mask[x]
+                    while bits:
+                        low = bits & -bits
+                        bits ^= low
+                        if not seen[x ^ low]:
+                            seen[x ^ low] = 1
+                            reached.append(x ^ low)
+                frontier = reached
         depths.append(far)
     return depths
+
+
+def _wide_level(
+    marks: np.ndarray, frontier: list[int] | np.ndarray, seen: np.ndarray, slot: np.ndarray
+) -> np.ndarray:
+    """The unseen neighbours of a wide frontier, each once, now marked seen.
+
+    The lowest set bit of every frontier mask is peeled once per pass.  A
+    vertex reached from two frontier vertices (a cyclic label set) is kept
+    once, without a sort: every copy writes its position to slot[y], and
+    only the copy whose position slot still holds survives.
+    """
+    x = np.asarray(frontier, dtype=np.intp)
+    bits = marks[x]
+    found = []
+    while True:
+        keep = bits != 0
+        x, bits = x[keep], bits[keep]
+        if not x.size:
+            break
+        low = bits & -bits
+        found.append(x ^ low)
+        bits ^= low
+    y = np.concatenate(found) if found else x
+    y = y[seen[y] == 0]
+    place = np.arange(y.size)
+    slot[y] = place
+    y = y[slot[y] == place]
+    seen[y] = 1
+    return y
 
 
 def link_load(dec: Decomposition) -> int:
@@ -80,6 +145,8 @@ def broadcast_metrics(
     time hop_cost * max over trees of (depth + parts - 1)."""
     if dec.k == 0:
         raise ValueError("broadcast model undefined with zero trees (n = 1)")
+    root = _check_root(dec, root)
+    parts = _integer("parts", parts)
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if not 0 < hop_cost < math.inf:

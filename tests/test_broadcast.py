@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,7 +9,7 @@ from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.hypercube import num_edges
 from broadcast_reference import reference_tree_depths
-from test_verify import gray_code_path
+from test_verify import best_of_three, gray_code_path, random_labels, single_mutation
 
 
 def test_depth_of_base_path_tree():
@@ -36,6 +38,31 @@ def test_depths_along_a_hamiltonian_path_tree():
     assert tree_depths(dec, 0) == [(1 << n) - 1] + [0] * (dec.k - 1)
     mid = 1 << (n - 1)
     assert tree_depths(dec, mid ^ (mid >> 1))[0] == mid
+    # 2^n levels of one vertex each: the narrow levels must stay as cheap as
+    # the dict-of-lists search
+    got, fast = best_of_three(tree_depths, dec, 0)
+    want, slow = best_of_three(reference_tree_depths, dec, 0)
+    assert got == want
+    assert fast <= slow
+
+
+def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level():
+    # Every edge of Q_12 in tree 1: the number of shortest paths to a vertex
+    # grows factorially with its depth, the number of vertices does not.
+    n = 12
+    dec = Decomposition(n=n, k=n // 2, kind="even", labels=np.ones(num_edges(n), dtype=np.uint8))
+    start = time.perf_counter()
+    assert tree_depths(dec, 0) == [n, 0, 0, 0, 0, 0]
+    assert tree_depths(dec, (1 << n) - 1) == [n, 0, 0, 0, 0, 0]
+    assert time.perf_counter() - start < 2
+
+
+@pytest.mark.slow
+def test_depths_at_scale():
+    dec = construct(20)
+    start = time.perf_counter()
+    assert tree_depths(dec, 0) == [31, 32, 35, 38, 41, 44, 47, 50, 49, 52]
+    assert time.perf_counter() - start < 5
 
 
 def assert_depths_match_reference(dec, data):
@@ -68,11 +95,48 @@ def test_single_mutations_match_dict_bfs_reference(data):
     assert_depths_match_reference(Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels), data)
 
 
+def wide_levels(mp, width):
+    """Expand every level of at least width vertices with numpy, and check
+    each such step: every vertex it returns is new, returned once and now
+    marked seen, and it marks no other vertex."""
+    expand = cubetrees.broadcast._wide_level
+
+    def checked(marks, frontier, seen, slot):
+        before = seen.copy()
+        reached = expand(marks, frontier, seen, slot)
+        assert np.unique(reached).size == reached.size
+        assert not before[reached].any() and seen[reached].all()
+        assert np.count_nonzero(seen) - np.count_nonzero(before) == reached.size
+        return reached
+
+    mp.setattr(cubetrees.broadcast, "_WIDE_LEVEL", width)
+    mp.setattr(cubetrees.broadcast, "_wide_level", checked)
+
+
+# Width 1 sends every level through numpy, width 2 all but one-vertex levels.
+@pytest.mark.parametrize("width", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_random_labels_match_dict_bfs_reference_on_wide_levels(width, n, seed, skew, data):
+    with pytest.MonkeyPatch.context() as mp:
+        wide_levels(mp, width)
+        assert_depths_match_reference(random_labels(n, seed, skew), data)
+
+
+@pytest.mark.parametrize("width", [1, 2])
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_single_mutations_match_dict_bfs_reference_on_wide_levels(width, data):
+    with pytest.MonkeyPatch.context() as mp:
+        wide_levels(mp, width)
+        assert_depths_match_reference(single_mutation(data), data)
+
+
 def test_root_out_of_range():
-    with pytest.raises(ValueError):
-        tree_depths(construct(3), 8)
-    with pytest.raises(ValueError):
-        tree_depths(construct(3), -1)
+    for root in (8, -1, 1.5, 2.0, True, "3", None):
+        with pytest.raises(ValueError):
+            tree_depths(construct(3), root)
+    assert tree_depths(construct(3), np.int64(7)) == tree_depths(construct(3), np.uint8(7)) == [4]
 
 
 @pytest.mark.parametrize("n", [2, 5, 8, 10, 12])
@@ -103,6 +167,7 @@ def test_broadcast_time_model():
     times = [_time(dec, 0, parts=p) for p in range(1, 8)]
     assert times == sorted(times)
     assert _time(dec, 0, 3, hop_cost=2.0) == 2 * _time(dec, 0, 3)
+    assert _time(dec, np.int64(0), parts=np.uint8(250), hop_cost=2.0) == 2 * (7 + 250 - 1)
 
 
 def test_broadcast_time_errors(monkeypatch):
@@ -113,9 +178,12 @@ def test_broadcast_time_errors(monkeypatch):
     monkeypatch.setattr(cubetrees.broadcast, "tree_depths", no_search)
     with pytest.raises(ValueError, match="zero trees"):
         broadcast_metrics(construct(1), 0)  # zero trees: model undefined
-    for parts in (0, -3):
+    for parts in (0, -3, 1.5, 2.0, True):
         with pytest.raises(ValueError, match="parts"):
             broadcast_metrics(construct(4), 0, parts=parts)
+    for root in (16, -1, 1.5, True):
+        with pytest.raises(ValueError, match="root"):
+            broadcast_metrics(construct(4), root)
     for hop_cost in (0, -2.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="hop_cost"):
             broadcast_metrics(construct(4), 0, hop_cost=hop_cost)

@@ -22,3 +22,5 @@ def test_scripts_run_and_pass():
         )
         assert proc.returncode == 0, proc.stderr
         assert "PASS" in proc.stdout and "FAIL" not in proc.stdout, proc.stdout
+        if script == "stress_large.py":
+            assert "\nbroadcast: " in proc.stdout, proc.stdout

@@ -10,11 +10,15 @@ Exit codes are stable per failure class so scripts can branch on them:
        memory (a MemoryError ends the command with an error line, not a
        traceback)
     5  verification failed (file parsed fine but a structural check failed)
+
+The argument parser is built by the first `main` call and reused by every
+later one in the process, so an in-process caller pays for it once.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -26,6 +30,7 @@ from .files import (
     EXPORT_FORMATS,
     DecompositionParseError,
     export_decomposition,
+    open_replacing,
     read_decomposition,
     write_decomposition,
 )
@@ -41,6 +46,7 @@ EXIT_CAP = 4
 EXIT_VERIFY = 5
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cubetrees",
@@ -132,7 +138,8 @@ def cmd_export(args: argparse.Namespace) -> int:
     if args.output is None:
         sys.stdout.write(rendered)
     else:
-        args.output.write_text(rendered)
+        with open_replacing(args.output, "w") as f:
+            f.write(rendered)
     return EXIT_OK
 
 
@@ -160,8 +167,7 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
     except CapExceededError as exc:

@@ -11,17 +11,25 @@ identical bytes:
     offset 9   labels    n * 2^(n-1) bytes, one label per edge in dense
                          edge-id order, each value <= k
 
+A file is written to a temporary file in the target's directory and then
+moved onto the target, so a failed write leaves no truncated file behind.
+
 Export formats render the same labeling as DOT (edge attribute tree=j, with
 tree=0 marking leftover edges), a plain "u v label" edge list, or a JSON
-document mirroring the binary fields with explicit endpoints.
+document mirroring the binary fields with explicit endpoints.  All three
+format 4096 edges at a time in numpy: the digits come from a table of
+0..9999 and are laid out in a byte matrix with the format's literal text.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 import stat
 import struct
 from pathlib import Path
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -92,9 +100,43 @@ def decomposition_from_bytes(data: bytes) -> Decomposition:
     return _checked(n, k, kind, np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size).copy())
 
 
+@contextlib.contextmanager
+def open_replacing(path: str | Path, mode: str) -> Iterator[IO]:
+    """Open path for writing so that it changes only once it is complete.
+
+    The writes go to a temporary file in path's directory, which os.replace
+    moves onto path after the last one; an exception on the way removes the
+    temporary file and leaves path as it was.  A path that exists and is not
+    a regular file, such as a FIFO or a symbolic link like /dev/stdout, is
+    written directly.
+    """
+    path = os.fspath(path)
+    try:
+        info = os.lstat(path)
+    except FileNotFoundError:
+        info = None
+    if info is not None and not stat.S_ISREG(info.st_mode):
+        with open(path, mode) as f:
+            yield f
+        return
+    head, tail = os.path.split(path)
+    temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
+    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        if info is not None:
+            os.fchmod(fd, stat.S_IMODE(info.st_mode))
+        with open(fd, mode) as f:
+            yield f
+        os.replace(temp, path)
+    except BaseException:
+        os.unlink(temp)
+        raise
+
+
 def write_decomposition(dec: Decomposition, path: str | Path) -> None:
-    """Write the header, then the labels straight from the array's buffer."""
-    with open(path, "wb") as f:
+    """Write the header, then the labels straight from the array's buffer,
+    to a file that takes path's place once it is complete."""
+    with open_replacing(path, "wb") as f:
         f.write(_header(dec))
         f.write(np.ascontiguousarray(dec.labels))
 
@@ -111,30 +153,88 @@ def read_decomposition(path: str | Path) -> Decomposition:
     return _checked(n, k, kind, labels)
 
 
-# Edges are decoded and formatted this many at a time, so the Python ints
-# and strings alive at once stay bounded whatever n is.
+# Edges are decoded and formatted this many at a time, so the arrays and
+# strings alive at once stay bounded whatever n is.
 _EXPORT_BLOCK = 4096
 
 
-def _edge_lines(dec: Decomposition, line: str) -> str:
-    """line % (u, v, label) for every edge, in dense edge-id order."""
+@functools.cache
+def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
+    """The ASCII digits of 0..9999, zero-padded to four, one uint32 per value;
+    and the smallest value whose digit lands in each of eight right-aligned
+    columns (0 for the last column, which every value fills)."""
+    v = np.arange(10_000)
+    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1) + ord("0")
+    lowest = 10 ** np.arange(7, -1, -1)
+    lowest[-1] = 0
+    return digits.astype(np.uint8).view(np.uint32).ravel(), lowest
+
+
+def _decimal(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+    """Write values (each below 10^8) right-aligned into the columns of chars,
+    and mark in keep the columns that hold a digit, not a leading pad.
+
+    A field of up to four columns is one lookup in the digit table; a wider
+    one is two, the high and low four digits side by side.
+    """
+    table, lowest = _digit_tables()
+    width = chars.shape[1]
+    if width <= 4:
+        digits = table[values].view(np.uint8).reshape(-1, 4)
+    else:
+        digits = np.stack([table[values // 10_000], table[values % 10_000]], axis=1)
+        digits = digits.view(np.uint8)
+    digits, lowest = digits[:, -width:], lowest[-width:]
+    # Column by column: numpy is slow on a broadcast whose inner axis is a few bytes.
+    for col in range(width):
+        chars[:, col] = digits[:, col]
+        np.greater_equal(values, lowest[col], out=keep[:, col])
+
+
+def _edge_blocks(dec: Decomposition, line: str) -> list[str]:
+    """line % (u, v, label) for every edge, in dense edge-id order, as one
+    string per block of edges.
+
+    A block is laid out as a (rows, columns) byte matrix: the literal pieces
+    of line fill fixed columns, and each %d field gets as many columns as its
+    widest possible value.  One boolean mask drops the leading pad of the
+    shorter values, and the bytes left, read row by row, are the block's text.
+    """
+    vertex_width = len(str((1 << dec.n) - 1))
+    widths = (vertex_width, vertex_width, len(str(int(dec.labels.max()))))
+    first, *pieces = [np.frombuffer(p.encode(), dtype=np.uint8) for p in line.split("%d")]
+    rows = min(_EXPORT_BLOCK, dec.num_edges)
+    chars = np.empty((rows, first.size + sum(widths) + sum(p.size for p in pieces)), np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
+    chars[:, : first.size] = first
+    fields = []
+    col = first.size
+    for width, piece in zip(widths, pieces):
+        fields.append(slice(col, col + width))
+        col += width
+        chars[:, col : col + piece.size] = piece
+        col += piece.size
+
     blocks = []
     for start in range(0, dec.num_edges, _EXPORT_BLOCK):
         stop = min(start + _EXPORT_BLOCK, dec.num_edges)
         u, v = edge_endpoints(np.arange(start, stop), dec.n)
-        rows = zip(u.tolist(), v.tolist(), dec.labels[start:stop].tolist())
-        blocks.append("".join([line % row for row in rows]))
-    return "".join(blocks)
+        m = stop - start
+        for values, field in zip((u, v, dec.labels[start:stop]), fields):
+            _decimal(values, chars[:m, field], keep[:m, field])
+        blocks.append(chars[:m][keep[:m]].tobytes().decode("ascii"))
+    return blocks
 
 
 def export_dot(dec: Decomposition) -> str:
     """DOT graph with a tree=<label> attribute per edge (0 = leftover)."""
-    return f"graph q{dec.n} {{\n" + _edge_lines(dec, "  %d -- %d [tree=%d];\n") + "}\n"
+    blocks = _edge_blocks(dec, "  %d -- %d [tree=%d];\n")
+    return "".join([f"graph q{dec.n} {{\n", *blocks, "}\n"])
 
 
 def export_edgelist(dec: Decomposition) -> str:
     """One "u v label" line per edge, dense edge-id order."""
-    return _edge_lines(dec, "%d %d %d\n")
+    return "".join(_edge_blocks(dec, "%d %d %d\n"))
 
 
 _JSON_EDGE = '    {\n      "u": %d,\n      "v": %d,\n      "label": %d\n    },\n'
@@ -146,11 +246,13 @@ def export_json_doc(dec: Decomposition) -> str:
     The text is json.dumps(doc, indent=2) plus a newline, with the edge
     objects formatted block-wise like the other exports.
     """
-    edges = _edge_lines(dec, _JSON_EDGE)[: -len(",\n")]
-    return (
+    blocks = _edge_blocks(dec, _JSON_EDGE)
+    blocks[-1] = blocks[-1][: -len(",\n")]
+    head = (
         f'{{\n  "format_version": {FORMAT_VERSION},\n  "n": {dec.n},\n  "k": {dec.k},\n'
-        f'  "kind": "{dec.kind}",\n  "edges": [\n{edges}\n  ]\n}}\n'
+        f'  "kind": "{dec.kind}",\n  "edges": [\n'
     )
+    return "".join([head, *blocks, "\n  ]\n}\n"])
 
 
 def export_decomposition(dec: Decomposition, fmt: str) -> str:

@@ -14,14 +14,19 @@ Two classical exact characterizations drive the oracles:
     partitions P (at least two parts) of floor(cross(P) / (|P|-1)), where
     cross(P) counts edges joining different parts.
 
-Partitions are enumerated as restricted growth strings, the canonical
-duplicate-free encoding: a[0] = 0 and a[i] <= max(a[:i]) + 1.
+The arboricity oracle still visits every subset, but counts them all at
+once in numpy: subset sizes one vertex at a time and inner edges one edge
+at a time, over the array of all 2^|V| subset ids.  Partitions are
+enumerated as restricted growth strings, the canonical duplicate-free
+encoding: a[0] = 0 and a[i] <= max(a[:i]) + 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterator
+
+import numpy as np
 
 from .hypercube import CapExceededError
 
@@ -131,26 +136,19 @@ def nw_arboricity(g: SmallGraph) -> int:
             f"{g.num_vertices} vertices exceeds the arboricity oracle cap "
             f"of {ARBORICITY_VERTEX_CAP}"
         )
-    adj = [0] * g.num_vertices
+    # Row x of bits is bit x of every subset id, 0..2^V - 1, so one numpy
+    # pass over a row or a pair of rows covers all subsets at once.
+    subsets = np.arange(1 << g.num_vertices, dtype=np.int32)
+    bits = [(subsets >> x & 1).astype(np.uint8) for x in range(g.num_vertices)]
+    size = np.zeros(subsets.size, dtype=np.int16)
+    for row in bits:
+        size += row
+    inner = np.zeros(subsets.size, dtype=np.int16)
     for u, v in g.edges:
-        adj[u] |= 1 << v
-        adj[v] |= 1 << u
-
-    best = 0
-    for mask in range(3, 1 << g.num_vertices):
-        size = mask.bit_count()
-        if size < 2:
-            continue
-        inner = 0
-        rest = mask
-        while rest:
-            low = rest & -rest
-            inner += (adj[low.bit_length() - 1] & mask).bit_count()
-            rest ^= low
-        inner //= 2
-        if inner:
-            best = max(best, -(-inner // (size - 1)))
-    return best
+        inner += bits[u] & bits[v]
+    # A subset of fewer than two vertices has no inner edge, so its ratio
+    # is 0 whatever the nonzero denominator.
+    return int((-(-inner // np.maximum(size - 1, 1))).max())
 
 
 def packing_upper_bound(g: SmallGraph) -> int:

@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import cubetrees.cli as cli
 from cubetrees.cli import (
     EXIT_CAP,
     EXIT_IO,
@@ -191,3 +192,50 @@ def test_memory_error_exits_with_cap_code(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("error: out of memory") == 2
     assert "Traceback" not in err
+
+
+def test_one_parser_serves_every_call(tmp_path):
+    cli._build_parser.cache_clear()
+    dec_path = tmp_path / "q4.dec"
+    assert run("construct", "-n", "4", "-o", str(dec_path)) == EXIT_OK
+    assert run("verify", str(dec_path)) == EXIT_OK
+    assert run("info", "-n", "4") == EXIT_OK
+    assert run("export", str(dec_path)) == EXIT_OK
+    assert run("broadcast", "-n", "3") == EXIT_OK
+    assert run("construct", "-n", "0") == EXIT_USAGE
+    assert cli._build_parser.cache_info().misses == 1
+
+
+def exit_and_output(parse, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--help"],
+    ["export", "--help"],
+    ["construct"],  # missing -n
+    ["export", "q2.dec", "--format", "yaml"],
+    ["frobnicate"],
+])
+def test_reused_parser_answers_like_a_fresh_one(argv, capsys):
+    run("info", "-n", "3")  # the process's parser has been used before
+    capsys.readouterr()
+    reused = exit_and_output(main, argv, capsys)
+    fresh = exit_and_output(cli._build_parser.__wrapped__().parse_args, argv, capsys)
+    assert reused == fresh
+    assert reused[0] == (0 if "--help" in argv else EXIT_USAGE)
+
+
+def test_failed_export_keeps_the_old_output(monkeypatch, tmp_path):
+    dec_path, out = tmp_path / "q3.dec", tmp_path / "q3.txt"
+    assert run("construct", "-n", "3", "-o", str(dec_path)) == EXIT_OK
+    assert run("export", str(dec_path), "-o", str(out)) == EXIT_OK
+    old = out.read_bytes()
+    monkeypatch.setattr(cli, "export_decomposition", lambda dec, fmt: 42)  # not a str
+    with pytest.raises(TypeError):
+        run("export", str(dec_path), "--format", "dot", "-o", str(out))
+    assert out.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["q3.dec", "q3.txt"]

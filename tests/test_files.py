@@ -7,8 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cubetrees.construct import Decomposition, construct
+import cubetrees.files as files
+from cubetrees.construct import EVEN, ODD, Decomposition, construct
 from cubetrees.files import (
     DecompositionParseError,
     decomposition_from_bytes,
@@ -22,6 +24,9 @@ from cubetrees.files import (
 )
 from cubetrees.hypercube import num_edges
 from cube_reference import edge_from_id
+from export_reference import reference_edge_lines, reference_export
+
+FORMATS = ("dot", "edgelist", "json-doc")
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 12])
@@ -196,3 +201,101 @@ def test_json_doc_export_is_json_dumps(n):
 def test_unknown_export_format():
     with pytest.raises(ValueError):
         export_decomposition(construct(2), "yaml")
+
+
+def assert_same_text(got: str, want: str) -> None:
+    """Equal strings, or a failure that quotes the first difference (pytest's
+    own diff of two multi-MB strings takes minutes)."""
+    if got != want:
+        at = len(os.path.commonprefix([got, want]))
+        pytest.fail(f"texts differ at {at}: {got[at - 30 : at + 30]!r} != {want[at - 30 : at + 30]!r}")
+
+
+@st.composite
+def labelled_cubes(draw):
+    """Random label arrays, or construct(n) with one label changed, for n <= 10."""
+    n = draw(st.integers(1, 10))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        top = draw(st.sampled_from([n // 2, 12, 255]))
+        labels = rng.integers(0, top, size=num_edges(n), endpoint=True).astype(np.uint8)
+    else:
+        labels = construct(n).labels.copy()
+        labels[draw(st.integers(0, num_edges(n) - 1))] = draw(st.integers(0, 255))
+    return Decomposition(n=n, k=n // 2, kind=EVEN if n % 2 == 0 else ODD, labels=labels)
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_cubes())
+def test_exports_equal_the_reference_on_random_labels(dec):
+    for fmt in FORMATS:
+        assert_same_text(export_decomposition(dec, fmt), reference_export(dec, fmt))
+
+
+@pytest.mark.parametrize("n", [9, 10, 12, 14])
+def test_exports_equal_the_reference_over_many_blocks(n):
+    # n = 10 ends in a partial block; n = 14 has five-digit vertices.
+    dec = construct(n)
+    for fmt in FORMATS:
+        assert_same_text(export_decomposition(dec, fmt), reference_export(dec, fmt))
+
+
+def test_digits_of_values_at_every_width():
+    values = np.array([0, 9, 10, 99, 100, 9999, 10000, 99999, 100000, (1 << 24) - 1])
+    for width in range(1, 9):
+        fits = values[values < 10**width]
+        chars = np.empty((fits.size, width), dtype=np.uint8)
+        keep = np.empty((fits.size, width), dtype=bool)
+        files._decimal(fits, chars, keep)
+        assert [row[mask].tobytes().decode() for row, mask in zip(chars, keep)] == [
+            str(v) for v in fits.tolist()
+        ]
+
+
+def test_two_digit_labels():
+    # Labels 10..12 occur only at n >= 20; here they sit beside one-digit ones.
+    labels = np.resize(np.array([0, 10, 3, 11, 12, 9], dtype=np.uint8), num_edges(4))
+    dec = Decomposition(n=4, k=2, kind=EVEN, labels=labels)
+    for line in ("%d %d %d\n", "  %d -- %d [tree=%d];\n", files._JSON_EDGE):
+        assert_same_text("".join(files._edge_blocks(dec, line)), reference_edge_lines(dec, line))
+
+
+class Exploding:
+    """Labels whose buffer fails after the header has been written."""
+
+    def __array__(self, *args, **kwargs):
+        raise RuntimeError("disk gone")
+
+
+def test_failed_write_keeps_the_old_file(tmp_path):
+    path = tmp_path / "q5.dec"
+    write_decomposition(construct(5), path)
+    old = path.read_bytes()
+    dec = construct(6)
+    object.__setattr__(dec, "labels", Exploding())
+    with pytest.raises(RuntimeError, match="disk gone"):
+        write_decomposition(dec, path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_first_write_leaves_no_file(tmp_path):
+    dec = construct(6)
+    object.__setattr__(dec, "labels", Exploding())
+    with pytest.raises(RuntimeError):
+        write_decomposition(dec, tmp_path / "q6.dec")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_rewrite_keeps_the_mode_and_writes_through_a_link(tmp_path):
+    path = tmp_path / "q5.dec"
+    path.write_bytes(b"old")
+    path.chmod(0o640)
+    write_decomposition(construct(5), path)
+    assert path.stat().st_mode & 0o777 == 0o640
+    assert path.read_bytes() == decomposition_to_bytes(construct(5))
+    link = tmp_path / "link.dec"
+    link.symlink_to(path)
+    write_decomposition(construct(3), link)
+    assert link.is_symlink()
+    assert path.read_bytes() == decomposition_to_bytes(construct(3))

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cubetrees.bounds import bounds_for
 from cubetrees.construct import construct
@@ -12,6 +12,8 @@ from cubetrees.oracle import (
     packing_upper_bound,
     restricted_growth_strings,
 )
+
+from oracle_reference import reference_nw_arboricity
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 SPOT_CHECK_VERTEX_CAP = 8
@@ -93,6 +95,15 @@ def test_arboricity_errors():
         nw_arboricity(SmallGraph(17, ((0, 1),)))
 
 
+def test_arboricity_error_messages():
+    with pytest.raises(ValueError, match=r"^arboricity is undefined for an edgeless graph$"):
+        nw_arboricity(SmallGraph(20, ()))
+    with pytest.raises(
+        CapExceededError, match=r"^17 vertices exceeds the arboricity oracle cap of 16$"
+    ):
+        nw_arboricity(SmallGraph(17, ((0, 1),)))
+
+
 def test_packing_examples():
     assert packing_upper_bound(SmallGraph.hypercube(2)) == 1
     assert packing_upper_bound(SmallGraph.hypercube(3)) == 1
@@ -155,8 +166,8 @@ def test_load_edge_list():
 
 
 @st.composite
-def small_graphs(draw):
-    v = draw(st.integers(3, 7))
+def small_graphs(draw, min_vertices=3, max_vertices=7):
+    v = draw(st.integers(min_vertices, max_vertices))
     pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
     edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
     return SmallGraph(v, tuple(edges))
@@ -176,3 +187,11 @@ def test_density_bounds_hold_on_random_graphs(g):
 @given(small_graphs())
 def test_packing_never_exceeds_arboricity(g):
     assert packing_upper_bound(g) <= nw_arboricity(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs(2, 16))
+@example(complete_graph(16))
+@example(SmallGraph(16, tuple((i, i + 1) for i in range(15))))
+def test_arboricity_equals_the_reference(g):
+    assert nw_arboricity(g) == reference_nw_arboricity(g)

@@ -13,23 +13,27 @@ identical bytes:
 
 A file is written to a temporary file in the target's directory and then
 moved onto the target, so a failed write leaves no truncated file behind.
+Files, pipes and bytes go through one stream decoder, which reads a pipe no
+further than header + payload + 1 byte.
 
 Export formats render the same labeling as DOT (edge attribute tree=j, with
 tree=0 marking leftover edges), a plain "u v label" edge list, or a JSON
-document mirroring the binary fields with explicit endpoints.  All three
-format 4096 edges at a time in numpy: the digits come from a table of
-0..9999 and are laid out in a byte matrix with the format's literal text.
+document mirroring the binary fields with explicit endpoints.  One table
+holds each format's head, edge line and tail.  All three format 4096 edges
+at a time in numpy: the digits come from a table of 0..9999 and are laid out
+in a byte matrix with the format's literal text.
 """
 
 from __future__ import annotations
 
 import contextlib
 import functools
+import io
 import os
 import stat
 import struct
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, BinaryIO, Iterator
 
 import numpy as np
 
@@ -42,8 +46,6 @@ _HEADER = struct.Struct("<4sHBBB")
 
 _KIND_CODES = {EVEN: 0, ODD: 1}
 _KIND_NAMES = {0: EVEN, 1: ODD}
-
-EXPORT_FORMATS = ("dot", "edgelist", "json-doc")
 
 
 class DecompositionParseError(ValueError):
@@ -58,13 +60,13 @@ def decomposition_to_bytes(dec: Decomposition) -> bytes:
     return _header(dec) + dec.labels.tobytes()
 
 
-def _parse_header(data: bytes, size: int) -> tuple[int, int, str]:
-    """(n, k, kind) from a header, checked against the whole file's size."""
-    if size < _HEADER.size:
+def _parse_header(header: bytes, size: int | None) -> tuple[int, int, str]:
+    """(n, k, kind) from a header, checked against the input's size if known."""
+    if len(header) < _HEADER.size:
         raise DecompositionParseError(
-            f"file too short: {size} bytes, header needs {_HEADER.size}"
+            f"file too short: {len(header)} bytes, header needs {_HEADER.size}"
         )
-    magic, version, n, k, kind_code = _HEADER.unpack_from(data)
+    magic, version, n, k, kind_code = _HEADER.unpack(header)
     if magic != MAGIC:
         raise DecompositionParseError(f"bad magic {magic!r}")
     if version != FORMAT_VERSION:
@@ -78,26 +80,33 @@ def _parse_header(data: bytes, size: int) -> tuple[int, int, str]:
     kind = _KIND_NAMES[kind_code]
     if kind != (EVEN if n % 2 == 0 else ODD):
         raise DecompositionParseError(f"kind {kind!r} inconsistent with n={n}")
-    payload = size - _HEADER.size
     expected = num_edges(n)
-    if payload != expected:
+    if size is not None and size - _HEADER.size != expected:
         raise DecompositionParseError(
-            f"label payload has {payload} bytes, expected {expected}"
+            f"label payload has {size - _HEADER.size} bytes, expected {expected}"
         )
     return n, k, kind
 
 
-def _checked(n: int, k: int, kind: str, labels: np.ndarray) -> Decomposition:
-    if labels.size and int(labels.max()) > k:
+def _decode(f: BinaryIO, size: int | None) -> Decomposition:
+    """The decomposition in stream f, whose length is size if known.  The
+    labels go into one preallocated array; f is read one byte past them."""
+    n, k, kind = _parse_header(f.read(_HEADER.size), size)
+    labels = np.empty(num_edges(n), dtype=np.uint8)
+    got = f.readinto(labels)
+    if got < labels.size:
+        raise DecompositionParseError(f"label payload has {got} bytes, expected {labels.size}")
+    if f.read(1):
         raise DecompositionParseError(
-            f"label {int(labels.max())} exceeds tree count k={k}"
+            f"label payload has more than {got} bytes, expected {labels.size}"
         )
+    if int(labels.max()) > k:
+        raise DecompositionParseError(f"label {int(labels.max())} exceeds tree count k={k}")
     return Decomposition(n=n, k=k, kind=kind, labels=labels)
 
 
 def decomposition_from_bytes(data: bytes) -> Decomposition:
-    n, k, kind = _parse_header(data, len(data))
-    return _checked(n, k, kind, np.frombuffer(data, dtype=np.uint8, offset=_HEADER.size).copy())
+    return _decode(io.BytesIO(data), len(data))
 
 
 @contextlib.contextmanager
@@ -142,15 +151,11 @@ def write_decomposition(dec: Decomposition, path: str | Path) -> None:
 
 
 def read_decomposition(path: str | Path) -> Decomposition:
-    """Parse a decomposition file.  A regular file's size is checked against
-    its header before any label is read; a pipe has no size and is read whole."""
+    """Parse a decomposition file or pipe.  A regular file's size is checked
+    against its header before any label is read."""
     with open(path, "rb") as f:
         info = os.fstat(f.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            return decomposition_from_bytes(f.read())
-        n, k, kind = _parse_header(f.read(_HEADER.size), info.st_size)
-        labels = np.fromfile(f, dtype=np.uint8, count=num_edges(n))
-    return _checked(n, k, kind, labels)
+        return _decode(f, info.st_size if stat.S_ISREG(info.st_mode) else None)
 
 
 # Edges are decoded and formatted this many at a time, so the arrays and
@@ -226,40 +231,31 @@ def _edge_blocks(dec: Decomposition, line: str) -> list[str]:
     return blocks
 
 
-def export_dot(dec: Decomposition) -> str:
-    """DOT graph with a tree=<label> attribute per edge (0 = leftover)."""
-    blocks = _edge_blocks(dec, "  %d -- %d [tree=%d];\n")
-    return "".join([f"graph q{dec.n} {{\n", *blocks, "}\n"])
-
-
-def export_edgelist(dec: Decomposition) -> str:
-    """One "u v label" line per edge, dense edge-id order."""
-    return "".join(_edge_blocks(dec, "%d %d %d\n"))
-
-
-_JSON_EDGE = '    {\n      "u": %d,\n      "v": %d,\n      "label": %d\n    },\n'
-
-
-def export_json_doc(dec: Decomposition) -> str:
-    """JSON document mirroring the binary fields, with explicit endpoints.
-
-    The text is json.dumps(doc, indent=2) plus a newline, with the edge
-    objects formatted block-wise like the other exports.
-    """
-    blocks = _edge_blocks(dec, _JSON_EDGE)
-    blocks[-1] = blocks[-1][: -len(",\n")]
-    head = (
-        f'{{\n  "format_version": {FORMAT_VERSION},\n  "n": {dec.n},\n  "k": {dec.k},\n'
-        f'  "kind": "{dec.kind}",\n  "edges": [\n'
-    )
-    return "".join([head, *blocks, "\n  ]\n}\n"])
+# Per format: the text before the edges (str.format'd with the fields n, k,
+# kind and version), one edge's line (% (u, v, label)), how many characters
+# to cut from the end of the last line, and the text after the edges.
+_EXPORTS = {
+    "dot": ("graph q{n} {{\n", "  %d -- %d [tree=%d];\n", 0, "}\n"),
+    "edgelist": ("", "%d %d %d\n", 0, ""),
+    # json.dumps(doc, indent=2) plus a newline; the last edge has no comma.
+    "json-doc": (
+        '{{\n  "format_version": {version},\n  "n": {n},\n  "k": {k},\n'
+        '  "kind": "{kind}",\n  "edges": [\n',
+        '    {\n      "u": %d,\n      "v": %d,\n      "label": %d\n    },\n',
+        len(",\n"),
+        "\n  ]\n}\n",
+    ),
+}
+EXPORT_FORMATS = tuple(_EXPORTS)
 
 
 def export_decomposition(dec: Decomposition, fmt: str) -> str:
-    if fmt == "dot":
-        return export_dot(dec)
-    if fmt == "edgelist":
-        return export_edgelist(dec)
-    if fmt == "json-doc":
-        return export_json_doc(dec)
-    raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    """The decomposition as text in one of EXPORT_FORMATS, one edge per
+    line (or JSON object) in dense edge-id order; label 0 is leftover."""
+    if fmt not in _EXPORTS:
+        raise ValueError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
+    head, line, cut, tail = _EXPORTS[fmt]
+    blocks = _edge_blocks(dec, line)
+    blocks[-1] = blocks[-1][: len(blocks[-1]) - cut]
+    head = head.format(n=dec.n, k=dec.k, kind=dec.kind, version=FORMAT_VERSION)
+    return "".join([head, *blocks, tail])

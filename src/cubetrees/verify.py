@@ -20,7 +20,6 @@ afterwards the freed heap is handed back to the OS (glibc's malloc_trim).
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Iterable
 
@@ -112,24 +111,6 @@ def _roots(mask: np.ndarray) -> np.ndarray:
         a, b = a[live], b[live]
         lower, upper = np.minimum(a, b), np.maximum(a, b)
     return root == x
-
-
-def _spans_all(mask: np.ndarray) -> bool:
-    return int(np.count_nonzero(_roots(mask))) == 1
-
-
-def is_spanning_tree(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
-    """True iff the edge set has 2^n - 1 edges and connects all 2^n vertices.
-
-    Cardinality plus connectivity implies the set is a tree; incidence with
-    every vertex is implied too, but verify_decomposition still records it
-    separately.
-    """
-    ids = _as_id_array(edge_ids, n)
-    vertices = num_vertices(n)
-    if ids.size != vertices - 1:
-        return False
-    return _spans_all(_id_mask(ids, n))
 
 
 def is_matching(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
@@ -240,7 +221,7 @@ def _check_tree(labels: np.ndarray, j: int, n: int) -> TreeCheck:
         label=j,
         edge_count=edges,
         size_ok=edges == num_vertices(n) - 1,
-        connected=_spans_all(mask),
+        connected=int(np.count_nonzero(_roots(mask))) == 1,
         incident_to_all=bool(mask.all()),
     )
 
@@ -261,25 +242,14 @@ def _check_trees_on_two_threads(labels: np.ndarray, n: int, k: int) -> list[Tree
 
     The checks are independent and numpy releases the GIL inside them, so a
     helper thread takes the even labels while this thread takes the odd
-    ones.  An exception in the helper is raised again here.
+    ones.  An exception in the helper is raised again here by result().
     """
-    helped: dict[str, object] = {}
+    from concurrent.futures import ThreadPoolExecutor
 
-    def helper() -> None:
-        try:
-            helped["checks"] = [_check_tree(labels, j, n) for j in range(2, k + 1, 2)]
-        except BaseException as exc:  # re-raised on the calling thread below
-            helped["error"] = exc
-
-    thread = threading.Thread(target=helper, name="cubetrees-verify")
-    thread.start()
-    try:
-        own = [_check_tree(labels, j, n) for j in range(1, k + 1, 2)]
-    finally:
-        thread.join()
-    if "error" in helped:
-        raise helped["error"]
-    return sorted(own + helped["checks"], key=lambda t: t.label)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cubetrees-verify") as pool:
+        evens = pool.submit(lambda: [_check_tree(labels, j, n) for j in range(2, k + 1, 2)])
+        odds = [_check_tree(labels, j, n) for j in range(1, k + 1, 2)]
+        return sorted(odds + evens.result(), key=lambda t: t.label)
 
 
 def _trim_heap() -> None:

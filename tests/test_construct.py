@@ -14,7 +14,7 @@ from cubetrees.construct import (
     even_extension_tree_sizes,
 )
 from cubetrees.hypercube import CapExceededError, edge_endpoints, num_edges
-from cubetrees.verify import forest_components, is_matching, is_spanning_tree
+from cubetrees.verify import forest_components, is_matching
 from construct_reference import EVEN_COPY_BITS, ODD_COPY_BITS, cross_matching, embed_copy
 from cube_reference import edge_id
 from union_find_reference import UnionFind
@@ -27,7 +27,7 @@ def test_base_q2():
     assert dec.labels.size == 4
     tree = dec.tree_edge_ids(1)
     assert tree.size == 3 == 2**2 - 1
-    assert is_spanning_tree(tree, 2)
+    assert forest_components(tree, 2) == (True, 1)
     leftover = dec.leftover_edge_ids()
     assert leftover.size == 1
     assert is_matching(leftover, 2)
@@ -83,7 +83,7 @@ def test_q3_tree_and_leftover_shape():
     dec = construct(3)
     tree = dec.tree_edge_ids(1)
     assert tree.size == 7  # 3 tree edges + 3 unselected cross edges + 1 leftover edge
-    assert is_spanning_tree(tree, 3)
+    assert forest_components(tree, 3) == (True, 1)
     leftover = dec.leftover_edge_ids()
     assert leftover.size == 5 == 2**2 + 1
     assert forest_components(leftover, 3) == (True, 1)

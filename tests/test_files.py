@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import re
@@ -16,9 +17,6 @@ from cubetrees.files import (
     decomposition_from_bytes,
     decomposition_to_bytes,
     export_decomposition,
-    export_dot,
-    export_edgelist,
-    export_json_doc,
     read_decomposition,
     write_decomposition,
 )
@@ -92,19 +90,54 @@ def test_oversized_file_is_refused_before_its_payload_is_read(tmp_path):
     assert peak < 1 << 20
 
 
-def test_read_from_a_pipe(tmp_path):
-    # A pipe has no size to check first, so it is read whole.
+def read_through_a_pipe(tmp_path, chunks):
+    """read_decomposition of a FIFO that another thread writes chunks to; the
+    writer stops quietly if the reader closes the pipe first."""
     path = tmp_path / "pipe.dec"
     os.mkfifo(path)
-    blob = decomposition_to_bytes(construct(5))
-    writer = threading.Thread(target=path.write_bytes, args=(blob,), daemon=True)
+
+    def write():
+        try:
+            with open(path, "wb") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=write, daemon=True)
     writer.start()
     try:
-        dec = read_decomposition(path)
+        return read_decomposition(path)
     finally:
         writer.join(timeout=10)
-    assert not writer.is_alive()
-    assert decomposition_to_bytes(dec) == blob
+        assert not writer.is_alive()
+
+
+def test_read_from_a_pipe(tmp_path):
+    # A pipe has no size to check first; its labels are read into one array.
+    blob = decomposition_to_bytes(construct(5))
+    assert decomposition_to_bytes(read_through_a_pipe(tmp_path, [blob])) == blob
+
+
+def test_pipe_one_byte_short_is_refused(tmp_path):
+    blob = decomposition_to_bytes(construct(5))
+    with pytest.raises(DecompositionParseError, match="has 79 bytes, expected 80"):
+        read_through_a_pipe(tmp_path, [blob[:-1]])
+
+
+def test_oversized_pipe_is_refused_one_byte_past_its_payload(tmp_path):
+    # The 64 MB payload above, through a pipe: reading stops one byte past
+    # the 32 labels, so the rest is never held in memory.
+    header = struct.pack("<4sHBBB", b"QDEC", 1, 4, 2, 0)
+    chunks = [header, *itertools.repeat(bytes(1 << 16), 1024)]
+    tracemalloc.start()
+    try:
+        with pytest.raises(DecompositionParseError, match="expected 32"):
+            read_through_a_pipe(tmp_path, chunks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_write_makes_no_copy_of_the_labels(tmp_path):
@@ -143,7 +176,7 @@ DOT_EDGE = re.compile(r"^  (\d+) -- (\d+) \[tree=(\d+)\];$")
 
 def test_dot_export_smoke():
     dec = construct(3)
-    lines = export_dot(dec).strip().splitlines()
+    lines = export_decomposition(dec, "dot").strip().splitlines()
     assert lines[0] == "graph q3 {"
     assert lines[-1] == "}"
     body = lines[1:-1]
@@ -156,7 +189,7 @@ def test_dot_export_smoke():
 
 def test_edgelist_export():
     dec = construct(5)
-    lines = export_edgelist(dec).strip().splitlines()
+    lines = export_decomposition(dec, "edgelist").strip().splitlines()
     assert len(lines) == num_edges(5)
     first_u, first_v, first_label = map(int, lines[0].split())
     assert (first_u, first_v) == edge_from_id(0, 5).endpoints()
@@ -164,14 +197,14 @@ def test_edgelist_export():
 
 
 def test_q2_export_label_multiset():
-    labels = [int(line.split()[2]) for line in export_edgelist(construct(2)).strip().splitlines()]
+    labels = [int(line.split()[2]) for line in export_decomposition(construct(2), "edgelist").strip().splitlines()]
     assert sorted(labels) == [0, 1, 1, 1]
     assert len(labels) == 4
 
 
 def test_json_doc_export():
     dec = construct(4)
-    doc = json.loads(export_json_doc(dec))
+    doc = json.loads(export_decomposition(dec, "json-doc"))
     assert doc["format_version"] == 1
     assert doc["n"] == 4 and doc["k"] == 2 and doc["kind"] == "even"
     assert len(doc["edges"]) == num_edges(4)
@@ -195,7 +228,7 @@ def test_json_doc_export_is_json_dumps(n):
             for u, v in [edge_from_id(eid, n).endpoints()]
         ],
     }
-    assert export_json_doc(dec) == json.dumps(doc, indent=2) + "\n"
+    assert_same_text(export_decomposition(dec, "json-doc"), json.dumps(doc, indent=2) + "\n")
 
 
 def test_unknown_export_format():
@@ -256,7 +289,7 @@ def test_two_digit_labels():
     # Labels 10..12 occur only at n >= 20; here they sit beside one-digit ones.
     labels = np.resize(np.array([0, 10, 3, 11, 12, 9], dtype=np.uint8), num_edges(4))
     dec = Decomposition(n=4, k=2, kind=EVEN, labels=labels)
-    for line in ("%d %d %d\n", "  %d -- %d [tree=%d];\n", files._JSON_EDGE):
+    for _, line, _, _ in files._EXPORTS.values():
         assert_same_text("".join(files._edge_blocks(dec, line)), reference_edge_lines(dec, line))
 
 

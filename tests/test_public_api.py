@@ -1,9 +1,11 @@
+import ast
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import cubetrees
+import cubetrees.files
 
 # The library surface the README documents.  Changing it is an API change:
 # update this list and the README's library section together.
@@ -23,6 +25,35 @@ def test_all_is_the_documented_surface():
     assert sorted(cubetrees.__all__) == DOCUMENTED
     for name in cubetrees.__all__:
         assert getattr(cubetrees, name).__module__.startswith("cubetrees.")
+
+
+# The names cubetrees.files defines for its importers: one reader per kind of
+# input, one writer and one exporter.  A second decode path or a format-specific
+# exporter would show up here.
+FILES_PUBLIC = [
+    "DecompositionParseError",
+    "EXPORT_FORMATS",
+    "FORMAT_VERSION",
+    "MAGIC",
+    "decomposition_from_bytes",
+    "decomposition_to_bytes",
+    "export_decomposition",
+    "open_replacing",
+    "read_decomposition",
+    "write_decomposition",
+]
+
+
+def test_files_defines_only_its_public_names():
+    defined = set()
+    for node in ast.parse(Path(cubetrees.files.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined.update(t.id for t in targets if isinstance(t, ast.Name))
+    assert sorted(name for name in defined if not name.startswith("_")) == FILES_PUBLIC
+    assert cubetrees.files.EXPORT_FORMATS == ("dot", "edgelist", "json-doc")
 
 
 def test_import_loads_no_executor_or_ctypes_of_its_own():

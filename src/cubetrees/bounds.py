@@ -13,9 +13,9 @@ equals floor(n/2) for every n >= 2.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
-from .hypercube import num_edges, num_vertices
+from .hypercube import check_integer, num_edges, num_vertices
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,10 @@ class BoundsReport:
     trivial_upper: int  # floor(|E|/(|V|-1)), upper bound on the packing
     trivial_lower: int  # ceil(|E|/(|V|-1)), lower bound on arboricity
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def bounds_for(n: int) -> BoundsReport:
-    """Closed forms for Q_n, with the bound chain asserted."""
+    """Closed forms for Q_n, with the bound chain asserted (no dimension cap)."""
+    n = check_integer("dimension", n)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     k = n // 2

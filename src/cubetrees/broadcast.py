@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import Decomposition
-from .hypercube import edge_mask, num_vertices
+from .hypercube import check_integer, edge_mask, num_vertices
 
 # A BFS level with at least this many vertices is expanded by numpy, a
 # narrower one by the interpreter loop.  Measured crossover: on Q_16 a
@@ -38,14 +38,8 @@ from .hypercube import edge_mask, num_vertices
 _WIDE_LEVEL = 64
 
 
-def _integer(name: str, value: int) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def _check_root(dec: Decomposition, root: int) -> int:
-    root = _integer("root", root)
+    root = check_integer("root", root)
     if not 0 <= root < num_vertices(dec.n):
         raise ValueError(f"root {root} out of range for n={dec.n}")
     return root
@@ -146,7 +140,7 @@ def broadcast_metrics(
     if dec.k == 0:
         raise ValueError("broadcast model undefined with zero trees (n = 1)")
     root = _check_root(dec, root)
-    parts = _integer("parts", parts)
+    parts = check_integer("parts", parts)
     if parts < 1:
         raise ValueError(f"parts must be >= 1, got {parts}")
     if not 0 < hop_cost < math.inf:

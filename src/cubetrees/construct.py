@@ -215,7 +215,7 @@ def construct(n: int) -> Decomposition:
     n = 1 is degenerate: floor(1/2) = 0 trees, so the single edge is
     emitted as leftover (a forest with one component).
     """
-    check_dimension(n)
+    n = check_dimension(n)
     k = n // 2
     if k == 0:
         return Decomposition(n=1, k=0, kind=ODD, labels=np.zeros(1, dtype=np.uint8))

@@ -36,10 +36,16 @@ class MalformedEdgeError(ValueError):
     """An edge or edge id is not well-formed for the given dimension."""
 
 
+def check_integer(name: str, value: int) -> int:
+    """value as a Python int; a bool or a non-integer raises ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def check_dimension(n: int) -> int:
-    """Validate a cube dimension, returning it unchanged."""
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"dimension must be an integer, got {n!r}")
+    """Validate a cube dimension, returning it as a Python int."""
+    n = check_integer("dimension", n)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if n > DIMENSION_CAP:

@@ -5,16 +5,18 @@ the cube's own structure: each edge set becomes the per-vertex uint32
 bitmask of hypercube.edge_mask (bit d marks the edge to x ^ 1<<d), built
 one dimension block at a time by a reshape of the label array.  Connected
 components come from min-label hooking with pointer jumping over the masked
-edges, whose round count does not grow with the depth of a tree.  A tree is
-connected iff its edges leave one component over all 2^n vertices; a
-leftover's component count and acyclicity come from the same routine; the
-rest is plain counting.  Nothing is imported from the construction code, so
-a verified decomposition is certified by a second, unrelated route.
+edges, whose round count does not grow with the depth of a tree.  One
+routine, _check_label, reduces every label's edge set, the leftover's
+included, to three integers: its edges, the vertices they touch and the
+components among those vertices.  Every reported property is an integer
+identity on them.  Nothing is imported from the construction code, so a
+verified decomposition is certified by a second, unrelated route.
 
-The tree checks are independent of each other.  On a cube of at least 2^16
-vertices with two or more usable CPUs, a helper thread checks the even
-labels while the calling thread checks the odd ones and then the leftover;
-afterwards the freed heap is handed back to the OS (glibc's malloc_trim).
+The label checks are independent of each other.  On a cube of at least 2^16
+vertices with two or more usable CPUs and two or more trees, a helper
+thread checks label 0 and the even labels while the calling thread checks
+the odd ones; afterwards the freed heap is handed back to the OS (glibc's
+malloc_trim).
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ class MalformedDecompositionError(ValueError):
     """
 
 
-# Kind strings mirrored here (not imported) to keep the checker free of any
-# construct-module dependency.
+# The kind string mirrored here (not imported) to keep the checker free of
+# any construct-module dependency; every other kind is checked as odd.
 EVEN_KIND = "even"
-ODD_KIND = "odd"
 
 
 def _as_id_array(edge_ids: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
@@ -53,10 +54,11 @@ def _as_id_array(edge_ids: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     return ids
 
 
-def _id_mask(ids: np.ndarray, n: int) -> np.ndarray:
+def _id_labels(ids: np.ndarray, n: int) -> np.ndarray:
+    """A label array that gives the edges in ids label 1 and every other edge 0."""
     chosen = np.zeros(num_edges(n), dtype=np.uint8)
     chosen[ids] = 1
-    return edge_mask(chosen, 1, n)[0]
+    return chosen
 
 
 def _edge_ends(mask: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -113,6 +115,17 @@ def _roots(mask: np.ndarray) -> np.ndarray:
     return root == x
 
 
+def _check_label(labels: np.ndarray, j: int, n: int) -> tuple[int, int, int]:
+    """(edges, touched vertices, components among those vertices) of label j.
+
+    Each untouched vertex is a component of its own, so it is taken off the
+    component count of all 2^n vertices.
+    """
+    mask, edges = edge_mask(labels, j, n)
+    touched = int(np.count_nonzero(mask))
+    return edges, touched, int(np.count_nonzero(_roots(mask))) - (mask.size - touched)
+
+
 def is_matching(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
     """True iff no two edges share an endpoint (the empty set qualifies)."""
     ids = _as_id_array(edge_ids, n)
@@ -131,12 +144,8 @@ def forest_components(edge_ids: Iterable[int] | np.ndarray, n: int) -> tuple[boo
     counts as a cycle.
     """
     ids = _as_id_array(edge_ids, n)
-    if ids.size == 0:
-        return True, 0
-    mask = _id_mask(ids, n)
-    touched = mask != 0
-    components = int(np.count_nonzero(_roots(mask) & touched))
-    return ids.size == int(np.count_nonzero(touched)) - components, components
+    _, touched, components = _check_label(_id_labels(ids, n), 1, n)
+    return ids.size == touched - components, components
 
 
 @dataclass(frozen=True)
@@ -215,17 +224,6 @@ def _mark(ok: bool) -> str:
     return "ok" if ok else "FAIL"
 
 
-def _check_tree(labels: np.ndarray, j: int, n: int) -> TreeCheck:
-    mask, edges = edge_mask(labels, j, n)
-    return TreeCheck(
-        label=j,
-        edge_count=edges,
-        size_ok=edges == num_vertices(n) - 1,
-        connected=int(np.count_nonzero(_roots(mask))) == 1,
-        incident_to_all=bool(mask.all()),
-    )
-
-
 # Cubes below this many vertices were measured no faster on two threads.
 _THREAD_MIN_VERTICES = 1 << 16
 
@@ -237,19 +235,22 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _check_trees_on_two_threads(labels: np.ndarray, n: int, k: int) -> list[TreeCheck]:
-    """TreeChecks for labels 1..k, in label order.
+def _check_labels_on_two_threads(labels: np.ndarray, n: int, k: int) -> list[tuple[int, int, int]]:
+    """_check_label for labels 0..k, in label order.
 
     The checks are independent and numpy releases the GIL inside them, so a
-    helper thread takes the even labels while this thread takes the odd
-    ones.  An exception in the helper is raised again here by result().
+    helper thread takes label 0 and the even labels while this thread takes
+    the odd ones.  An exception in the helper is raised again here by result().
     """
     from concurrent.futures import ThreadPoolExecutor
 
+    checks = [None] * (k + 1)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cubetrees-verify") as pool:
-        evens = pool.submit(lambda: [_check_tree(labels, j, n) for j in range(2, k + 1, 2)])
-        odds = [_check_tree(labels, j, n) for j in range(1, k + 1, 2)]
-        return sorted(odds + evens.result(), key=lambda t: t.label)
+        evens = pool.submit(lambda: [_check_label(labels, j, n) for j in range(0, k + 1, 2)])
+        checks[1::2] = [_check_label(labels, j, n) for j in range(1, k + 1, 2)]
+        checks[0::2] = evens.result()
+    _trim_heap()  # every check is done, so the helper's arena is all free
+    return checks
 
 
 def _trim_heap() -> None:
@@ -286,46 +287,42 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             f"label {int(labels.max())} exceeds tree count k={k}"
         )
 
-    threaded = k >= 2 and num_vertices(n) >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
-    if threaded:
-        tree_checks = _check_trees_on_two_threads(labels, n, k)
+    vertices = num_vertices(n)
+    if k >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2:
+        checks = _check_labels_on_two_threads(labels, n, k)
     else:
-        tree_checks = [_check_tree(labels, j, n) for j in range(1, k + 1)]
+        checks = [_check_label(labels, j, n) for j in range(k + 1)]
 
-    leftover_ids = np.flatnonzero(labels == 0)
+    trees = tuple(
+        TreeCheck(
+            label=j,
+            edge_count=edges,
+            size_ok=edges == vertices - 1,
+            connected=touched == vertices and components == 1,
+            incident_to_all=touched == vertices,
+        )
+        for j, (edges, touched, components) in enumerate(checks[1:], 1)
+    )
+    edges, touched, components = checks[0]
+    even = dec.kind == EVEN_KIND
+    leftover = LeftoverCheck(
+        size=edges,
+        expected_size=k if even else (1 << (n - 1)) + k,
+        is_matching=touched == 2 * edges if even else None,
+        is_forest=None if even else edges == touched - components,
+        components=None if even else components,
+        # n = 1 has zero trees and its single edge as leftover: one component.
+        expected_components=None if even else 1 if n == 1 else k,
+    )
     # With one label per edge id, the labeling is a partition exactly when
     # the structural checks above hold; record the covering count anyway.
-    covered = leftover_ids.size + sum(t.edge_count for t in tree_checks)
-    partition_ok = covered == total
-    if dec.kind == EVEN_KIND:
-        leftover = LeftoverCheck(
-            size=int(leftover_ids.size),
-            expected_size=k,
-            is_matching=is_matching(leftover_ids, n),
-            is_forest=None,
-            components=None,
-            expected_components=None,
-        )
-    else:
-        forest, comps = forest_components(leftover_ids, n)
-        # n = 1 has zero trees and its single edge as leftover: one component.
-        expected_comps = 1 if n == 1 else k
-        leftover = LeftoverCheck(
-            size=int(leftover_ids.size),
-            expected_size=(1 << (n - 1)) + k,
-            is_matching=None,
-            is_forest=forest,
-            components=comps,
-            expected_components=expected_comps,
-        )
+    partition_ok = sum(check[0] for check in checks) == total
 
-    if threaded:
-        _trim_heap()  # once every check is done, so the helper's arena is all free
     return VerifyReport(
         n=n,
         k=k,
         kind=dec.kind,
         partition_ok=partition_ok,
-        trees=tuple(tree_checks),
+        trees=trees,
         leftover=leftover,
     )

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from cubetrees.bounds import bounds_for
@@ -29,6 +30,12 @@ def test_rejects_nonpositive_dimension():
         bounds_for(0)
     with pytest.raises(ValueError):
         bounds_for(-3)
+    # the integer rule of check_dimension, without its cap
+    for bad in (True, False, 2.5, 4.0, "4", None, np.bool_(True)):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            bounds_for(bad)
+    report = bounds_for(np.int64(30))
+    assert type(report.n) is int and report == bounds_for(30)
 
 
 @pytest.mark.parametrize("n", range(2, 25))
@@ -79,8 +86,3 @@ def test_inequality_chain_examples():
         # room for floor(n/2) edge-disjoint spanning trees, not for one more
         k = n // 2
         assert k <= bounds_for(n).trivial_upper < k + 1
-
-
-def test_as_dict_round_trip():
-    doc = bounds_for(6).as_dict()
-    assert doc["n"] == 6 and doc["tree_packing"] == 3 and doc["leftover"] == 3

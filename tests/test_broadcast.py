@@ -133,7 +133,7 @@ def test_single_mutations_match_dict_bfs_reference_on_wide_levels(width, data):
 
 
 def test_root_out_of_range():
-    for root in (8, -1, 1.5, 2.0, True, "3", None):
+    for root in (8, -1, 1.5, 2.0, True, "3", None, np.bool_(True), np.float64(3.0)):
         with pytest.raises(ValueError):
             tree_depths(construct(3), root)
     assert tree_depths(construct(3), np.int64(7)) == tree_depths(construct(3), np.uint8(7)) == [4]
@@ -178,7 +178,7 @@ def test_broadcast_time_errors(monkeypatch):
     monkeypatch.setattr(cubetrees.broadcast, "tree_depths", no_search)
     with pytest.raises(ValueError, match="zero trees"):
         broadcast_metrics(construct(1), 0)  # zero trees: model undefined
-    for parts in (0, -3, 1.5, 2.0, True):
+    for parts in (0, -3, 1.5, 2.0, True, np.bool_(True), np.float64(2.0)):
         with pytest.raises(ValueError, match="parts"):
             broadcast_metrics(construct(4), 0, parts=parts)
     for root in (16, -1, 1.5, True):

@@ -1,4 +1,5 @@
 import importlib
+import json
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from cubetrees.construct import (
     even_extension_tree_sizes,
 )
 from cubetrees.hypercube import CapExceededError, edge_endpoints, num_edges
-from cubetrees.verify import forest_components, is_matching
+from cubetrees.verify import forest_components, is_matching, verify_decomposition
 from construct_reference import EVEN_COPY_BITS, ODD_COPY_BITS, cross_matching, embed_copy
 from cube_reference import edge_id
 from union_find_reference import UnionFind
@@ -53,6 +54,13 @@ def test_construct_dispatch():
         construct(0)
     with pytest.raises(CapExceededError):
         construct(25)
+    for bad in (True, 2.5, 4.0, "4", None, np.bool_(True)):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            construct(bad)
+    # a numpy integer is accepted, and the report it verifies to stays JSON
+    dec = construct(np.int64(4))
+    assert type(dec.n) is int and np.array_equal(dec.labels, construct(4).labels)
+    json.dumps(verify_decomposition(dec).to_dict())
     with pytest.raises(CapExceededError):
         construct_even(13)
     with pytest.raises(ValueError):

@@ -72,6 +72,9 @@ def test_dimension_cap():
     assert check_dimension(24) == 24
     with pytest.raises(ValueError):
         check_dimension(0)
+    with pytest.raises(ValueError, match="must be an integer"):
+        check_dimension(True)
+    assert type(check_dimension(np.int64(3))) is int
     with pytest.raises(CapExceededError):
         check_dimension(25)
 

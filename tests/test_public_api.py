@@ -6,6 +6,7 @@ from pathlib import Path
 
 import cubetrees
 import cubetrees.files
+import cubetrees.verify
 
 # The library surface the README documents.  Changing it is an API change:
 # update this list and the README's library section together.
@@ -44,16 +45,42 @@ FILES_PUBLIC = [
 ]
 
 
-def test_files_defines_only_its_public_names():
+# The names cubetrees.verify defines: the error, the three report classes, the
+# kind string it mirrors, one entry point and the two edge-set checks the tests
+# and the benchmark call.  verify_decomposition reaches every edge set through
+# one private routine, so a second leftover path or a spanning-tree predicate
+# would show up here.
+VERIFY_PUBLIC = [
+    "EVEN_KIND",
+    "LeftoverCheck",
+    "MalformedDecompositionError",
+    "TreeCheck",
+    "VerifyReport",
+    "forest_components",
+    "is_matching",
+    "verify_decomposition",
+]
+
+
+def public_names(module):
+    """Top-level names the module's source defines without a leading underscore."""
     defined = set()
-    for node in ast.parse(Path(cubetrees.files.__file__).read_text()).body:
+    for node in ast.parse(Path(module.__file__).read_text()).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             defined.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             defined.update(t.id for t in targets if isinstance(t, ast.Name))
-    assert sorted(name for name in defined if not name.startswith("_")) == FILES_PUBLIC
+    return sorted(name for name in defined if not name.startswith("_"))
+
+
+def test_files_defines_only_its_public_names():
+    assert public_names(cubetrees.files) == FILES_PUBLIC
     assert cubetrees.files.EXPORT_FORMATS == ("dot", "edgelist", "json-doc")
+
+
+def test_verify_defines_only_its_public_names():
+    assert public_names(cubetrees.verify) == VERIFY_PUBLIC
 
 
 def test_import_loads_no_executor_or_ctypes_of_its_own():

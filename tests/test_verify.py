@@ -295,11 +295,11 @@ def test_single_mutations_match_union_find_reference(data):
     assert not assert_same_report(single_mutation(data)).overall
 
 
-def tree_check_threads(mp):
+def label_check_threads(mp):
     """Take the two-thread path at every size; return the idents of the
-    threads that check a tree, one per check."""
+    threads that check a label set, one per check."""
     idents = []
-    check = cubetrees.verify._check_tree
+    check = cubetrees.verify._check_label
 
     def recorded(labels, j, n):
         idents.append(threading.get_ident())
@@ -307,17 +307,20 @@ def tree_check_threads(mp):
 
     mp.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.verify, "_usable_cpus", lambda: 2)
-    mp.setattr(cubetrees.verify, "_check_tree", recorded)
+    mp.setattr(cubetrees.verify, "_check_label", recorded)
     return idents
 
 
 def assert_same_report_on_two_threads(dec):
     with pytest.MonkeyPatch.context() as mp:
-        idents = tree_check_threads(mp)
+        idents = label_check_threads(mp)
         report = assert_same_report(dec)
+    # labels 0..k: with two or more trees the helper takes label 0 and the
+    # even labels, the calling thread the odd ones; otherwise no helper runs
     here = threading.get_ident()
-    assert idents.count(here) == (dec.k + 1) // 2
-    assert len(idents) - idents.count(here) == dec.k // 2
+    helper = dec.k // 2 + 1 if dec.k >= 2 else 0
+    assert len(idents) - idents.count(here) == helper
+    assert idents.count(here) == dec.k + 1 - helper
     return report
 
 
@@ -333,16 +336,34 @@ def test_single_mutations_match_union_find_reference_on_two_threads(data):
     assert not assert_same_report_on_two_threads(single_mutation(data)).overall
 
 
+def refuse(*args, **kwargs):
+    raise AssertionError("an edge set was checked outside _check_label")
+
+
+@pytest.mark.parametrize("check", [assert_same_report, assert_same_report_on_two_threads])
+def test_every_edge_set_is_checked_by_one_routine(monkeypatch, check):
+    for name in ("is_matching", "forest_components", "edge_endpoints"):
+        monkeypatch.setattr(cubetrees.verify, name, refuse)
+    for n in range(1, 11):
+        dec = construct(n)
+        assert check(dec).overall
+        if dec.k == 0:  # Q_1: no tree to move the leftover edge into
+            continue
+        labels = dec.labels.copy()
+        labels[np.flatnonzero(labels == 0)[0]] = 1  # one leftover edge joins tree 1
+        assert not check(Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels)).overall
+
+
 def test_a_helper_thread_failure_is_raised_on_the_calling_thread(monkeypatch, tmp_path, capsys):
-    tree_check_threads(monkeypatch)
-    check = cubetrees.verify._check_tree
+    label_check_threads(monkeypatch)
+    check = cubetrees.verify._check_label
 
     def exhausted_off_the_main_thread(labels, j, n):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError
         return check(labels, j, n)
 
-    monkeypatch.setattr(cubetrees.verify, "_check_tree", exhausted_off_the_main_thread)
+    monkeypatch.setattr(cubetrees.verify, "_check_label", exhausted_off_the_main_thread)
     dec = construct(6)
     with pytest.raises(MemoryError):
         verify_decomposition(dec)
@@ -357,7 +378,7 @@ def test_no_helper_thread_for_small_cubes_one_tree_or_one_cpu(monkeypatch):
     def no_helper(*args, **kwargs):
         raise AssertionError("a helper thread was started")
 
-    idents = tree_check_threads(monkeypatch)
+    idents = label_check_threads(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_helper)
     monkeypatch.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1 << 16)
     assert_same_report(construct(15))  # 2^15 vertices: below the crossover
@@ -366,7 +387,7 @@ def test_no_helper_thread_for_small_cubes_one_tree_or_one_cpu(monkeypatch):
         assert_same_report(construct(n))
     monkeypatch.setattr(cubetrees.verify, "_usable_cpus", lambda: 1)
     assert_same_report(construct(8))
-    assert len(idents) == 7 + 1 + 1 + 4
+    assert len(idents) == 8 + 2 + 2 + 5  # labels 0..k, the leftover's included
     assert set(idents) == {threading.get_ident()}
 
 

@@ -6,7 +6,7 @@ two trees' traffic.  This module reports the quantities that drive such a
 schedule: per-tree depth from the root, the worst-case per-link tree load
 (1 for any valid decomposition), and a first-order pipelined time estimate.
 Depths come from a breadth-first search over each tree's per-vertex edge
-mask (hypercube.edge_mask), the same edge-set form the verifier checks.
+mask (hypercube.edge_mask).
 The search goes one level at a time and picks, per level, who expands it:
 a wide level goes to numpy in a few dozen whole-array calls, a narrow one to
 an interpreter loop over its few vertices.  A bushy tree spends most of its

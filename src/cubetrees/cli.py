@@ -23,9 +23,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .bounds import bounds_for
 from .broadcast import broadcast_metrics
-from .construct import construct
+from .construct import LEFTOVER, construct
 from .files import (
     EXPORT_FORMATS,
     DecompositionParseError,
@@ -97,7 +99,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
         target = f", written to {args.output}"
     else:
         target = ""
-    leftover = int(dec.leftover_edge_ids().size)
+    leftover = int(np.count_nonzero(dec.labels == LEFTOVER))
     print(
         f"Q_{dec.n}: {dec.k} edge-disjoint spanning trees, kind={dec.kind}, "
         f"leftover {leftover} edges{target}"

@@ -95,9 +95,6 @@ class Decomposition:
             raise ValueError(f"tree index {j} out of range 1..{self.k}")
         return np.flatnonzero(self.labels == j)
 
-    def leftover_edge_ids(self) -> np.ndarray:
-        return np.flatnonzero(self.labels == LEFTOVER)
-
     def label_counts(self) -> np.ndarray:
         """Edge count per label, index 0 = leftover."""
         return np.bincount(self.labels, minlength=self.k + 1)

@@ -15,7 +15,9 @@ each dimension there are exactly 2^(n-1) edges, so ids cover
 label arrays and file formats throughout the package.
 
 An edge set given by a label array can also be held per vertex: edge_mask
-sets bit d of mask[x] for the edge x -- x ^ 1<<d.
+sets bit d of mask[x] for the edge x -- x ^ 1<<d.  The broadcast search
+walks trees through it; the verifier reads edge ends straight from the
+dimension blocks instead.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import numpy as np
 
 # The largest n that construct + verify has been run at: n = 24 is ~201M
 # one-byte edge labels, verified in under a minute and 2 GB (a slow test
-# holds it there; about 18 s and 1.4 GB on two CPUs, 34 s and 0.8 GB on one).
+# holds it there; about 12 s and 1.2 GB on two CPUs, 23 s and 0.7 GB on one).
 DIMENSION_CAP = 24
 
 

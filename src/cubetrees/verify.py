@@ -1,11 +1,11 @@
 """Independent structural checks for hypercube edge-set decompositions.
 
 Everything here works from first principles on the label array, using only
-the cube's own structure: each edge set becomes the per-vertex uint32
-bitmask of hypercube.edge_mask (bit d marks the edge to x ^ 1<<d), built
-one dimension block at a time by a reshape of the label array.  Connected
-components come from min-label hooking with pointer jumping over the masked
-edges, whose round count does not grow with the depth of a tree.  One
+the cube's own structure: dimension block d of the edge-id layout lists the
+edges along d by their lower end with bit d squeezed out, so each edge set
+becomes a (lower, upper) pair of uint32 vertex arrays, read block by block.
+Connected components come from min-label hooking with pointer jumping over
+those edges, whose round count does not grow with the depth of a tree.  One
 routine, _check_label, reduces every label's edge set, the leftover's
 included, to three integers: its edges, the vertices they touch and the
 components among those vertices.  Every reported property is an integer
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .hypercube import MalformedEdgeError, edge_endpoints, edge_mask, num_edges, num_vertices
+from .hypercube import MalformedEdgeError, edge_endpoints, num_edges, num_vertices
 
 if TYPE_CHECKING:  # annotation only; the checker never calls into construct
     from .construct import Decomposition
@@ -61,69 +61,97 @@ def _id_labels(ids: np.ndarray, n: int) -> np.ndarray:
     return chosen
 
 
-def _edge_ends(mask: np.ndarray, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) ends of every masked edge; x is the vertex id array.
+def _edge_ends(labels: np.ndarray, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) uint32 ends of every edge labelled j.
 
-    Bit d of mask[x] names an upward edge exactly when bit d of x is clear.
-    Those bits are peeled lowest first, one pass per upward edge of the
-    vertex that has the most.
+    Dimension block d of the edge-id layout lists the lower ends of the
+    edges along d with bit d squeezed out, so a block's picked offsets
+    become lower ends once a clear bit d is inserted, and upper ends once
+    it is then set.
     """
-    up = mask & ~x
-    lower = np.flatnonzero(up).astype(np.uint32)
-    bits = up[lower]
-    lowers, uppers = [], []
-    while True:
-        low = bits & -bits
-        lowers.append(lower)
-        uppers.append(lower | low)
-        bits = bits ^ low
-        keep = bits != 0
-        if not keep.any():
-            break
-        lower, bits = lower[keep], bits[keep]
-    return np.concatenate(lowers), np.concatenate(uppers)
+    half = 1 << (n - 1)
+    lowers, bounds = [], [0]
+    for d in range(n):
+        s = np.flatnonzero(labels[d * half : (d + 1) * half] == j).astype(np.uint32)
+        s += (s >> d) << d  # insert a clear bit d
+        lowers.append(s)
+        bounds.append(bounds[-1] + s.size)
+    lower = np.concatenate(lowers)
+    del lowers
+    upper = lower.copy()
+    for d in range(n):
+        upper[bounds[d] : bounds[d + 1]] |= np.uint32(1 << d)
+    return lower, upper
 
 
-def _roots(mask: np.ndarray) -> np.ndarray:
-    """True at the smallest vertex of each connected component of the masked edges.
+def _first_round(lower: np.ndarray, upper: np.ndarray, vertices: int) -> np.ndarray:
+    """Root array after the first hooking round over the edges (lower, upper).
 
-    Min-label hooking with pointer jumping.  Each round, every root hooks
-    onto the smallest root it shares an edge with; chains of roots hooked in
-    that round are jumped until each points at a root that stayed one; edges
+    Every upper end hooks onto its smallest lower neighbour, which is the
+    vertex with one bit cleared, so no pointer chain is longer than n.  The
+    whole array is therefore jumped (root = root[root]) until it stops
+    changing, at most ceil(log2 n) + 1 passes, and every vertex ends up
+    pointing at the end of its chain.  Every index is a vertex id, so
+    np.take's mode="clip" never clips; it only spares numpy the bounds check
+    and the buffered copy.
+    """
+    root = np.arange(vertices, dtype=np.uint32)
+    np.minimum.at(root, upper, lower)
+    while not np.array_equal(jumped := np.take(root, root, mode="clip"), root):
+        root = jumped
+    return root
+
+
+def _roots(lower: np.ndarray, upper: np.ndarray, vertices: int) -> int:
+    """Number of connected components of the edges (lower, upper) over all vertices.
+
+    Min-label hooking with pointer jumping, starting from _first_round.  In
+    each later round every root hooks onto the smallest root it shares an
+    edge with, and only the chains hooked in that round are jumped; edges
     inside one component are dropped.  A component that is a local minimum
     and gains nothing in one round has only smaller neighbours in the next,
     so every component with an edge left merges within two rounds: at most
-    about 2 n rounds run, whatever the depth of the trees.  A vertex no edge
-    touches is a component of its own.
+    about 2 n rounds run, whatever the depth of the trees.  A vertex no
+    edge touches is a component of its own.
     """
-    x = np.arange(mask.size, dtype=np.uint32)
-    lower, upper = _edge_ends(mask, x)
-    root = x.copy()
-    while lower.size:
-        np.minimum.at(root, upper, lower)
-        hooked = upper
-        while hooked.size:
-            up = root[hooked]
-            upup = root[up]
-            moving = upup != up
-            hooked = hooked[moving]
-            root[hooked] = upup[moving]
-        a, b = root[lower], root[upper]
+    root = _first_round(lower, upper, vertices)
+    while True:
+        a, b = np.take(root, lower, mode="clip"), np.take(root, upper, mode="clip")
         live = a != b
         a, b = a[live], b[live]
         lower, upper = np.minimum(a, b), np.maximum(a, b)
-    return root == x
+        if not lower.size:
+            break
+        np.minimum.at(root, upper, lower)
+        hooked = upper
+        while hooked.size:
+            up = np.take(root, hooked, mode="clip")
+            upup = np.take(root, up, mode="clip")
+            moving = upup != up
+            hooked = hooked[moving]
+            root[hooked] = upup[moving]
+    return int(np.count_nonzero(root == np.arange(vertices, dtype=np.uint32)))
 
 
 def _check_label(labels: np.ndarray, j: int, n: int) -> tuple[int, int, int]:
     """(edges, touched vertices, components among those vertices) of label j.
 
     Each untouched vertex is a component of its own, so it is taken off the
-    component count of all 2^n vertices.
+    component count of all 2^n vertices.  One component over all of them
+    (at least two, as n >= 1) leaves no vertex untouched, so only a split
+    label set marks its edge ends to count the touched vertices.
     """
-    mask, edges = edge_mask(labels, j, n)
-    touched = int(np.count_nonzero(mask))
-    return edges, touched, int(np.count_nonzero(_roots(mask))) - (mask.size - touched)
+    vertices = num_vertices(n)
+    lower, upper = _edge_ends(labels, j, n)
+    edges = lower.size
+    components = _roots(lower, upper, vertices)
+    if components == 1:
+        return edges, vertices, 1
+    hit = np.zeros(vertices, dtype=bool)
+    hit[lower] = True
+    hit[upper] = True
+    touched = int(np.count_nonzero(hit))
+    return edges, touched, components - (vertices - touched)
 
 
 def is_matching(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:

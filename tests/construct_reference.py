@@ -34,9 +34,14 @@ def embed(v: int, copy_bits: int, at: int) -> int:
     return v | (copy_bits << at)
 
 
+def leftover_edge_ids(dec: Decomposition) -> np.ndarray:
+    """Ids of dec's leftover edges (label 0), in increasing order."""
+    return np.flatnonzero(dec.labels == 0)
+
+
 def _leftover_lower_endpoints(sub: Decomposition) -> np.ndarray:
     """Numerically smaller endpoints of sub's leftover edges, in edge-id order."""
-    u, _ = edge_endpoints(sub.leftover_edge_ids(), sub.n)
+    u, _ = edge_endpoints(leftover_edge_ids(sub), sub.n)
     return u
 
 
@@ -65,7 +70,7 @@ def embed_copy(sub: Decomposition, copy_bits: int, n_out: int) -> CopyDecomposit
         return d * out_half + copy_bits * half + s
 
     trees = tuple(to_global(sub.tree_edge_ids(j)) for j in range(1, sub.k + 1))
-    ids = sub.leftover_edge_ids()
+    ids = leftover_edge_ids(sub)
     u, _ = edge_endpoints(ids, m)
     d = (ids >> (m - 1)).tolist()
     independents = tuple(

@@ -9,7 +9,7 @@ from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.hypercube import num_edges
 from broadcast_reference import reference_tree_depths
-from test_verify import best_of_three, gray_code_path, random_labels, single_mutation
+from test_verify import best_of_three_each, gray_code_path, random_labels, single_mutation
 
 
 def test_depth_of_base_path_tree():
@@ -40,8 +40,7 @@ def test_depths_along_a_hamiltonian_path_tree():
     assert tree_depths(dec, mid ^ (mid >> 1))[0] == mid
     # 2^n levels of one vertex each: the narrow levels must stay as cheap as
     # the dict-of-lists search
-    got, fast = best_of_three(tree_depths, dec, 0)
-    want, slow = best_of_three(reference_tree_depths, dec, 0)
+    got, fast, want, slow = best_of_three_each(tree_depths, reference_tree_depths, dec, 0)
     assert got == want
     assert fast <= slow
 

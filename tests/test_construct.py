@@ -16,7 +16,13 @@ from cubetrees.construct import (
 )
 from cubetrees.hypercube import CapExceededError, edge_endpoints, num_edges
 from cubetrees.verify import forest_components, is_matching, verify_decomposition
-from construct_reference import EVEN_COPY_BITS, ODD_COPY_BITS, cross_matching, embed_copy
+from construct_reference import (
+    EVEN_COPY_BITS,
+    ODD_COPY_BITS,
+    cross_matching,
+    embed_copy,
+    leftover_edge_ids,
+)
 from cube_reference import edge_id
 from union_find_reference import UnionFind
 
@@ -29,7 +35,7 @@ def test_base_q2():
     tree = dec.tree_edge_ids(1)
     assert tree.size == 3 == 2**2 - 1
     assert forest_components(tree, 2) == (True, 1)
-    leftover = dec.leftover_edge_ids()
+    leftover = leftover_edge_ids(dec)
     assert leftover.size == 1
     assert is_matching(leftover, 2)
     # leftover is the dimension-1 edge at vertex 00
@@ -47,7 +53,7 @@ def test_even_recursion_base_is_the_2_cube():
 def test_construct_dispatch():
     one = construct(1)
     assert one.k == 0 and one.kind == ODD
-    assert one.leftover_edge_ids().size == 1
+    assert leftover_edge_ids(one).size == 1
     assert construct(4).kind == EVEN and construct(4).k == 2
     assert construct(7).kind == ODD and construct(7).k == 3
     with pytest.raises(ValueError):
@@ -84,7 +90,7 @@ def test_q4_tree_and_leftover_sizes():
     assert counts[1] == counts[2] == 15 == 4 * (2**2 - 1) + 3
     assert counts[LEFTOVER] == 2
     assert counts.sum() == 32 == num_edges(4)
-    assert is_matching(dec.leftover_edge_ids(), 4)
+    assert is_matching(leftover_edge_ids(dec), 4)
 
 
 def test_q3_tree_and_leftover_shape():
@@ -92,7 +98,7 @@ def test_q3_tree_and_leftover_shape():
     tree = dec.tree_edge_ids(1)
     assert tree.size == 7  # 3 tree edges + 3 unselected cross edges + 1 leftover edge
     assert forest_components(tree, 3) == (True, 1)
-    leftover = dec.leftover_edge_ids()
+    leftover = leftover_edge_ids(dec)
     assert leftover.size == 5 == 2**2 + 1
     assert forest_components(leftover, 3) == (True, 1)
 
@@ -114,7 +120,7 @@ def test_odd_leftover_component_structure():
     # edge, so the component holding copy 2's donated tree also holds both.
     for k, n in ((1, 3), (2, 5)):
         dec = construct(2 * k + 1)
-        comps = _component_vertices(dec.leftover_edge_ids(), n)
+        comps = _component_vertices(leftover_edge_ids(dec), n)
         assert len(comps) == k
         big = max(comps, key=len)
         copy2 = {v | 1 << (n - 1) for v in range(1 << (n - 1))}
@@ -268,7 +274,7 @@ def test_construction_is_deterministic(n):
 @pytest.mark.parametrize("n", range(2, 13))
 def test_leftover_shape(n):
     dec = construct(n)
-    leftover = dec.leftover_edge_ids()
+    leftover = leftover_edge_ids(dec)
     if n % 2 == 0:
         assert leftover.size == dec.k
         assert is_matching(leftover, n)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,3 +25,6 @@ def test_scripts_run_and_pass():
         assert "PASS" in proc.stdout and "FAIL" not in proc.stdout, proc.stdout
         if script == "stress_large.py":
             assert "\nbroadcast: " in proc.stdout, proc.stdout
+            assert re.search(
+                r"^peak RSS: +\d+ MB, verify minor page faults: \d+$", proc.stdout, re.M
+            ), proc.stdout

@@ -20,6 +20,7 @@ from cubetrees.verify import (
     is_matching,
     verify_decomposition,
 )
+from construct_reference import leftover_edge_ids
 from cube_reference import Edge, edge_id, squeeze_bit
 from union_find_reference import (
     UnionFind,
@@ -67,17 +68,17 @@ def test_spanning_tree_examples():
 def test_matching_examples():
     assert is_matching([], 4)
     assert not is_matching(ids_of([(0, 0), (0, 1)], 2), 2)  # share vertex 00
-    leftover = construct(8).leftover_edge_ids()
+    leftover = leftover_edge_ids(construct(8))
     assert is_matching(leftover, 8) and leftover.size == 4
 
 
 def test_forest_components_examples():
-    assert forest_components(construct(3).leftover_edge_ids(), 3) == (True, 1)
-    assert forest_components(construct(5).leftover_edge_ids(), 5) == (True, 2)
+    assert forest_components(leftover_edge_ids(construct(3)), 3) == (True, 1)
+    assert forest_components(leftover_edge_ids(construct(5)), 5) == (True, 2)
     assert forest_components(construct(3).tree_edge_ids(1), 3) == (True, 1)
     assert forest_components([], 3) == (True, 0)
     # a matching of size m is a forest with m components
-    leftover = construct(8).leftover_edge_ids()
+    leftover = leftover_edge_ids(construct(8))
     assert forest_components(leftover, 8) == (True, 4)
     # 4-cycle is not a forest
     assert forest_components([0, 1, 2, 3], 2) == (False, 1)
@@ -450,6 +451,73 @@ def test_all_zero_labels_leave_the_whole_cube(n):
     assert not any(t.connected or t.incident_to_all for t in report.trees)
 
 
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans(), st.data())
+def test_edge_ends_match_the_edge_id_decode(n, seed, skew, all_equal, data):
+    labels = random_labels(n, seed, skew).labels
+    if all_equal:
+        labels[:] = seed % (n // 2 + 1)
+    j = data.draw(st.integers(0, n // 2 + 1))  # k + 1 labels no edge: an empty set
+    lower, upper = cubetrees.verify._edge_ends(labels, j, n)
+    u, v = edge_endpoints(np.flatnonzero(labels == j), n)
+    assert lower.dtype == upper.dtype == np.uint32
+    assert sorted(zip(lower.tolist(), upper.tolist())) == sorted(zip(u.tolist(), v.tolist()))
+
+
+def chain_ends(lower, upper, vertices):
+    """Each vertex's end of chain after every upper end points at its smallest
+    lower neighbour, followed one pointer at a time."""
+    parent = list(range(vertices))
+    for low, up in zip(lower.tolist(), upper.tolist()):
+        parent[up] = min(parent[up], low)
+    ends = []
+    for x in range(vertices):
+        while parent[x] != x:
+            x = parent[x]
+        ends.append(x)
+    return ends
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_first_round_jumps_every_chain_to_its_end(n, seed, skew, data):
+    labels = random_labels(n, seed, skew).labels
+    j = data.draw(st.integers(0, n // 2))
+    lower, upper = cubetrees.verify._edge_ends(labels, j, n)
+    root = cubetrees.verify._first_round(lower, upper, 1 << n)
+    assert root.dtype == np.uint32
+    assert root.tolist() == chain_ends(lower, upper, 1 << n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 8])
+def test_one_label_on_every_edge_spans_the_cube_with_cycles(n):
+    """Every edge in tree 1 (Q_1 has no tree: its one edge is the leftover)."""
+    k = n // 2
+    j = min(k, 1)
+    labels = np.full(num_edges(n), j, dtype=np.uint8)
+    dec = Decomposition(n=n, k=k, kind="even" if n % 2 == 0 else "odd", labels=labels)
+    assert cubetrees.verify._check_label(labels, j, n) == (num_edges(n), 1 << n, 1)
+    report = assert_same_report(dec)
+    if k:
+        tree = report.trees[0]
+        assert tree.connected and tree.incident_to_all and not tree.size_ok
+    else:
+        assert report.leftover.components == 1 and report.overall
+
+
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_a_label_that_misses_one_vertex_is_not_touched_everywhere(n):
+    """Tree 1 holds every edge away from vertex 0: two components over all
+    vertices, one of them untouched."""
+    k = n // 2
+    labels = np.ones(num_edges(n), dtype=np.uint8)
+    labels[[edge_id(Edge(0, d), n) for d in range(n)]] = 0
+    dec = Decomposition(n=n, k=k, kind="even" if n % 2 == 0 else "odd", labels=labels)
+    assert cubetrees.verify._check_label(labels, 1, n) == (num_edges(n) - n, (1 << n) - 1, 1)
+    tree = assert_same_report(dec).trees[0]
+    assert not tree.connected and not tree.incident_to_all
+
+
 def test_many_cyclic_components_are_counted_at_once():
     # 2^(n-2) disjoint 4-cycles (dimensions 0 and 1), all merged in one pass.
     n = 10
@@ -465,13 +533,19 @@ def gray_code_path(n):
     return d * (1 << (n - 1)) + squeeze_bit(before & ~(1 << d), d)
 
 
-def best_of_three(check, ids, n):
-    times = []
+def best_of_three_each(check, reference, *args):
+    """(check's result, its best time, reference's result, its best time).
+
+    The two calls alternate, three times each, so a load spike on the
+    machine slows both sides instead of only one.
+    """
+    results, best = [None, None], [float("inf"), float("inf")]
     for _ in range(3):
-        start = time.perf_counter()
-        result = check(ids, n)
-        times.append(time.perf_counter() - start)
-    return result, min(times)
+        for side, call in enumerate((check, reference)):
+            start = time.perf_counter()
+            results[side] = call(*args)
+            best[side] = min(best[side], time.perf_counter() - start)
+    return results[0], best[0], results[1], best[1]
 
 
 @pytest.mark.parametrize("check, reference", [(forest_components, reference_forest_components)])
@@ -480,8 +554,7 @@ def test_hamiltonian_path_costs_no_more_than_the_reference(check, reference):
     n = 16
     ids = gray_code_path(n)
     assert np.unique(ids).size == ids.size == (1 << n) - 1
-    got, fast = best_of_three(check, ids, n)
-    want, slow = best_of_three(reference, ids, n)
+    got, fast, want, slow = best_of_three_each(check, reference, ids, n)
     assert got == want
     assert got == (True, 1)
     assert fast <= slow

@@ -13,7 +13,8 @@ an interpreter loop over its few vertices.  A bushy tree spends most of its
 vertices in a handful of wide levels, so numpy does nearly all of its work;
 a deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex)
 would pay numpy's fixed cost per call at every level, so it stays in the
-loop.  Reached vertices are marked in one byte array that both share.
+loop.  Both mark reached vertices in one int32 visit array per tree,
+0 for unreached.
 
 The time model is deliberately simple: the message is cut into k * parts
 equal chunks, each tree streams its chunks in a pipeline, hops have uniform
@@ -49,20 +50,18 @@ def tree_depths(dec: Decomposition, root: int) -> list[int]:
     """Eccentricity of root within each tree, by breadth-first search over the
     tree's edge mask; reached vertices are marked, so a cycle cannot loop it."""
     root = _check_root(dec, root)
-    vertices = num_vertices(dec.n)
-    slot = np.empty(vertices, dtype=np.intp)
     depths = []
     for j in range(1, dec.k + 1):
-        marks = edge_mask(dec.labels, j, dec.n)[0]
+        marks = edge_mask(dec.labels, j, dec.n)
         mask = memoryview(marks)
-        seen = bytearray(vertices)
-        seen_view = np.frombuffer(seen, dtype=np.uint8)
+        order = np.zeros(num_vertices(dec.n), dtype=np.int32)
+        seen = memoryview(order)
         seen[root] = 1
         frontier, far = [root], -1
         while len(frontier):
             far += 1
             if len(frontier) >= _WIDE_LEVEL:
-                wide = _wide_level(marks, frontier, seen_view, slot)
+                wide = _wide_level(marks, frontier, order)
                 frontier = wide if wide.size >= _WIDE_LEVEL else wide.tolist()
             else:
                 reached = []
@@ -80,16 +79,17 @@ def tree_depths(dec: Decomposition, root: int) -> list[int]:
 
 
 def _wide_level(
-    marks: np.ndarray, frontier: list[int] | np.ndarray, seen: np.ndarray, slot: np.ndarray
+    marks: np.ndarray, frontier: list[int] | np.ndarray, order: np.ndarray
 ) -> np.ndarray:
-    """The unseen neighbours of a wide frontier, each once, now marked seen.
+    """The unreached neighbours of a wide frontier, each once, now marked.
 
     The lowest set bit of every frontier mask is peeled once per pass.  A
     vertex reached from two frontier vertices (a cyclic label set) is kept
-    once, without a sort: every copy writes its position to slot[y], and
-    only the copy whose position slot still holds survives.
+    once, without a sort: every copy writes its 1-based position to order[y],
+    which marks y reached, and only the copy whose position order[y] still
+    holds survives.
     """
-    x = np.asarray(frontier, dtype=np.intp)
+    x = np.asarray(frontier)
     bits = marks[x]
     found = []
     while True:
@@ -101,12 +101,10 @@ def _wide_level(
         found.append(x ^ low)
         bits ^= low
     y = np.concatenate(found) if found else x
-    y = y[seen[y] == 0]
-    place = np.arange(y.size)
-    slot[y] = place
-    y = y[slot[y] == place]
-    seen[y] = 1
-    return y
+    y = y[order[y] == 0]
+    place = np.arange(1, y.size + 1, dtype=np.int32)
+    order[y] = place
+    return y[order[y] == place]
 
 
 def link_load(dec: Decomposition) -> int:

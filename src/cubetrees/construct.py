@@ -47,7 +47,6 @@ in O(edges) with no per-edge Python work.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -94,10 +93,6 @@ class Decomposition:
         if not 1 <= j <= self.k:
             raise ValueError(f"tree index {j} out of range 1..{self.k}")
         return np.flatnonzero(self.labels == j)
-
-    def label_counts(self) -> np.ndarray:
-        """Edge count per label, index 0 = leftover."""
-        return np.bincount(self.labels, minlength=self.k + 1)
 
 
 def base_q2() -> Decomposition:
@@ -198,13 +193,6 @@ def _extend_odd(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     return out
 
 
-def construct_even(k: int) -> Decomposition:
-    """Decomposition of Q_{2k}: k spanning trees plus a leftover matching of size k."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return construct(2 * k)
-
-
 def construct(n: int) -> Decomposition:
     """Decomposition of Q_n with floor(n/2) trees.
 
@@ -222,25 +210,3 @@ def construct(n: int) -> Decomposition:
     if n % 2:
         labels = _extend_odd(labels, k)
     return Decomposition(n=n, k=k, kind=ODD if n % 2 else EVEN, labels=labels)
-
-
-class EvenStepSizes(NamedTuple):
-    """Edge counts of the three tree families produced by one even step."""
-
-    joined_trees: int  # four copy trees plus three selected cross edges
-    remainder_tree: int  # one copy tree, three copy matchings, three cross remainders
-    final_tree: int  # three copy trees, one full cross matching, two selected edges
-
-
-def even_extension_tree_sizes(sub_k: int) -> EvenStepSizes:
-    """Closed-form tree sizes for the step Q_{2*sub_k} -> Q_{2*sub_k + 2}.
-
-    All three must equal 2^(2*sub_k + 2) - 1, the spanning-tree size of the
-    extended cube.
-    """
-    q = 1 << (2 * sub_k)  # vertices per copy
-    return EvenStepSizes(
-        joined_trees=4 * (q - 1) + 3,
-        remainder_tree=(q - 1) + 3 * (q - sub_k) + 3 * sub_k,
-        final_tree=3 * (q - 1) + q + 2,
-    )

@@ -77,8 +77,8 @@ def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def edge_mask(labels: np.ndarray, value: int, n: int) -> tuple[np.ndarray, int]:
-    """Per-vertex bitmask of the edges labelled value, and their number.
+def edge_mask(labels: np.ndarray, value: int, n: int) -> np.ndarray:
+    """Per-vertex bitmask of the edges labelled value.
 
     Bit d of mask[x] is the edge x -- x ^ 1<<d.
 
@@ -89,10 +89,8 @@ def edge_mask(labels: np.ndarray, value: int, n: int) -> tuple[np.ndarray, int]:
     """
     half = 1 << (n - 1)
     mask = np.zeros(1 << n, dtype=np.uint32)
-    edges = 0
     for d in range(n):
         picked = labels[d * half : (d + 1) * half].reshape(half >> d, 1, 1 << d) == value
-        edges += int(np.count_nonzero(picked))
         cube = mask.reshape(half >> d, 2, 1 << d)
         cube |= picked * np.uint32(1 << d)
-    return mask, edges
+    return mask

@@ -11,6 +11,7 @@ library's labels to match.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -115,3 +116,25 @@ def cross_matching(
         count=chosen.size,
     )
     return CrossMatching(dim=dim, all_ids=all_ids, chosen_ids=chosen_ids)
+
+
+class EvenStepSizes(NamedTuple):
+    """Edge counts of the three tree families produced by one even step."""
+
+    joined_trees: int  # four copy trees plus three selected cross edges
+    remainder_tree: int  # one copy tree, three copy matchings, three cross remainders
+    final_tree: int  # three copy trees, one full cross matching, two selected edges
+
+
+def even_extension_tree_sizes(sub_k: int) -> EvenStepSizes:
+    """Closed-form tree sizes for the step Q_{2*sub_k} -> Q_{2*sub_k + 2}.
+
+    All three must equal 2^(2*sub_k + 2) - 1, the spanning-tree size of the
+    extended cube.
+    """
+    q = 1 << (2 * sub_k)  # vertices per copy
+    return EvenStepSizes(
+        joined_trees=4 * (q - 1) + 3,
+        remainder_tree=(q - 1) + 3 * (q - sub_k) + 3 * sub_k,
+        final_tree=3 * (q - 1) + q + 2,
+    )

@@ -11,16 +11,12 @@ import numpy as np
 import pytest
 
 from cubetrees.bounds import bounds_for
-from cubetrees.construct import (
-    Decomposition,
-    construct,
-    construct_even,
-    even_extension_tree_sizes,
-)
+from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
 from cubetrees.hypercube import num_edges, num_vertices
 from cubetrees.oracle import SmallGraph, nw_arboricity, packing_upper_bound
 from cubetrees.verify import verify_decomposition
+from construct_reference import even_extension_tree_sizes
 
 
 def _report(cid, name, ok):
@@ -81,7 +77,8 @@ def test_criterion_4_step_size_identities():
         ok &= sizes.joined_trees == target
         ok &= sizes.remainder_tree == target
         ok &= sizes.final_tree == target
-        counts = construct_even(sub_k + 1).label_counts()
+        dec = construct(2 * sub_k + 2)
+        counts = np.bincount(dec.labels, minlength=dec.k + 1)
         ok &= all(counts[j] == sizes.joined_trees for j in range(1, sub_k))
         ok &= counts[sub_k] == sizes.remainder_tree
         ok &= counts[sub_k + 1] == sizes.final_tree

@@ -74,12 +74,7 @@ def assert_depths_match_reference(dec, data):
 def test_random_labels_match_dict_bfs_reference(n, seed, skew, data):
     # Random "trees" hold cycles, fall apart or are empty; skew > 0 makes one
     # label dominate, so some of them are large and cyclic.
-    k = n // 2
-    rng = np.random.default_rng(seed)
-    weights = rng.random(k + 1) ** (4 * skew)
-    labels = rng.choice(k + 1, size=num_edges(n), p=weights / weights.sum()).astype(np.uint8)
-    kind = "even" if n % 2 == 0 else "odd"
-    assert_depths_match_reference(Decomposition(n=n, k=k, kind=kind, labels=labels), data)
+    assert_depths_match_reference(random_labels(n, seed, skew), data)
 
 
 @settings(max_examples=80, deadline=None)
@@ -97,15 +92,15 @@ def test_single_mutations_match_dict_bfs_reference(data):
 def wide_levels(mp, width):
     """Expand every level of at least width vertices with numpy, and check
     each such step: every vertex it returns is new, returned once and now
-    marked seen, and it marks no other vertex."""
+    marked reached, and it marks no other vertex."""
     expand = cubetrees.broadcast._wide_level
 
-    def checked(marks, frontier, seen, slot):
-        before = seen.copy()
-        reached = expand(marks, frontier, seen, slot)
+    def checked(marks, frontier, order):
+        before = order.copy()
+        reached = expand(marks, frontier, order)
         assert np.unique(reached).size == reached.size
-        assert not before[reached].any() and seen[reached].all()
-        assert np.count_nonzero(seen) - np.count_nonzero(before) == reached.size
+        assert not before[reached].any() and order[reached].all()
+        assert np.count_nonzero(order) - np.count_nonzero(before) == reached.size
         return reached
 
     mp.setattr(cubetrees.broadcast, "_WIDE_LEVEL", width)

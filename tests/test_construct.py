@@ -11,8 +11,6 @@ from cubetrees.construct import (
     Decomposition,
     base_q2,
     construct,
-    construct_even,
-    even_extension_tree_sizes,
 )
 from cubetrees.hypercube import CapExceededError, edge_endpoints, num_edges
 from cubetrees.verify import forest_components, is_matching, verify_decomposition
@@ -21,6 +19,7 @@ from construct_reference import (
     ODD_COPY_BITS,
     cross_matching,
     embed_copy,
+    even_extension_tree_sizes,
     leftover_edge_ids,
 )
 from cube_reference import edge_id
@@ -44,7 +43,7 @@ def test_base_q2():
 
 
 def test_even_recursion_base_is_the_2_cube():
-    built = construct_even(1)
+    built = construct(2)
     base = base_q2()
     assert (built.n, built.k, built.kind) == (base.n, base.k, base.kind)
     assert np.array_equal(built.labels, base.labels)
@@ -67,10 +66,6 @@ def test_construct_dispatch():
     dec = construct(np.int64(4))
     assert type(dec.n) is int and np.array_equal(dec.labels, construct(4).labels)
     json.dumps(verify_decomposition(dec).to_dict())
-    with pytest.raises(CapExceededError):
-        construct_even(13)
-    with pytest.raises(ValueError):
-        construct_even(0)
 
 
 def test_construct_checks_the_dimension_once(monkeypatch):
@@ -80,13 +75,13 @@ def test_construct_checks_the_dimension_once(monkeypatch):
     monkeypatch.setattr(module, "check_dimension", lambda n: calls.append(n) or check(n))
     for n in (1, 2, 7, 8):
         construct(n)
-    construct_even(3)
+    construct(6)
     assert calls == [1, 2, 7, 8, 6]
 
 
 def test_q4_tree_and_leftover_sizes():
-    dec = construct_even(2)
-    counts = dec.label_counts()
+    dec = construct(4)
+    counts = np.bincount(dec.labels, minlength=dec.k + 1)
     assert counts[1] == counts[2] == 15 == 4 * (2**2 - 1) + 3
     assert counts[LEFTOVER] == 2
     assert counts.sum() == 32 == num_edges(4)
@@ -187,14 +182,14 @@ def _reference_odd_labels(sub, n_out):
 
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_even_step_matches_reference_assembly(k):
-    sub = construct_even(k - 1)
+    sub = construct(2 * k - 2)
     expected = _reference_even_labels(sub, 2 * k)
-    assert np.array_equal(construct_even(k).labels, expected)
+    assert np.array_equal(construct(2 * k).labels, expected)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
 def test_odd_step_matches_reference_assembly(k):
-    sub = construct_even(k)
+    sub = construct(2 * k)
     expected = _reference_odd_labels(sub, 2 * k + 1)
     assert np.array_equal(construct(2 * k + 1).labels, expected)
 
@@ -234,7 +229,7 @@ def test_embedded_copy_invariants(sub_n, copy_bits, n_out):
 
 @pytest.mark.parametrize("bits_a,bits_b", [(0, 1), (1, 3), (3, 2), (0, 2)])
 def test_cross_matching_invariants(bits_a, bits_b):
-    sub = construct_even(2)
+    sub = construct(4)
     n_out = 6
     cm = cross_matching(sub, bits_a, bits_b, n_out)
     assert cm.all_ids.size == 1 << sub.n
@@ -252,7 +247,7 @@ def test_cross_matching_invariants(bits_a, bits_b):
 
 
 def test_cross_matching_rejects_nonadjacent_copies():
-    sub = construct_even(1)
+    sub = construct(2)
     with pytest.raises(ValueError):
         cross_matching(sub, 0, 3, 4)
 
@@ -260,7 +255,7 @@ def test_cross_matching_rejects_nonadjacent_copies():
 @pytest.mark.parametrize("n", range(1, 11))
 def test_labels_partition_all_edges(n):
     dec = construct(n)
-    counts = dec.label_counts()
+    counts = np.bincount(dec.labels, minlength=dec.k + 1)
     assert counts.sum() == num_edges(n)
     assert int(dec.labels.max(initial=0)) <= dec.k
     assert counts.size == dec.k + 1

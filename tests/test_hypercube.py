@@ -1,17 +1,19 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from cubetrees.hypercube import (
     CapExceededError,
     MalformedEdgeError,
     check_dimension,
     edge_endpoints,
+    edge_mask,
     num_edges,
     num_vertices,
 )
 from construct_reference import embed
 from cube_reference import Edge, edge_from_id, edge_id, squeeze_bit, unsqueeze_bit
+from test_verify import random_labels
 
 
 def brute_force_edges(n):
@@ -110,6 +112,23 @@ def test_vectorized_decode_matches_scalar(n):
     for eid in range(num_edges(n)):
         e = edge_from_id(eid, n)
         assert (u[eid], v[eid]) == e.endpoints()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_edge_mask_agrees_with_edge_endpoints(n, seed, skew):
+    # skew > 0 makes one label dominate; value k + 1 labels no edge at all.
+    dec = random_labels(n, seed, skew)
+    ids = np.arange(num_edges(n))
+    u, v = edge_endpoints(ids, n)
+    d = ids >> (n - 1)
+    for value in range(dec.k + 2):
+        mask = edge_mask(dec.labels, value, n)
+        assert mask.dtype == np.uint32 and mask.shape == (num_vertices(n),)
+        carried = dec.labels == value
+        assert np.array_equal((mask[u] >> d) & 1 == 1, carried)
+        assert np.array_equal((mask[v] >> d) & 1 == 1, carried)
+        assert not (mask >> n).any()
 
 
 @given(st.integers(1, 16), st.data())

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import check_dimension, edge_endpoints, num_edges
+from .hypercube import check_dimension, check_integer, edge_endpoints, num_edges
 
 EVEN = "even"
 ODD = "odd"
@@ -64,26 +64,31 @@ class Decomposition:
     """Complete edge labeling of the n-cube.
 
     labels[edge_id] is 0 for leftover edges and j in 1..k for tree j.
-    The array is uint8 (k <= 12 under the dimension cap) and must
-    be treated as immutable once constructed.
+    The dimension fixes the rest of the shape: k = floor(n/2) trees, and
+    the leftover is a matching for even n (kind "even") and a forest for
+    odd n (kind "odd").  The array is uint8 (k <= 12 under the dimension
+    cap) and must be treated as immutable once constructed.
     """
 
     n: int
-    k: int
-    kind: str
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.kind not in (EVEN, ODD):
-            raise ValueError(f"kind must be {EVEN!r} or {ODD!r}, got {self.kind!r}")
-        if self.kind != (EVEN if self.n % 2 == 0 else ODD):
-            raise ValueError(f"kind {self.kind!r} does not match parity of n={self.n}")
-        if self.k != self.n // 2:
-            raise ValueError(f"k must be floor(n/2) = {self.n // 2}, got {self.k}")
+        object.__setattr__(self, "n", check_integer("dimension", self.n))
+        if self.n < 1:
+            raise ValueError(f"dimension must be >= 1, got {self.n}")
         if self.labels.dtype != np.uint8 or self.labels.shape != (num_edges(self.n),):
             raise ValueError(
                 f"labels must be a uint8 array of length {num_edges(self.n)}"
             )
+
+    @property
+    def k(self) -> int:
+        return self.n // 2
+
+    @property
+    def kind(self) -> str:
+        return ODD if self.n % 2 else EVEN
 
     @property
     def num_edges(self) -> int:
@@ -102,7 +107,7 @@ def base_q2() -> Decomposition:
     the leftover is the dimension-1 edge at vertex 00.
     """
     # Edge ids for n=2: 0 = (00,01), 1 = (10,11), 2 = (00,10), 3 = (01,11).
-    return Decomposition(n=2, k=1, kind=EVEN, labels=np.array([1, 1, 0, 1], dtype=np.uint8))
+    return Decomposition(n=2, labels=np.array([1, 1, 0, 1], dtype=np.uint8))
 
 
 def _leftover_lower_endpoints(labels: np.ndarray, m: int) -> np.ndarray:
@@ -203,10 +208,10 @@ def construct(n: int) -> Decomposition:
     n = check_dimension(n)
     k = n // 2
     if k == 0:
-        return Decomposition(n=1, k=0, kind=ODD, labels=np.zeros(1, dtype=np.uint8))
+        return Decomposition(n=1, labels=np.zeros(1, dtype=np.uint8))
     labels = base_q2().labels
     for sub_k in range(1, k):
         labels = _extend_even(labels, sub_k)
     if n % 2:
         labels = _extend_odd(labels, k)
-    return Decomposition(n=n, k=k, kind=ODD if n % 2 else EVEN, labels=labels)
+    return Decomposition(n=n, labels=labels)

@@ -6,15 +6,16 @@ identical bytes:
     offset 0   magic     b"QDEC"
     offset 4   version   u16, currently 1
     offset 6   n         u8
-    offset 7   k         u8, must equal floor(n/2)
-    offset 8   kind      u8, 0 = even, 1 = odd, must match the parity of n
+    offset 7   k         u8, floor(n/2)
+    offset 8   kind      u8, n mod 2 (0 = even, 1 = odd)
     offset 9   labels    n * 2^(n-1) bytes, one label per edge in dense
                          edge-id order, each value <= k
 
-A file is written to a temporary file in the target's directory and then
-moved onto the target, so a failed write leaves no truncated file behind.
-Files, pipes and bytes go through one stream decoder, which reads a pipe no
-further than header + payload + 1 byte.
+Both k and kind follow from n: the writer derives them from n and the reader
+refuses a header that disagrees.  A file is written to a temporary file in
+the target's directory and then moved onto the target, so a failed write
+leaves no truncated file behind.  Files, pipes and bytes go through one
+stream decoder, which reads a pipe no further than header + payload + 1 byte.
 
 Export formats render the same labeling as DOT (edge attribute tree=j, with
 tree=0 marking leftover edges), a plain "u v label" edge list, or a JSON
@@ -37,15 +38,12 @@ from typing import IO, BinaryIO, Iterator
 
 import numpy as np
 
-from .construct import EVEN, ODD, Decomposition
+from .construct import Decomposition
 from .hypercube import DIMENSION_CAP, edge_endpoints, num_edges
 
 MAGIC = b"QDEC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHBBB")
-
-_KIND_CODES = {EVEN: 0, ODD: 1}
-_KIND_NAMES = {0: EVEN, 1: ODD}
 
 
 class DecompositionParseError(ValueError):
@@ -53,15 +51,15 @@ class DecompositionParseError(ValueError):
 
 
 def _header(dec: Decomposition) -> bytes:
-    return _HEADER.pack(MAGIC, FORMAT_VERSION, dec.n, dec.k, _KIND_CODES[dec.kind])
+    return _HEADER.pack(MAGIC, FORMAT_VERSION, dec.n, dec.n // 2, dec.n % 2)
 
 
 def decomposition_to_bytes(dec: Decomposition) -> bytes:
     return _header(dec) + dec.labels.tobytes()
 
 
-def _parse_header(header: bytes, size: int | None) -> tuple[int, int, str]:
-    """(n, k, kind) from a header, checked against the input's size if known."""
+def _parse_header(header: bytes, size: int | None) -> int:
+    """n from a header, checked against the input's size if known."""
     if len(header) < _HEADER.size:
         raise DecompositionParseError(
             f"file too short: {len(header)} bytes, header needs {_HEADER.size}"
@@ -75,23 +73,20 @@ def _parse_header(header: bytes, size: int | None) -> tuple[int, int, str]:
         raise DecompositionParseError(f"dimension {n} outside [1, {DIMENSION_CAP}]")
     if k != n // 2:
         raise DecompositionParseError(f"k={k} inconsistent with n={n}")
-    if kind_code not in _KIND_NAMES:
-        raise DecompositionParseError(f"unknown kind code {kind_code}")
-    kind = _KIND_NAMES[kind_code]
-    if kind != (EVEN if n % 2 == 0 else ODD):
-        raise DecompositionParseError(f"kind {kind!r} inconsistent with n={n}")
+    if kind_code != n % 2:
+        raise DecompositionParseError(f"kind code {kind_code} inconsistent with n={n}")
     expected = num_edges(n)
     if size is not None and size - _HEADER.size != expected:
         raise DecompositionParseError(
             f"label payload has {size - _HEADER.size} bytes, expected {expected}"
         )
-    return n, k, kind
+    return n
 
 
 def _decode(f: BinaryIO, size: int | None) -> Decomposition:
     """The decomposition in stream f, whose length is size if known.  The
     labels go into one preallocated array; f is read one byte past them."""
-    n, k, kind = _parse_header(f.read(_HEADER.size), size)
+    n = _parse_header(f.read(_HEADER.size), size)
     labels = np.empty(num_edges(n), dtype=np.uint8)
     got = f.readinto(labels)
     if got < labels.size:
@@ -100,9 +95,9 @@ def _decode(f: BinaryIO, size: int | None) -> Decomposition:
         raise DecompositionParseError(
             f"label payload has more than {got} bytes, expected {labels.size}"
         )
-    if int(labels.max()) > k:
-        raise DecompositionParseError(f"label {int(labels.max())} exceeds tree count k={k}")
-    return Decomposition(n=n, k=k, kind=kind, labels=labels)
+    if int(labels.max()) > n // 2:
+        raise DecompositionParseError(f"label {int(labels.max())} exceeds tree count k={n // 2}")
+    return Decomposition(n=n, labels=labels)
 
 
 def decomposition_from_bytes(data: bytes) -> Decomposition:

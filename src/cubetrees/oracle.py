@@ -64,17 +64,6 @@ class SmallGraph:
             seen.add(key)
         object.__setattr__(self, "edges", tuple(sorted(seen)))
 
-    @classmethod
-    def hypercube(cls, n: int) -> "SmallGraph":
-        """Q_n as a plain edge list (independent of the bit-arithmetic model)."""
-        edges = [
-            (v, v | (1 << d))
-            for v in range(1 << n)
-            for d in range(n)
-            if not v & (1 << d)
-        ]
-        return cls(num_vertices=1 << n, edges=tuple(edges))
-
 
 def load_edge_list(text: str) -> SmallGraph:
     """Parse a plain-text edge list: one "u v" pair per line, 0-based ids,

@@ -41,11 +41,6 @@ class MalformedDecompositionError(ValueError):
     """
 
 
-# The kind string mirrored here (not imported) to keep the checker free of
-# any construct-module dependency; every other kind is checked as odd.
-EVEN_KIND = "even"
-
-
 def _as_id_array(edge_ids: Iterable[int] | np.ndarray, n: int) -> np.ndarray:
     ids = np.asarray(edge_ids, dtype=np.int64).reshape(-1)
     total = num_edges(n)
@@ -301,10 +296,11 @@ def _trim_heap() -> None:
 def verify_decomposition(dec: "Decomposition") -> VerifyReport:
     """Check every claimed property of a decomposition from first principles.
 
-    Raises MalformedDecompositionError for structurally invalid input;
-    returns a report (possibly failing) otherwise.
+    Only dec.n and dec.labels are read; k and the leftover's shape follow
+    from n.  Raises MalformedDecompositionError for structurally invalid
+    input; returns a report (possibly failing) otherwise.
     """
-    n, k, labels = dec.n, dec.k, dec.labels
+    n, k, labels = dec.n, dec.n // 2, dec.labels
     total = num_edges(n)
     if labels.shape != (total,):
         raise MalformedDecompositionError(
@@ -332,7 +328,7 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
         for j, (edges, touched, components) in enumerate(checks[1:], 1)
     )
     edges, touched, components = checks[0]
-    even = dec.kind == EVEN_KIND
+    even = n % 2 == 0
     leftover = LeftoverCheck(
         size=edges,
         expected_size=k if even else (1 << (n - 1)) + k,
@@ -349,7 +345,7 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
     return VerifyReport(
         n=n,
         k=k,
-        kind=dec.kind,
+        kind="even" if even else "odd",
         partition_ok=partition_ok,
         trees=trees,
         leftover=leftover,

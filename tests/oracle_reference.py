@@ -1,15 +1,24 @@
-"""Slow reference for the arboricity oracle: one Python loop per vertex subset.
+"""Test inputs and a slow reference for the brute-force oracles.
 
-This is the search `cubetrees.oracle.nw_arboricity` ran before it counted
-every subset at once in numpy.  It walks the subsets as Python ints and
-counts inner edges with per-vertex adjacency bitmasks, so it shares no
-counting code with the library; the property tests require the two values
-to agree.
+`hypercube_graph` builds Q_n as a plain edge list, independent of the
+bit-arithmetic model in `cubetrees.hypercube`.
+
+`reference_nw_arboricity` is the search `cubetrees.oracle.nw_arboricity` ran
+before it counted every subset at once in numpy.  It walks the subsets as
+Python ints and counts inner edges with per-vertex adjacency bitmasks, so it
+shares no counting code with the library; the property tests require the
+two values to agree.
 """
 
 from __future__ import annotations
 
 from cubetrees.oracle import SmallGraph
+
+
+def hypercube_graph(n: int) -> SmallGraph:
+    """Q_n as a plain edge list."""
+    edges = [(v, v | (1 << d)) for v in range(1 << n) for d in range(n) if not v & (1 << d)]
+    return SmallGraph(num_vertices=1 << n, edges=tuple(edges))
 
 
 def reference_nw_arboricity(g: SmallGraph) -> int:

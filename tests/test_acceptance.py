@@ -14,9 +14,10 @@ from cubetrees.bounds import bounds_for
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
 from cubetrees.hypercube import num_edges, num_vertices
-from cubetrees.oracle import SmallGraph, nw_arboricity, packing_upper_bound
+from cubetrees.oracle import nw_arboricity, packing_upper_bound
 from cubetrees.verify import verify_decomposition
 from construct_reference import even_extension_tree_sizes
+from oracle_reference import hypercube_graph
 
 
 def _report(cid, name, ok):
@@ -90,9 +91,9 @@ def test_criterion_5_oracle_agreement():
     start = time.perf_counter()
     ok = True
     for n in (2, 3, 4):
-        ok &= nw_arboricity(SmallGraph.hypercube(n)) == n // 2 + 1 == bounds_for(n).arboricity
+        ok &= nw_arboricity(hypercube_graph(n)) == n // 2 + 1 == bounds_for(n).arboricity
     for n in (2, 3):
-        ok &= packing_upper_bound(SmallGraph.hypercube(n)) == n // 2 == bounds_for(n).tree_packing
+        ok &= packing_upper_bound(hypercube_graph(n)) == n // 2 == bounds_for(n).tree_packing
     elapsed = time.perf_counter() - start
     ok &= elapsed < 5.0
     _report(5, f"oracle agreement on small cubes ({elapsed:.1f}s)", ok)
@@ -112,7 +113,7 @@ def test_criterion_6_mutation_soundness():
                     continue
                 labels = dec.labels.copy()
                 labels[eid] = new
-                mutated = Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels)
+                mutated = Decomposition(n=n, labels=labels)
                 ok &= not verify_decomposition(mutated).overall
                 cases += 1
     elapsed = time.perf_counter() - start

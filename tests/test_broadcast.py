@@ -34,7 +34,7 @@ def test_depths_along_a_hamiltonian_path_tree():
     n = 16
     labels = np.zeros(num_edges(n), dtype=np.uint8)
     labels[gray_code_path(n)] = 1
-    dec = Decomposition(n=n, k=n // 2, kind="even", labels=labels)
+    dec = Decomposition(n=n, labels=labels)
     assert tree_depths(dec, 0) == [(1 << n) - 1] + [0] * (dec.k - 1)
     mid = 1 << (n - 1)
     assert tree_depths(dec, mid ^ (mid >> 1))[0] == mid
@@ -49,7 +49,7 @@ def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level():
     # Every edge of Q_12 in tree 1: the number of shortest paths to a vertex
     # grows factorially with its depth, the number of vertices does not.
     n = 12
-    dec = Decomposition(n=n, k=n // 2, kind="even", labels=np.ones(num_edges(n), dtype=np.uint8))
+    dec = Decomposition(n=n, labels=np.ones(num_edges(n), dtype=np.uint8))
     start = time.perf_counter()
     assert tree_depths(dec, 0) == [n, 0, 0, 0, 0, 0]
     assert tree_depths(dec, (1 << n) - 1) == [n, 0, 0, 0, 0, 0]
@@ -86,7 +86,7 @@ def test_single_mutations_match_dict_bfs_reference(data):
     new = data.draw(st.integers(0, dec.k).filter(lambda j: j != dec.labels[eid]))
     labels = dec.labels.copy()
     labels[eid] = new
-    assert_depths_match_reference(Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels), data)
+    assert_depths_match_reference(Decomposition(n=n, labels=labels), data)
 
 
 def wide_levels(mp, width):

@@ -82,7 +82,7 @@ def test_verify_detects_mutation(tmp_path, capsys):
     dec = construct(4)
     labels = dec.labels.copy()
     labels[0] = 0
-    write_decomposition(Decomposition(n=4, k=2, kind="even", labels=labels), out)
+    write_decomposition(Decomposition(n=4, labels=labels), out)
     assert run("verify", str(out)) == EXIT_VERIFY
     assert "FAIL" in capsys.readouterr().out
 
@@ -98,6 +98,10 @@ def test_verify_parse_and_io_errors(tmp_path):
     bad.write_bytes(good.read_bytes()[:-1] + b"\x09")  # label 9 > k = 2
     assert run("verify", str(bad)) == EXIT_PARSE
     bad.write_bytes(b"QDEC\x01\x00" + bytes([25, 12, 1]))  # header of Q_25, over the cap
+    assert run("verify", str(bad)) == EXIT_PARSE
+    blob = bytearray(good.read_bytes())
+    blob[8] = 1  # kind byte odd, n = 4 even
+    bad.write_bytes(bytes(blob))
     assert run("verify", str(bad)) == EXIT_PARSE
     assert run("verify", str(tmp_path / "missing.dec")) == EXIT_IO
 

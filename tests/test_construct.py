@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 
@@ -293,12 +294,26 @@ def test_tree_count_meets_density_bound_exactly(n):
 
 def test_decomposition_validation():
     with pytest.raises(ValueError):
-        Decomposition(n=2, k=1, kind="weird", labels=np.zeros(4, dtype=np.uint8))
+        Decomposition(n=2, labels=np.zeros(5, dtype=np.uint8))
     with pytest.raises(ValueError):
-        Decomposition(n=2, k=1, kind=ODD, labels=np.zeros(4, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Decomposition(n=2, k=2, kind=EVEN, labels=np.zeros(4, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Decomposition(n=2, k=1, kind=EVEN, labels=np.zeros(5, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Decomposition(n=2, k=1, kind=EVEN, labels=np.zeros(4, dtype=np.int64))
+        Decomposition(n=2, labels=np.zeros(4, dtype=np.int64))
+    # True is not taken as Q_1, nor 0 as a cube with no edge.
+    for bad in (2.0, True, np.bool_(True), "2", None):
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            Decomposition(n=bad, labels=np.zeros(1, dtype=np.uint8))
+    for bad in (0, -1):
+        with pytest.raises(ValueError, match="dimension must be >= 1"):
+            Decomposition(n=bad, labels=np.zeros(1, dtype=np.uint8))
+
+
+def test_decomposition_is_its_dimension_and_labels():
+    assert [f.name for f in dataclasses.fields(Decomposition)] == ["n", "labels"]
+    for kw in ({"k": 1}, {"kind": EVEN}):
+        with pytest.raises(TypeError):
+            Decomposition(n=2, labels=np.zeros(4, dtype=np.uint8), **kw)
+    # A numpy n is stored as an int: n << (n - 1) would wrap in uint8, and
+    # the report of an np.int64 n would not serialise to JSON.
+    dec = Decomposition(n=np.uint8(9), labels=construct(9).labels)
+    assert type(dec.n) is int and dec.num_edges == 2304
+    report = verify_decomposition(Decomposition(n=np.int64(4), labels=construct(4).labels))
+    json.dumps(report.to_dict())

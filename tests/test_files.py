@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubetrees.files as files
-from cubetrees.construct import EVEN, ODD, Decomposition, construct
+from cubetrees.construct import Decomposition, construct
 from cubetrees.files import (
     DecompositionParseError,
     decomposition_from_bytes,
@@ -59,11 +59,43 @@ def test_parse_errors():
     with pytest.raises(DecompositionParseError):
         decomposition_from_bytes(blob[:8] + b"\x01" + blob[9:])  # kind/parity clash
     with pytest.raises(DecompositionParseError):
-        decomposition_from_bytes(blob[:8] + b"\x07" + blob[9:])  # unknown kind code
+        decomposition_from_bytes(blob[:8] + b"\x07" + blob[9:])  # kind byte not 0 or 1
     bad_label = bytearray(blob)
     bad_label[-1] = 9  # beyond k = 2
     with pytest.raises(DecompositionParseError):
         decomposition_from_bytes(bytes(bad_label))
+
+
+@pytest.mark.parametrize("n", [1, 4, 9])
+def test_header_k_and_kind_bytes_are_n_div_2_and_n_mod_2(n):
+    blob = decomposition_to_bytes(construct(n))
+    assert blob[7:9] == bytes([n // 2, n % 2])
+    assert decomposition_to_bytes(decomposition_from_bytes(blob)) == blob
+    for byte in range(256):
+        if byte != n // 2:
+            with pytest.raises(DecompositionParseError, match=f"^k={byte} inconsistent"):
+                decomposition_from_bytes(blob[:7] + bytes([byte]) + blob[8:])
+        if byte != n % 2:
+            with pytest.raises(DecompositionParseError, match=f"^kind code {byte} inconsistent"):
+                decomposition_from_bytes(blob[:8] + bytes([byte]) + blob[9:])
+
+
+def test_bad_k_or_kind_byte_is_refused_before_the_payload_size():
+    # Bare headers of Q_24: a bad k or kind byte gets its own message, and
+    # only the consistent header gets as far as the missing 201 MB payload.
+    tracemalloc.start()
+    try:
+        for k, kind, message in [
+            (11, 0, "^k=11 inconsistent with n=24$"),
+            (12, 1, "^kind code 1 inconsistent with n=24$"),
+            (12, 0, "^label payload has 0 bytes, expected 201326592$"),
+        ]:
+            with pytest.raises(DecompositionParseError, match=message):
+                decomposition_from_bytes(struct.pack("<4sHBBB", b"QDEC", 1, 24, k, kind))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_dimension_cap_respected_at_parse_time():
@@ -158,7 +190,7 @@ def test_write_to_a_pipe_and_from_a_strided_array(tmp_path):
     path = tmp_path / "pipe.dec"
     os.mkfifo(path)
     dec = construct(9)
-    strided = Decomposition(n=9, k=4, kind="odd", labels=np.repeat(dec.labels, 2)[::2])
+    strided = Decomposition(n=9, labels=np.repeat(dec.labels, 2)[::2])
     assert not strided.labels.flags.c_contiguous
     chunks = []
     reader = threading.Thread(target=lambda: chunks.append(path.read_bytes()), daemon=True)
@@ -255,7 +287,7 @@ def labelled_cubes(draw):
     else:
         labels = construct(n).labels.copy()
         labels[draw(st.integers(0, num_edges(n) - 1))] = draw(st.integers(0, 255))
-    return Decomposition(n=n, k=n // 2, kind=EVEN if n % 2 == 0 else ODD, labels=labels)
+    return Decomposition(n=n, labels=labels)
 
 
 @settings(max_examples=60, deadline=None)
@@ -288,7 +320,7 @@ def test_digits_of_values_at_every_width():
 def test_two_digit_labels():
     # Labels 10..12 occur only at n >= 20; here they sit beside one-digit ones.
     labels = np.resize(np.array([0, 10, 3, 11, 12, 9], dtype=np.uint8), num_edges(4))
-    dec = Decomposition(n=4, k=2, kind=EVEN, labels=labels)
+    dec = Decomposition(n=4, labels=labels)
     for _, line, _, _ in files._EXPORTS.values():
         assert_same_text("".join(files._edge_blocks(dec, line)), reference_edge_lines(dec, line))
 

@@ -13,7 +13,7 @@ from cubetrees.oracle import (
     restricted_growth_strings,
 )
 
-from oracle_reference import reference_nw_arboricity
+from oracle_reference import hypercube_graph, reference_nw_arboricity
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 SPOT_CHECK_VERTEX_CAP = 8
@@ -83,8 +83,8 @@ def test_arboricity_examples():
     assert nw_arboricity(SmallGraph(2, ((0, 1),))) == 1
     assert nw_arboricity(complete_graph(3)) == 2
     assert nw_arboricity(complete_graph(4)) == 2
-    assert nw_arboricity(SmallGraph.hypercube(3)) == 2
-    assert nw_arboricity(SmallGraph.hypercube(4)) == 3  # 16 vertices, at the cap
+    assert nw_arboricity(hypercube_graph(3)) == 2
+    assert nw_arboricity(hypercube_graph(4)) == 3  # 16 vertices, at the cap
     assert nw_arboricity(petersen()) == 2  # pinned brute-force regression value
 
 
@@ -105,8 +105,8 @@ def test_arboricity_error_messages():
 
 
 def test_packing_examples():
-    assert packing_upper_bound(SmallGraph.hypercube(2)) == 1
-    assert packing_upper_bound(SmallGraph.hypercube(3)) == 1
+    assert packing_upper_bound(hypercube_graph(2)) == 1
+    assert packing_upper_bound(hypercube_graph(3)) == 1
     assert packing_upper_bound(complete_graph(4)) == 2
     assert packing_upper_bound(petersen()) == 1  # pinned brute-force regression value
     disconnected = SmallGraph(4, ((0, 1), (2, 3)))
@@ -122,31 +122,31 @@ def test_packing_errors():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_arboricity_agrees_with_closed_form(n):
-    assert nw_arboricity(SmallGraph.hypercube(n)) == bounds_for(n).arboricity
+    assert nw_arboricity(hypercube_graph(n)) == bounds_for(n).arboricity
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_packing_agrees_with_closed_form(n):
-    assert packing_upper_bound(SmallGraph.hypercube(n)) == bounds_for(n).tree_packing
+    assert packing_upper_bound(hypercube_graph(n)) == bounds_for(n).tree_packing
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_constructed_tree_count_is_optimal_by_independent_search(n):
     # the partition oracle is an upper bound, so hitting it certifies the
     # constructed family is maximum at tiny scale
-    assert construct(n).k == packing_upper_bound(SmallGraph.hypercube(n))
+    assert construct(n).k == packing_upper_bound(hypercube_graph(n))
 
 
 def test_catlin_spot_check_single_removals():
-    q2 = SmallGraph.hypercube(2)
+    q2 = hypercube_graph(2)
     assert all(catlin_spot_check(q2, {e}) for e in q2.edges)
-    q3 = SmallGraph.hypercube(3)
+    q3 = hypercube_graph(3)
     assert all(catlin_spot_check(q3, {e}) for e in q3.edges)
 
 
 def test_catlin_spot_check_cap():
     with pytest.raises(CapExceededError):
-        catlin_spot_check(SmallGraph.hypercube(4), {(0, 1)})
+        catlin_spot_check(hypercube_graph(4), {(0, 1)})
 
 
 def test_load_edge_list():

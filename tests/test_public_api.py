@@ -45,13 +45,11 @@ FILES_PUBLIC = [
 ]
 
 
-# The names cubetrees.verify defines: the error, the three report classes, the
-# kind string it mirrors, one entry point and the two edge-set checks the tests
-# and the benchmark call.  verify_decomposition reaches every edge set through
-# one private routine, so a second leftover path or a spanning-tree predicate
-# would show up here.
+# The names cubetrees.verify defines: the error, the three report classes, one
+# entry point and the two edge-set checks the tests and the benchmark call.
+# verify_decomposition reaches every edge set through one private routine, so
+# a second leftover path or a spanning-tree predicate would show up here.
 VERIFY_PUBLIC = [
-    "EVEN_KIND",
     "LeftoverCheck",
     "MalformedDecompositionError",
     "TreeCheck",

@@ -94,7 +94,7 @@ def test_corrupted_label_is_detected():
     labels = dec.labels.copy()
     moved = dec.tree_edge_ids(1)[0]
     labels[moved] = 0  # move a tree edge to the leftover
-    report = verify_decomposition(Decomposition(n=4, k=2, kind="even", labels=labels))
+    report = verify_decomposition(Decomposition(n=4, labels=labels))
     assert not report.overall
     assert report.trees[0].edge_count == 14
     assert not report.trees[0].size_ok
@@ -106,8 +106,6 @@ def test_structural_errors_are_distinct():
     dec = construct(4)
     bad = Decomposition.__new__(Decomposition)
     object.__setattr__(bad, "n", 4)
-    object.__setattr__(bad, "k", 2)
-    object.__setattr__(bad, "kind", "even")
     object.__setattr__(bad, "labels", dec.labels[:-1])
     with pytest.raises(MalformedDecompositionError):
         verify_decomposition(bad)
@@ -116,6 +114,16 @@ def test_structural_errors_are_distinct():
     object.__setattr__(bad, "labels", labels)
     with pytest.raises(MalformedDecompositionError):
         verify_decomposition(bad)
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_verify_reads_only_the_dimension_and_the_labels(n):
+    # k, the leftover's shape and the report's kind all follow from n.
+    dec = construct(n)
+    bare = types.SimpleNamespace(n=n, labels=dec.labels)
+    for check in (verify_decomposition, reference_report):
+        assert check(bare).to_dict() == check(dec).to_dict()
+        assert check(bare).to_text() == check(dec).to_text()
 
 
 def test_report_rendering():
@@ -149,7 +157,7 @@ def test_mutation_soundness_sampled(n):
                 continue
             labels = dec.labels.copy()
             labels[eid] = new
-            mutated = Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels)
+            mutated = Decomposition(n=n, labels=labels)
             assert not verify_decomposition(mutated).overall
 
 
@@ -270,8 +278,7 @@ def random_labels(n, seed, skew):
     rng = np.random.default_rng(seed)
     weights = rng.random(k + 1) ** (4 * skew)
     labels = rng.choice(k + 1, size=num_edges(n), p=weights / weights.sum()).astype(np.uint8)
-    kind = "even" if n % 2 == 0 else "odd"
-    return Decomposition(n=n, k=k, kind=kind, labels=labels)
+    return Decomposition(n=n, labels=labels)
 
 
 def single_mutation(data):
@@ -281,7 +288,7 @@ def single_mutation(data):
     new = data.draw(st.integers(0, dec.k).filter(lambda j: j != dec.labels[eid]))
     labels = dec.labels.copy()
     labels[eid] = new
-    return Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels)
+    return Decomposition(n=n, labels=labels)
 
 
 @settings(max_examples=80, deadline=None)
@@ -352,7 +359,7 @@ def test_every_edge_set_is_checked_by_one_routine(monkeypatch, check):
             continue
         labels = dec.labels.copy()
         labels[np.flatnonzero(labels == 0)[0]] = 1  # one leftover edge joins tree 1
-        assert not check(Decomposition(n=n, k=dec.k, kind=dec.kind, labels=labels)).overall
+        assert not check(Decomposition(n=n, labels=labels)).overall
 
 
 def test_a_helper_thread_failure_is_raised_on_the_calling_thread(monkeypatch, tmp_path, capsys):
@@ -432,7 +439,7 @@ def test_leftover_perfect_matching_along_dimension_0(tmp_path, n):
     labels = np.zeros(num_edges(n), dtype=np.uint8)
     labels[half:] = 1 + np.arange(num_edges(n) - half) % k
     path = tmp_path / f"q{n}.dec"
-    path.write_bytes(decomposition_to_bytes(Decomposition(n=n, k=k, kind="odd", labels=labels)))
+    path.write_bytes(decomposition_to_bytes(Decomposition(n=n, labels=labels)))
     dec = decomposition_from_bytes(path.read_bytes())
     report = assert_same_report(dec)
     assert report.leftover.components == half
@@ -443,8 +450,7 @@ def test_leftover_perfect_matching_along_dimension_0(tmp_path, n):
 @pytest.mark.parametrize("n", [3, 7, 11])
 def test_all_zero_labels_leave_the_whole_cube(n):
     """Every edge in the leftover: one component, full of cycles."""
-    k = n // 2
-    dec = Decomposition(n=n, k=k, kind="odd", labels=np.zeros(num_edges(n), dtype=np.uint8))
+    dec = Decomposition(n=n, labels=np.zeros(num_edges(n), dtype=np.uint8))
     report = assert_same_report(dec)
     assert report.leftover.components == 1
     assert report.leftover.is_forest is False
@@ -495,7 +501,7 @@ def test_one_label_on_every_edge_spans_the_cube_with_cycles(n):
     k = n // 2
     j = min(k, 1)
     labels = np.full(num_edges(n), j, dtype=np.uint8)
-    dec = Decomposition(n=n, k=k, kind="even" if n % 2 == 0 else "odd", labels=labels)
+    dec = Decomposition(n=n, labels=labels)
     assert cubetrees.verify._check_label(labels, j, n) == (num_edges(n), 1 << n, 1)
     report = assert_same_report(dec)
     if k:
@@ -509,10 +515,9 @@ def test_one_label_on_every_edge_spans_the_cube_with_cycles(n):
 def test_a_label_that_misses_one_vertex_is_not_touched_everywhere(n):
     """Tree 1 holds every edge away from vertex 0: two components over all
     vertices, one of them untouched."""
-    k = n // 2
     labels = np.ones(num_edges(n), dtype=np.uint8)
     labels[[edge_id(Edge(0, d), n) for d in range(n)]] = 0
-    dec = Decomposition(n=n, k=k, kind="even" if n % 2 == 0 else "odd", labels=labels)
+    dec = Decomposition(n=n, labels=labels)
     assert cubetrees.verify._check_label(labels, 1, n) == (num_edges(n) - n, (1 << n) - 1, 1)
     tree = assert_same_report(dec).trees[0]
     assert not tree.connected and not tree.incident_to_all

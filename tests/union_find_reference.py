@@ -12,7 +12,6 @@ import numpy as np
 
 from cubetrees.hypercube import edge_endpoints, num_edges, num_vertices
 from cubetrees.verify import (
-    EVEN_KIND,
     LeftoverCheck,
     MalformedDecompositionError,
     TreeCheck,
@@ -79,8 +78,10 @@ def reference_forest_components(edge_ids, n: int) -> tuple[bool, int]:
 
 
 def reference_report(dec) -> VerifyReport:
-    """verify_decomposition rebuilt on union-find, check for check."""
-    n, k, labels = dec.n, dec.k, dec.labels
+    """verify_decomposition rebuilt on union-find, check for check.  Like
+    the library, it reads only dec.n and dec.labels."""
+    n, labels = dec.n, dec.labels
+    k = n // 2
     if labels.shape != (num_edges(n),) or (labels.size and int(labels.max()) > k):
         raise MalformedDecompositionError("malformed label array")
     vertices = num_vertices(n)
@@ -99,7 +100,8 @@ def reference_report(dec) -> VerifyReport:
             )
         )
     leftover_ids = np.flatnonzero(labels == 0)
-    if dec.kind == EVEN_KIND:
+    even = n % 2 == 0
+    if even:
         leftover = LeftoverCheck(
             size=int(leftover_ids.size),
             expected_size=k,
@@ -121,7 +123,7 @@ def reference_report(dec) -> VerifyReport:
     return VerifyReport(
         n=n,
         k=k,
-        kind=dec.kind,
+        kind="even" if even else "odd",
         partition_ok=True,
         trees=tuple(trees),
         leftover=leftover,

@@ -41,9 +41,7 @@ class BoundsReport:
 
 def bounds_for(n: int) -> BoundsReport:
     """Closed forms for Q_n, with the bound chain asserted (no dimension cap)."""
-    n = check_integer("dimension", n)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = check_integer("dimension", n, 1)
     k = n // 2
     edges = num_edges(n)
     vertices = num_vertices(n)

@@ -25,6 +25,7 @@ cost and there is no contention, so a tree of depth D finishes after
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ _WIDE_LEVEL = 64
 
 
 def _check_root(dec: Decomposition, root: int) -> int:
-    root = check_integer("root", root)
-    if not 0 <= root < num_vertices(dec.n):
+    root = check_integer("root", root, 0)
+    if root >= num_vertices(dec.n):
         raise ValueError(f"root {root} out of range for n={dec.n}")
     return root
 
@@ -138,11 +139,10 @@ def broadcast_metrics(
     if dec.k == 0:
         raise ValueError("broadcast model undefined with zero trees (n = 1)")
     root = _check_root(dec, root)
-    parts = check_integer("parts", parts)
-    if parts < 1:
-        raise ValueError(f"parts must be >= 1, got {parts}")
-    if not 0 < hop_cost < math.inf:
-        raise ValueError(f"hop_cost must be finite and > 0, got {hop_cost}")
+    parts = check_integer("parts", parts, 1)
+    real = isinstance(hop_cost, numbers.Real) and not isinstance(hop_cost, bool)
+    if not (real and 0 < hop_cost < math.inf):
+        raise ValueError(f"hop_cost must be finite and > 0, got {hop_cost!r}")
     depths = tuple(tree_depths(dec, root))
     return BroadcastMetrics(
         root=root,

@@ -22,10 +22,11 @@ wires the copies together:
   * new leftover: copy 1's leftover matching plus the one remaining
     selected cross edge between copies 2 and 3.
 
-The selected cross edge for leftover edge e_i between adjacent copies is
-the one incident to the numerically smaller endpoint of e_i; this fixed
-rule (plus the fixed Gray copy order and base case) makes the output
-byte-identical across runs.
+The leftover matching of Q_{2k} is explicit: e_i (i = 1..k, in edge-id
+order) runs along dimension 2i - 1 from v_i = (4^i - 4)/3, the vertex with
+bits 2, 4, ..., 2i - 2 set.  The selected cross edge for e_i between
+adjacent copies is the one at v_i; this fixed rule (plus the fixed Gray
+copy order and base case) makes the output byte-identical across runs.
 
 The odd construction is a single step on top of the even one: Q_{2k+1} is
 two copies of Q_{2k} joined by a perfect matching.  Trees 1..k-1 pair up
@@ -50,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hypercube import check_dimension, check_integer, edge_endpoints, num_edges
+from .hypercube import check_dimension, check_integer, num_edges
 
 EVEN = "even"
 ODD = "odd"
@@ -74,13 +75,11 @@ class Decomposition:
     labels: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "n", check_integer("dimension", self.n))
-        if self.n < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.n}")
-        if self.labels.dtype != np.uint8 or self.labels.shape != (num_edges(self.n),):
-            raise ValueError(
-                f"labels must be a uint8 array of length {num_edges(self.n)}"
-            )
+        object.__setattr__(self, "n", check_integer("dimension", self.n, 1))
+        labels, edges = self.labels, num_edges(self.n)
+        shaped = isinstance(labels, np.ndarray) and labels.shape == (edges,)
+        if not shaped or labels.dtype != np.uint8:
+            raise ValueError(f"labels must be a uint8 array of length {edges}")
 
     @property
     def k(self) -> int:
@@ -110,16 +109,12 @@ def base_q2() -> Decomposition:
     return Decomposition(n=2, labels=np.array([1, 1, 0, 1], dtype=np.uint8))
 
 
-def _leftover_lower_endpoints(labels: np.ndarray, m: int) -> np.ndarray:
-    """Numerically smaller endpoints of the leftover edges, in edge-id order.
+def _matching_starts(sub_k: int) -> np.ndarray:
+    """Lower ends v_i = (4^i - 4)/3 of the leftover matching of Q_{2*sub_k}.
 
-    These are the vertices where selected cross edges attach during an
-    extension step; edge-id order defines the pairing between leftover
-    edges and cross-matching selections.
+    Edge-id order pairs them with the cross-matching selections.
     """
-    ids = np.flatnonzero(labels == LEFTOVER)
-    u, _ = edge_endpoints(ids, m)  # canonical endpoint has the edge bit clear
-    return u
+    return (4 ** np.arange(1, sub_k + 1, dtype=np.int64) - 4) // 3
 
 
 def _place_copies(
@@ -166,7 +161,7 @@ def _extend_even(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
     # The selected edge paired with leftover edge j joins tree j in every
     # pair; the last one goes to the final tree in (1,2) and (3,4) and
     # stays leftover in (2,3).
-    chosen = _leftover_lower_endpoints(sub_labels, m)
+    chosen = _matching_starts(sub_k)
     selected = np.arange(1, sub_k + 1, dtype=np.uint8)
     selected[-1] = sub_k + 1
     out[m12 + chosen] = selected
@@ -191,7 +186,7 @@ def _extend_odd(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
 
     cross = m * full
     out[cross : cross + full] = sub_k
-    chosen = _leftover_lower_endpoints(sub_labels, m)
+    chosen = _matching_starts(sub_k)
     selected = np.arange(1, sub_k + 1, dtype=np.uint8)
     selected[-1] = LEFTOVER
     out[cross + chosen] = selected

@@ -38,18 +38,20 @@ class MalformedEdgeError(ValueError):
     """An edge or edge id is not well-formed for the given dimension."""
 
 
-def check_integer(name: str, value: int) -> int:
-    """value as a Python int; a bool or a non-integer raises ValueError."""
+def check_integer(name: str, value: int, least: int) -> int:
+    """value as a Python int; a bool, a non-integer or a value below least
+    raises ValueError."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def check_dimension(n: int) -> int:
     """Validate a cube dimension, returning it as a Python int."""
-    n = check_integer("dimension", n)
-    if n < 1:
-        raise ValueError(f"dimension must be >= 1, got {n}")
+    n = check_integer("dimension", n, 1)
     if n > DIMENSION_CAP:
         raise CapExceededError(
             f"dimension {n} exceeds cap {DIMENSION_CAP} (~{num_edges(n)} edge labels)"

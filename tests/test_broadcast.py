@@ -178,7 +178,9 @@ def test_broadcast_time_errors(monkeypatch):
     for root in (16, -1, 1.5, True):
         with pytest.raises(ValueError, match="root"):
             broadcast_metrics(construct(4), root)
-    for hop_cost in (0, -2.0, float("nan"), float("inf")):
+    with pytest.raises(ValueError, match="root must be >= 0, got -1"):
+        broadcast_metrics(construct(4), -1)
+    for hop_cost in (0, -2.0, float("nan"), float("inf"), "2", None, True, np.bool_(True)):
         with pytest.raises(ValueError, match="hop_cost"):
             broadcast_metrics(construct(4), 0, hop_cost=hop_cost)
 

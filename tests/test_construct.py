@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import json
 
@@ -21,6 +22,7 @@ from construct_reference import (
     cross_matching,
     embed_copy,
     even_extension_tree_sizes,
+    _leftover_lower_endpoints,
     leftover_edge_ids,
 )
 from cube_reference import edge_id
@@ -267,6 +269,51 @@ def test_construction_is_deterministic(n):
     assert construct(n).labels.tobytes() == construct(n).labels.tobytes()
 
 
+# sha256 of construct(n).labels.tobytes().  The test above compares two runs
+# of the same code; this table holds the bytes across changes to the builder.
+LABEL_SHA256 = {
+    1: "6e340b9cffb37a989ca544e6bb780a2c78901d3fb33738768511a30617afa01d",
+    2: "252c0b6b080fa045acfcd1437f693f3be2be2ac8223ea525d492fa19ab028942",
+    3: "ecbde46798f0d934e4e1369a1f9e3ac2843977a0a5e21891de90d2205699d778",
+    4: "ed2ce8713220b689450d6059206115613feb68e7601aa97e95b16d6d54bb745e",
+    5: "d926aaada056f46325dc2b7a38cfd7a0338fa83cc5a6006b2e55a5b8aa005cf7",
+    6: "bfa9c97e7aea38d0eb2317eae1ec77d5e607b367b9acc72cead247910ed12e1f",
+    7: "aa996291f89771bfcf5a495d4da2fffc8e927a576b371786e211a3f302516bac",
+    8: "fd253ef08c0d2a21c9edfb491c9a7efd2777d4fbc3408307f93fd83d3d44b40b",
+    9: "17ecc87b495fd3c3af7b06fab44ded0906b45e4e3ec6044679f1da6932350a03",
+    10: "66d88c6b1cc76ef53cace62abcbe2efa7092298990f59a05cabdfddb1b5df904",
+    11: "e6b1c25ada9ef3064d534d9461bded34978be9f8ba18834ee34cdd87b62e2806",
+    12: "4af2f1621aacbdcbb94206601487822dfa765eb84e2d62e6beacd59a7b8246c0",
+    13: "e92c4b26018e79b71c1d790cad1860f8ead0b609ea5f8f2b848f36804c036513",
+    14: "2297f62ee87d734f54b045cbf90f78c7e12b2cb8a48c52a1633b2bab2b70dc2f",
+    15: "07922b5bf1cd5bd3aae504b6ad5b0ee47d9a177833a2baf9494cb73ff2c757e1",
+    16: "1bbefc8609ee24179a346c4b82fffa3a2b8727500d98770a0770631b3b93a623",
+    17: "e274dd9c4cca1610825a79da7491a512837d24b8092b08460dbee27fc7d235eb",
+    18: "91f5244efb8c04a61d59016666095eb9c4186719008606a9c6622b8d6a04974b",
+    19: "5f2c8ddb682580c5078bd8066bfd48ad701566b85c987469be8f6deaa0b8d7a4",
+    20: "096570922d8b928eaae11b4e203d2115bd2cd9c81d35211eedd86c2c631b94dc",
+}
+
+
+@pytest.mark.parametrize("n", range(1, 21))
+def test_construction_bytes_are_pinned(n):
+    assert hashlib.sha256(construct(n).labels.tobytes()).hexdigest() == LABEL_SHA256[n]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_even_leftover_is_the_explicit_matching(k):
+    # Leftover edge i runs along dimension 2i - 1 from (4^i - 4)/3, the
+    # vertex with bits 2, 4, ..., 2i - 2 set; the builder states these ends.
+    dec = construct(2 * k)
+    starts = [(4**i - 4) // 3 for i in range(1, k + 1)]
+    assert starts == [sum(1 << b for b in range(2, 2 * i - 1, 2)) for i in range(1, k + 1)]
+    assert _leftover_lower_endpoints(dec).tolist() == starts
+    dims = leftover_edge_ids(dec) >> (2 * k - 1)
+    assert dims.tolist() == [2 * i - 1 for i in range(1, k + 1)]
+    module = importlib.import_module("cubetrees.construct")
+    assert module._matching_starts(k).tolist() == starts
+
+
 @pytest.mark.parametrize("n", range(2, 13))
 def test_leftover_shape(n):
     dec = construct(n)
@@ -304,6 +351,9 @@ def test_decomposition_validation():
     for bad in (0, -1):
         with pytest.raises(ValueError, match="dimension must be >= 1"):
             Decomposition(n=bad, labels=np.zeros(1, dtype=np.uint8))
+    for bad in ([1, 1, 0, 1], None):
+        with pytest.raises(ValueError, match="labels must be a uint8 array"):
+            Decomposition(n=2, labels=bad)
 
 
 def test_decomposition_is_its_dimension_and_labels():

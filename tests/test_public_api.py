@@ -1,4 +1,5 @@
 import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -60,6 +61,28 @@ VERIFY_PUBLIC = [
 ]
 
 
+# The names cubetrees.construct defines: the decomposition, its two kinds,
+# the leftover label, the base case and the builder.  The function
+# cubetrees.construct hides the submodule, so tests import it by name.
+CONSTRUCT_PUBLIC = ["Decomposition", "EVEN", "LEFTOVER", "ODD", "base_q2", "construct"]
+
+
+# The names cubetrees.hypercube defines: the cap and its error, the edge
+# error, the two argument checks, the counts, the edge decoder and the
+# per-vertex edge mask.
+HYPERCUBE_PUBLIC = [
+    "CapExceededError",
+    "DIMENSION_CAP",
+    "MalformedEdgeError",
+    "check_dimension",
+    "check_integer",
+    "edge_endpoints",
+    "edge_mask",
+    "num_edges",
+    "num_vertices",
+]
+
+
 def public_names(module):
     """Top-level names the module's source defines without a leading underscore."""
     defined = set()
@@ -79,6 +102,14 @@ def test_files_defines_only_its_public_names():
 
 def test_verify_defines_only_its_public_names():
     assert public_names(cubetrees.verify) == VERIFY_PUBLIC
+
+
+def test_construct_defines_only_its_public_names():
+    assert public_names(importlib.import_module("cubetrees.construct")) == CONSTRUCT_PUBLIC
+
+
+def test_hypercube_defines_only_its_public_names():
+    assert public_names(importlib.import_module("cubetrees.hypercube")) == HYPERCUBE_PUBLIC
 
 
 def test_import_loads_no_executor_or_ctypes_of_its_own():

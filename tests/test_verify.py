@@ -1,5 +1,6 @@
 import ast
 import concurrent.futures
+import importlib
 import threading
 import time
 import types
@@ -219,6 +220,30 @@ def test_checker_source_imports_no_builder_module():
     assert _builder_imports("if TYPE_CHECKING:\n    pass\nelse:\n    from .files import x")
     assert not _builder_imports("if TYPE_CHECKING:\n    from .construct import Decomposition")
     assert not _builder_imports("from .hypercube import num_edges")
+
+
+def _hypercube_names(module):
+    """Names module's source imports from cubetrees.hypercube; "*" for the module itself."""
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            source = "." * node.level + (node.module or "")
+            if source in (".hypercube", "cubetrees.hypercube"):
+                names.update(alias.name for alias in node.names)
+            elif source in (".", "cubetrees"):
+                names.update("*" for alias in node.names if alias.name == "hypercube")
+        elif isinstance(node, ast.Import):
+            names.update("*" for alias in node.names if alias.name == "cubetrees.hypercube")
+    return names
+
+
+def test_builder_and_checker_share_only_the_cube_counts():
+    # The checker decodes its own edges: of the cube model, the builder and
+    # the checker share only the vertex and edge counts.
+    builder = _hypercube_names(importlib.import_module("cubetrees.construct"))
+    checker = _hypercube_names(cubetrees.verify)
+    assert "*" not in builder | checker  # a whole-module import shares every name
+    assert builder & checker <= {"num_edges", "num_vertices"}
 
 
 def dfs_forest_oracle(edge_pairs):

@@ -13,8 +13,25 @@ an interpreter loop over its few vertices.  A bushy tree spends most of its
 vertices in a handful of wide levels, so numpy does nearly all of its work;
 a deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex)
 would pay numpy's fixed cost per call at every level, so it stays in the
-loop.  Both mark reached vertices in one int32 visit array per tree,
-0 for unreached.
+loop.  Both write level + 1 into one int32 visit array per search, 0 for
+unreached.
+
+Callers ask for many roots of the same trees, so the depths of every root
+are kept for the last label array queried, keyed by its dimension and the
+sha256 of its labels (never by the array itself, which the memo does not
+hold).  A tree has the double-sweep property: if a is a vertex farthest
+from any start and b a vertex farthest from a, then the eccentricity of
+every vertex v is max(d(v, a), d(v, b)).  So the first query on a label
+array runs one search per tree from its root, as a one-shot caller needs,
+and records each tree's farthest vertex and whether it reached all 2^n
+vertices.  The second query on the same content searches from a and from b
+in each label that reached every vertex with exactly 2^n - 1 edges, and
+keeps max(d(v, a), d(v, b)) for every v as that tree's row, in the smallest
+unsigned dtype that holds the tree's diameter; every later query reads one
+entry per row.  A cyclic or split label gets no row and is searched from
+the root on every query.  The rows cost k * 2^n bytes when they fit uint8
+(512 KB at Q_16, 46 MB at Q_22), and only the second query on the same
+labels allocates them.
 
 The time model is deliberately simple: the message is cut into k * parts
 equal chunks, each tree streams its chunks in a pipeline, hops have uniform
@@ -24,6 +41,7 @@ cost and there is no contention, so a tree of depth D finishes after
 
 from __future__ import annotations
 
+import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -39,6 +57,12 @@ from .hypercube import check_integer, edge_mask, num_vertices
 # took 6 us in the loop and 35 us in numpy, 256 took 146 us and 67 us.
 _WIDE_LEVEL = 64
 
+# The depth rows of the last label array queried, keyed by (n, sha256 of its
+# labels): per tree, a vertex farthest from the first root when the tree
+# reached every vertex, then its row of eccentricities once built, and None
+# for a label that is searched from the root on every query.
+_memo: dict[tuple[int, bytes], list] = {}
+
 
 def _check_root(dec: Decomposition, root: int) -> int:
     root = check_integer("root", root, 0)
@@ -48,35 +72,72 @@ def _check_root(dec: Decomposition, root: int) -> int:
 
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
-    """Eccentricity of root within each tree, by breadth-first search over the
-    tree's edge mask; reached vertices are marked, so a cycle cannot loop it."""
+    """Eccentricity of root within each tree.
+
+    The first query on a label array searches every tree from root.  The
+    next query on the same content builds a row of every vertex's
+    eccentricity for each label that spans a tree, and every later query
+    reads root's entry from those rows (module docstring).
+    """
     root = _check_root(dec, root)
+    n, labels = dec.n, dec.labels
+    key = (n, hashlib.sha256(np.ascontiguousarray(labels)).digest())
+    entries = _memo.get(key)
+    fresh = entries is None
+    if fresh:
+        entries = [None] * dec.k
+        _memo.clear()
+        _memo[key] = entries
     depths = []
-    for j in range(1, dec.k + 1):
-        marks = edge_mask(dec.labels, j, dec.n)
-        mask = memoryview(marks)
-        order = np.zeros(num_vertices(dec.n), dtype=np.int32)
-        seen = memoryview(order)
-        seen[root] = 1
-        frontier, far = [root], -1
-        while len(frontier):
-            far += 1
-            if len(frontier) >= _WIDE_LEVEL:
-                wide = _wide_level(marks, frontier, order)
-                frontier = wide if wide.size >= _WIDE_LEVEL else wide.tolist()
-            else:
-                reached = []
-                for x in frontier:
-                    bits = mask[x]
-                    while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        if not seen[x ^ low]:
-                            seen[x ^ low] = 1
-                            reached.append(x ^ low)
-                frontier = reached
-        depths.append(far)
+    for j, entry in enumerate(entries, 1):
+        if isinstance(entry, np.ndarray):
+            depths.append(int(entry[root]))
+            continue
+        marks = edge_mask(labels, j, n)
+        if entry is not None and np.count_nonzero(labels == j) == num_vertices(n) - 1:
+            # a spanning tree: entry is a vertex farthest from some start
+            far_a, b, diameter = _search(marks, n, entry)
+            row = np.maximum(far_a, _search(marks, n, b)[0], out=far_a) - 1
+            entries[j - 1] = row.astype(np.min_scalar_type(diameter))
+            depths.append(int(row[root]))
+            continue
+        order, far, depth = _search(marks, n, root)
+        entries[j - 1] = far if fresh and order.all() else None
+        depths.append(depth)
     return depths
+
+
+def _search(marks: np.ndarray, n: int, source: int) -> tuple[np.ndarray, int, int]:
+    """Breadth-first search of one tree's edge mask from source.
+
+    Returns the visit array, which holds level + 1 at every reached vertex
+    and 0 elsewhere, a vertex on the deepest level, and that level.
+    Reached vertices are marked, so a cycle cannot loop it.
+    """
+    mask = memoryview(marks)
+    order = np.zeros(num_vertices(n), dtype=np.int32)
+    seen = memoryview(order)
+    seen[source] = 1
+    frontier, depth = [source], 0
+    while True:
+        mark = depth + 2  # level + 1 of the vertices this step reaches
+        if len(frontier) >= _WIDE_LEVEL:
+            wide = _wide_level(marks, frontier, order)
+            order[wide] = mark
+            reached = wide if wide.size >= _WIDE_LEVEL else wide.tolist()
+        else:
+            reached = []
+            for x in frontier:
+                bits = mask[x]
+                while bits:
+                    low = bits & -bits
+                    bits ^= low
+                    if not seen[x ^ low]:
+                        seen[x ^ low] = mark
+                        reached.append(x ^ low)
+        if not len(reached):
+            return order, int(frontier[0]), depth
+        frontier, depth = reached, depth + 1
 
 
 def _wide_level(

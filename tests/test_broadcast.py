@@ -1,4 +1,7 @@
+import sys
 import time
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.hypercube import num_edges
 from broadcast_reference import reference_tree_depths
+from union_find_reference import reference_is_spanning_tree
 from test_verify import best_of_three_each, gray_code_path, random_labels, single_mutation
 
 
@@ -29,31 +33,62 @@ def test_depths_regression_constants():
     assert tree_depths(construct(4), 0) == [7, 5]
 
 
-def test_depths_along_a_hamiltonian_path_tree():
-    """Tree 1 is the Gray-code path through Q_16, every other edge leftover."""
-    n = 16
+def gray_path_tree(n):
+    """Tree 1 is the Gray-code path through Q_n, every other edge leftover."""
     labels = np.zeros(num_edges(n), dtype=np.uint8)
     labels[gray_code_path(n)] = 1
-    dec = Decomposition(n=n, labels=labels)
+    return Decomposition(n=n, labels=labels)
+
+
+def counted_searches(mp):
+    """Count the searches tree_depths runs: the list of their sources."""
+    sources, search = [], cubetrees.broadcast._search
+
+    def counted(marks, n, source):
+        sources.append(source)
+        return search(marks, n, source)
+
+    mp.setattr(cubetrees.broadcast, "_search", counted)
+    return sources
+
+
+def searched(mp, dec, root):
+    """tree_depths with the memo cleared: k searches from root."""
+    mp.setattr(cubetrees.broadcast, "_memo", {})
+    return tree_depths(dec, root)
+
+
+def test_depths_along_a_hamiltonian_path_tree(monkeypatch):
+    n = 16
+    dec = gray_path_tree(n)
     assert tree_depths(dec, 0) == [(1 << n) - 1] + [0] * (dec.k - 1)
     mid = 1 << (n - 1)
     assert tree_depths(dec, mid ^ (mid >> 1))[0] == mid
     # 2^n levels of one vertex each: the narrow levels must stay as cheap as
-    # the dict-of-lists search
-    got, fast, want, slow = best_of_three_each(tree_depths, reference_tree_depths, dec, 0)
+    # the dict-of-lists search (the memo is cleared before each timed call,
+    # so each one searches)
+    got, fast, want, slow = best_of_three_each(
+        lambda dec, root: searched(monkeypatch, dec, root), reference_tree_depths, dec, 0
+    )
     assert got == want
     assert fast <= slow
 
 
-def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level():
+def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level(monkeypatch):
     # Every edge of Q_12 in tree 1: the number of shortest paths to a vertex
     # grows factorially with its depth, the number of vertices does not.
     n = 12
     dec = Decomposition(n=n, labels=np.ones(num_edges(n), dtype=np.uint8))
+    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
+    sources = counted_searches(monkeypatch)
     start = time.perf_counter()
     assert tree_depths(dec, 0) == [n, 0, 0, 0, 0, 0]
     assert tree_depths(dec, (1 << n) - 1) == [n, 0, 0, 0, 0, 0]
     assert time.perf_counter() - start < 2
+    # Label 1 reaches every vertex but is no tree: its edge count stops the
+    # second query before any extra search, so each label is searched once,
+    # from the root.
+    assert sources == [0] * dec.k + [(1 << n) - 1] * dec.k
 
 
 @pytest.mark.slow
@@ -62,6 +97,105 @@ def test_depths_at_scale():
     start = time.perf_counter()
     assert tree_depths(dec, 0) == [31, 32, 35, 38, 41, 44, 47, 50, 49, 52]
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.slow
+def test_rows_at_scale(monkeypatch):
+    dec = construct(20)
+    roots = np.random.default_rng(20).integers(0, 1 << 20, 16).tolist()
+    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
+    tree_depths(dec, 0)
+    start = time.perf_counter()
+    tree_depths(dec, roots[0])  # builds the rows
+    assert time.perf_counter() - start < 6
+    from_rows = [tree_depths(dec, root) for root in roots]
+    assert [searched(monkeypatch, dec, root) for root in roots] == from_rows
+
+
+def edge_moved(dec, old, new):
+    """dec with its first edge labelled old relabelled new."""
+    labels = dec.labels.copy()
+    labels[np.flatnonzero(labels == old)[0]] = new
+    return Decomposition(n=dec.n, labels=labels)
+
+
+# Spanning trees get rows; cyclic, split or empty labels are searched on
+# every query, and the mutated cases mix the two.  The Gray-code path of Q_9
+# has diameter 511, so its row is uint16.
+EVERY_ROOT = (
+    [construct(n) for n in range(2, 10)]
+    + [random_labels(n, seed, skew) for n, seed, skew in [(6, 1, 0), (7, 2, 3), (8, 3, 2), (9, 4, 1)]]
+    + [edge_moved(construct(8), 0, 1), edge_moved(construct(9), 1, 3), gray_path_tree(9)]
+    + [Decomposition(n=7, labels=np.repeat(construct(7).labels, 2)[::2])]  # a strided view
+)
+
+
+@pytest.mark.parametrize("dec", EVERY_ROOT)
+def test_every_root_matches_dict_bfs_reference(monkeypatch, dec):
+    # the first root searches, the second builds the rows, the rest read them
+    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
+    for root in range(1 << dec.n):
+        assert tree_depths(dec, root) == reference_tree_depths(dec, root)
+
+
+@pytest.mark.parametrize("dec", EVERY_ROOT)
+def test_searches_per_query(monkeypatch, dec):
+    trees = range(1, dec.k + 1)
+    spanning = sum(reference_is_spanning_tree(dec.tree_edge_ids(j), dec.n) for j in trees)
+    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
+    sources = counted_searches(monkeypatch)
+    counts = []
+    for root in (0, (1 << dec.n) - 1, 1, 0):
+        sources.clear()
+        tree_depths(dec, root)
+        counts.append(len(sources))
+    # 2 extra searches per spanning tree build its row; no other label gets one
+    assert counts == [dec.k, dec.k + spanning, dec.k - spanning, dec.k - spanning]
+
+
+def test_rows_follow_the_labels_not_the_array(monkeypatch):
+    dec = Decomposition(n=6, labels=construct(6).labels.copy())
+    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
+    tree_depths(dec, 0)
+    tree_depths(dec, 1)  # rows built
+    dec.labels[np.flatnonzero(dec.labels == 1)[0]] = 2  # same array, new content
+    sources = counted_searches(monkeypatch)
+    assert tree_depths(dec, 2) == reference_tree_depths(dec, 2)
+    assert len(sources) == dec.k  # a first query again
+
+
+def test_memo_holds_no_reference_to_the_labels(monkeypatch):
+    dec = Decomposition(n=6, labels=construct(6).labels.copy())
+    labels = weakref.ref(dec.labels)
+    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
+    tree_depths(dec, 0)
+    tree_depths(dec, 1)
+    del dec
+    assert labels() is None
+
+
+def test_threads_sharing_the_memo_get_the_reference_depths(monkeypatch):
+    # Two label arrays queried in turn from four threads: each query may
+    # find the memo holding the other array, or its own at any stage.
+    decs = [construct(7), edge_moved(construct(7), 1, 2)]
+    roots = range(0, 1 << 7, 9)
+    want = [[reference_tree_depths(dec, root) for root in roots] for dec in decs]
+    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
+
+    def queries(offset):
+        for step in range(40):
+            pick = (step + offset) // 3 % 2
+            at = (step * 5 + offset) % len(roots)
+            assert tree_depths(decs[pick], roots[at]) == want[pick][at]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            for done in [pool.submit(queries, offset) for offset in range(4)]:
+                done.result(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def assert_depths_match_reference(dec, data):
@@ -103,6 +237,7 @@ def wide_levels(mp, width):
         assert np.count_nonzero(order) - np.count_nonzero(before) == reached.size
         return reached
 
+    mp.setattr(cubetrees.broadcast, "_memo", {})  # rows from before would skip the search
     mp.setattr(cubetrees.broadcast, "_WIDE_LEVEL", width)
     mp.setattr(cubetrees.broadcast, "_wide_level", checked)
 

@@ -5,33 +5,25 @@ of a message down different trees simultaneously without any link carrying
 two trees' traffic.  This module reports the quantities that drive such a
 schedule: per-tree depth from the root, the worst-case per-link tree load
 (1 for any valid decomposition), and a first-order pipelined time estimate.
-Depths come from a breadth-first search over each tree's per-vertex edge
-mask (hypercube.edge_mask).
-The search goes one level at a time and picks, per level, who expands it:
+Depths come from a walk over each tree's per-vertex edge mask
+(hypercube.edge_mask) that goes one level at a time and never steps back
+along the edge it came by.  In a tree every other edge leads to a new
+vertex, so the walk keeps no visit array.  From a vertex whose component
+holds a cycle the walk would never end: once it has reached more than
+2^n - 1 vertices it stops, and a breadth-first search that marks reached
+vertices in one int32 visit array (0 for unreached) starts over.
+Both go level by level and pick, per level, who expands it:
 a wide level goes to numpy in a few dozen whole-array calls, a narrow one to
 an interpreter loop over its few vertices.  A bushy tree spends most of its
 vertices in a handful of wide levels, so numpy does nearly all of its work;
 a deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex)
 would pay numpy's fixed cost per call at every level, so it stays in the
-loop.  Both write level + 1 into one int32 visit array per search, 0 for
-unreached.
+loop.
 
-Callers ask for many roots of the same trees, so the depths of every root
-are kept for the last label array queried, keyed by its dimension and the
-sha256 of its labels (never by the array itself, which the memo does not
-hold).  A tree has the double-sweep property: if a is a vertex farthest
-from any start and b a vertex farthest from a, then the eccentricity of
-every vertex v is max(d(v, a), d(v, b)).  So the first query on a label
-array runs one search per tree from its root, as a one-shot caller needs,
-and records each tree's farthest vertex and whether it reached all 2^n
-vertices.  The second query on the same content searches from a and from b
-in each label that reached every vertex with exactly 2^n - 1 edges, and
-keeps max(d(v, a), d(v, b)) for every v as that tree's row, in the smallest
-unsigned dtype that holds the tree's diameter; every later query reads one
-entry per row.  A cyclic or split label gets no row and is searched from
-the root on every query.  The rows cost k * 2^n bytes when they fit uint8
-(512 KB at Q_16, 46 MB at Q_22), and only the second query on the same
-labels allocates them.
+A tree has the double-sweep property: if a is a vertex farthest from any
+start and b one farthest from a, every vertex v has eccentricity
+max(d(v, a), d(v, b)).  So three walks per tree give every root's depth
+(_eccentricity_rows), in k rows of 2^n entries.
 
 The time model is deliberately simple: the message is cut into k * parts
 equal chunks, each tree streams its chunks in a pipeline, hops have uniform
@@ -41,7 +33,6 @@ cost and there is no contention, so a tree of depth D finishes after
 
 from __future__ import annotations
 
-import hashlib
 import math
 import numbers
 from dataclasses import dataclass
@@ -51,17 +42,12 @@ import numpy as np
 from .construct import Decomposition
 from .hypercube import check_integer, edge_mask, num_vertices
 
-# A BFS level with at least this many vertices is expanded by numpy, a
-# narrower one by the interpreter loop.  Measured crossover: on Q_16 a
-# level of 64 vertices of tree 1 took about 35 us either way; 8 vertices
-# took 6 us in the loop and 35 us in numpy, 256 took 146 us and 67 us.
+# A level with at least this many vertices is expanded by numpy, a
+# narrower one by the interpreter loop.  Measured crossover of the marked
+# search: on Q_16 a level of 64 vertices of tree 1 took about 35 us either
+# way; 8 vertices took 6 us in the loop and 35 us in numpy, 256 took 146 us
+# and 67 us.
 _WIDE_LEVEL = 64
-
-# The depth rows of the last label array queried, keyed by (n, sha256 of its
-# labels): per tree, a vertex farthest from the first root when the tree
-# reached every vertex, then its row of eccentricities once built, and None
-# for a label that is searched from the root on every query.
-_memo: dict[tuple[int, bytes], list] = {}
 
 
 def _check_root(dec: Decomposition, root: int) -> int:
@@ -72,59 +58,94 @@ def _check_root(dec: Decomposition, root: int) -> int:
 
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
-    """Eccentricity of root within each tree.
-
-    The first query on a label array searches every tree from root.  The
-    next query on the same content builds a row of every vertex's
-    eccentricity for each label that spans a tree, and every later query
-    reads root's entry from those rows (module docstring).
-    """
+    """Eccentricity of root within each tree: a walk that never steps back
+    (_walk), or a marked search when root's component holds a cycle."""
     root = _check_root(dec, root)
-    n, labels = dec.n, dec.labels
-    key = (n, hashlib.sha256(np.ascontiguousarray(labels)).digest())
-    entries = _memo.get(key)
-    fresh = entries is None
-    if fresh:
-        entries = [None] * dec.k
-        _memo.clear()
-        _memo[key] = entries
     depths = []
-    for j, entry in enumerate(entries, 1):
-        if isinstance(entry, np.ndarray):
-            depths.append(int(entry[root]))
-            continue
-        marks = edge_mask(labels, j, n)
-        if entry is not None and np.count_nonzero(labels == j) == num_vertices(n) - 1:
-            # a spanning tree: entry is a vertex farthest from some start
-            far_a, b, diameter = _search(marks, n, entry)
-            row = np.maximum(far_a, _search(marks, n, b)[0], out=far_a) - 1
-            entries[j - 1] = row.astype(np.min_scalar_type(diameter))
-            depths.append(int(row[root]))
-            continue
-        order, far, depth = _search(marks, n, root)
-        entries[j - 1] = far if fresh and order.all() else None
-        depths.append(depth)
+    for j in range(1, dec.k + 1):
+        marks = edge_mask(dec.labels, j, dec.n)
+        found = _walk(marks, dec.n, root)
+        depths.append(_marked_search(marks, dec.n, root) if found is None else found[0])
     return depths
 
 
-def _search(marks: np.ndarray, n: int, source: int) -> tuple[np.ndarray, int, int]:
-    """Breadth-first search of one tree's edge mask from source.
+def _walk(
+    marks: np.ndarray, n: int, source: int, levels: list | None = None
+) -> tuple[int, int] | None:
+    """Depth and a deepest vertex of a walk from source that never steps back,
+    or None when it reaches more than 2^n - 1 vertices (a cycle).
 
-    Returns the visit array, which holds level + 1 at every reached vertex
-    and 0 elsewhere, a vertex on the deepest level, and that level.
-    Reached vertices are marked, so a cycle cannot loop it.
+    A frontier entry is a vertex plus, shifted left by n, the mask bit it was
+    reached by.  Its other bits lead to new vertices when its component is a
+    tree, so no visit array is needed.  Every level, source's first, is
+    appended to levels when given.
     """
+    mask = memoryview(marks)
+    full = num_vertices(n) - 1
+    left = full  # vertices a tree can still reach
+    frontier, depth = [source], 0
+    while True:
+        if levels is not None:
+            levels.append(frontier)
+        if len(frontier) >= _WIDE_LEVEL:
+            reached = _wide_walk_level(marks, n, frontier, left)
+            if reached is None:
+                return None
+            if reached.size < _WIDE_LEVEL:
+                reached = reached.tolist()
+        else:
+            reached = []
+            for entry in frontier:
+                x = entry & full
+                rest = mask[x] ^ (entry >> n)
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    reached.append(x ^ low | low << n)
+        left -= len(reached)
+        if left < 0:
+            return None
+        if not len(reached):
+            return depth, int(frontier[0]) & full
+        frontier, depth = reached, depth + 1
+
+
+def _wide_walk_level(
+    marks: np.ndarray, n: int, frontier: list[int] | np.ndarray, left: int
+) -> np.ndarray | None:
+    """The next level of _walk, or None once it holds more than left
+    vertices.  The lowest remaining bit of every frontier mask is peeled once
+    per pass."""
+    x = np.asarray(frontier)
+    bits = marks[x & ((1 << n) - 1)] ^ (x >> n)
+    found, size = [], 0
+    while True:
+        keep = bits != 0
+        x, bits = x[keep], bits[keep]
+        size += x.size
+        if size > left:
+            return None
+        if not x.size:
+            break
+        low = bits & -bits
+        found.append((x ^ low) & ((1 << n) - 1) | low << n)
+        bits ^= low
+    return np.concatenate(found) if found else x
+
+
+def _marked_search(marks: np.ndarray, n: int, source: int) -> int:
+    """Depth of a breadth-first search from source that marks reached
+    vertices, so a cycle cannot loop it."""
     mask = memoryview(marks)
     order = np.zeros(num_vertices(n), dtype=np.int32)
     seen = memoryview(order)
     seen[source] = 1
-    frontier, depth = [source], 0
-    while True:
-        mark = depth + 2  # level + 1 of the vertices this step reaches
+    frontier, far = [source], -1
+    while len(frontier):
+        far += 1
         if len(frontier) >= _WIDE_LEVEL:
             wide = _wide_level(marks, frontier, order)
-            order[wide] = mark
-            reached = wide if wide.size >= _WIDE_LEVEL else wide.tolist()
+            frontier = wide if wide.size >= _WIDE_LEVEL else wide.tolist()
         else:
             reached = []
             for x in frontier:
@@ -133,11 +154,10 @@ def _search(marks: np.ndarray, n: int, source: int) -> tuple[np.ndarray, int, in
                     low = bits & -bits
                     bits ^= low
                     if not seen[x ^ low]:
-                        seen[x ^ low] = mark
+                        seen[x ^ low] = 1
                         reached.append(x ^ low)
-        if not len(reached):
-            return order, int(frontier[0]), depth
-        frontier, depth = reached, depth + 1
+            frontier = reached
+    return far
 
 
 def _wide_level(
@@ -167,6 +187,34 @@ def _wide_level(
     place = np.arange(1, y.size + 1, dtype=np.int32)
     order[y] = place
     return y[order[y] == place]
+
+
+def _eccentricity_rows(dec: Decomposition) -> list[np.ndarray]:
+    """Every root's depth at once: entry v of row j - 1 is
+    tree_depths(dec, v)[j - 1].
+
+    Three walks per tree by the double sweep (module docstring).  Raises
+    ValueError when a label is not a spanning tree.
+    """
+    rows = []
+    for j in range(1, dec.k + 1):
+        marks = edge_mask(dec.labels, j, dec.n)
+        a = _distances(marks, dec.n, 0, j)[1]
+        from_a, b = _distances(marks, dec.n, a, j)
+        rows.append(np.maximum(from_a, _distances(marks, dec.n, b, j)[0]))
+    return rows
+
+
+def _distances(marks: np.ndarray, n: int, source: int, j: int) -> tuple[np.ndarray, int]:
+    """Distance from source to every vertex of tree j, and a farthest vertex."""
+    levels: list = []
+    found = _walk(marks, n, source, levels)
+    if found is None or sum(map(len, levels)) < num_vertices(n):
+        raise ValueError(f"label {j} is not a spanning tree")
+    dist = np.empty(num_vertices(n), dtype=np.min_scalar_type(found[0]))
+    for depth, level in enumerate(levels):
+        dist[np.asarray(level) % num_vertices(n)] = depth
+    return dist, found[1]
 
 
 def link_load(dec: Decomposition) -> int:

@@ -84,15 +84,15 @@ def edge_mask(labels: np.ndarray, value: int, n: int) -> np.ndarray:
 
     Bit d of mask[x] is the edge x -- x ^ 1<<d.
 
-    Dimension block d of the edge-id layout, viewed as (2^(n-1-d), 1, 2^d),
-    lines up with the vertex array viewed as (2^(n-1-d), 2, 2^d): the
-    squeezed-out bit d becomes the middle axis, so one broadcast OR gives the
-    bit to both ends of every edge in the block.
+    Dimension block d of the edge-id layout, cut into rows of 2^d edges,
+    has edge i of row r from vertex r * 2^(d+1) + i to the vertex 2^d above
+    it.  So the block with every row repeated twice lines up with the vertex
+    array, and one contiguous OR gives the bit to both ends of every edge in
+    the block.
     """
     half = 1 << (n - 1)
     mask = np.zeros(1 << n, dtype=np.uint32)
     for d in range(n):
-        picked = labels[d * half : (d + 1) * half].reshape(half >> d, 1, 1 << d) == value
-        cube = mask.reshape(half >> d, 2, 1 << d)
-        cube |= picked * np.uint32(1 << d)
+        picked = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d) == value
+        mask |= np.repeat(picked, 2, axis=0).reshape(-1) * np.uint32(1 << d)
     return mask

@@ -1,7 +1,5 @@
-import sys
 import time
-import weakref
-from concurrent.futures import ThreadPoolExecutor
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import cubetrees.broadcast
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
-from cubetrees.hypercube import num_edges
+from cubetrees.hypercube import edge_mask, num_edges
 from broadcast_reference import reference_tree_depths
 from union_find_reference import reference_is_spanning_tree
 from test_verify import best_of_three_each, gray_code_path, random_labels, single_mutation
@@ -40,55 +38,67 @@ def gray_path_tree(n):
     return Decomposition(n=n, labels=labels)
 
 
-def counted_searches(mp):
-    """Count the searches tree_depths runs: the list of their sources."""
-    sources, search = [], cubetrees.broadcast._search
-
-    def counted(marks, n, source):
-        sources.append(source)
-        return search(marks, n, source)
-
-    mp.setattr(cubetrees.broadcast, "_search", counted)
-    return sources
-
-
-def searched(mp, dec, root):
-    """tree_depths with the memo cleared: k searches from root."""
-    mp.setattr(cubetrees.broadcast, "_memo", {})
-    return tree_depths(dec, root)
-
-
-def test_depths_along_a_hamiltonian_path_tree(monkeypatch):
+def test_depths_along_a_hamiltonian_path_tree():
     n = 16
     dec = gray_path_tree(n)
     assert tree_depths(dec, 0) == [(1 << n) - 1] + [0] * (dec.k - 1)
     mid = 1 << (n - 1)
     assert tree_depths(dec, mid ^ (mid >> 1))[0] == mid
     # 2^n levels of one vertex each: the narrow levels must stay as cheap as
-    # the dict-of-lists search (the memo is cleared before each timed call,
-    # so each one searches)
-    got, fast, want, slow = best_of_three_each(
-        lambda dec, root: searched(monkeypatch, dec, root), reference_tree_depths, dec, 0
-    )
+    # the dict-of-lists search
+    got, fast, want, slow = best_of_three_each(tree_depths, reference_tree_depths, dec, 0)
     assert got == want
     assert fast <= slow
 
 
-def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level(monkeypatch):
+def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level():
     # Every edge of Q_12 in tree 1: the number of shortest paths to a vertex
     # grows factorially with its depth, the number of vertices does not.
     n = 12
     dec = Decomposition(n=n, labels=np.ones(num_edges(n), dtype=np.uint8))
-    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
-    sources = counted_searches(monkeypatch)
     start = time.perf_counter()
     assert tree_depths(dec, 0) == [n, 0, 0, 0, 0, 0]
     assert tree_depths(dec, (1 << n) - 1) == [n, 0, 0, 0, 0, 0]
     assert time.perf_counter() - start < 2
-    # Label 1 reaches every vertex but is no tree: its edge count stops the
-    # second query before any extra search, so each label is searched once,
-    # from the root.
-    assert sources == [0] * dec.k + [(1 << n) - 1] * dec.k
+
+
+def test_a_cycle_stops_the_walk_inside_its_level():
+    # Every edge of Q_16 in tree 1: a walk that never steps back passes 2^16
+    # vertices within six levels.  Stopping inside that level keeps the peak
+    # at the marked search's own, about 5 MB; finishing it first took 13 MB.
+    n = 16
+    dec = Decomposition(n=n, labels=np.ones(num_edges(n), dtype=np.uint8))
+    tracemalloc.start()
+    try:
+        assert tree_depths(dec, 0) == [n] + [0] * (dec.k - 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
+
+
+def marked_searches(mp):
+    """The sources of every marked search tree_depths falls back to."""
+    sources, search = [], cubetrees.broadcast._marked_search
+
+    def counted(marks, n, source):
+        sources.append(source)
+        return search(marks, n, source)
+
+    mp.setattr(cubetrees.broadcast, "_marked_search", counted)
+    return sources
+
+
+def test_only_a_cyclic_component_gets_a_marked_search(monkeypatch):
+    sources = marked_searches(monkeypatch)
+    for n in range(2, 11):
+        tree_depths(construct(n), (1 << n) - 1)
+    tree_depths(gray_path_tree(12), 5)
+    assert sources == []
+    # every edge of Q_12 in tree 1, labels 2..6 empty: one vertex each
+    cyclic = Decomposition(n=12, labels=np.ones(num_edges(12), dtype=np.uint8))
+    assert tree_depths(cyclic, 7) == [12, 0, 0, 0, 0, 0]
+    assert sources == [7]
 
 
 @pytest.mark.slow
@@ -99,103 +109,60 @@ def test_depths_at_scale():
     assert time.perf_counter() - start < 5
 
 
-@pytest.mark.slow
-def test_rows_at_scale(monkeypatch):
-    dec = construct(20)
-    roots = np.random.default_rng(20).integers(0, 1 << 20, 16).tolist()
-    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
-    tree_depths(dec, 0)
-    start = time.perf_counter()
-    tree_depths(dec, roots[0])  # builds the rows
-    assert time.perf_counter() - start < 6
-    from_rows = [tree_depths(dec, root) for root in roots]
-    assert [searched(monkeypatch, dec, root) for root in roots] == from_rows
+def eccentricity_rows(dec):
+    return [row.tolist() for row in cubetrees.broadcast._eccentricity_rows(dec)]
 
 
-def edge_moved(dec, old, new):
-    """dec with its first edge labelled old relabelled new."""
-    labels = dec.labels.copy()
-    labels[np.flatnonzero(labels == old)[0]] = new
-    return Decomposition(n=dec.n, labels=labels)
+@pytest.mark.parametrize("n", range(2, 10))
+def test_rows_hold_every_roots_depths(n):
+    dec = construct(n)
+    rows = eccentricity_rows(dec)
+    for root in range(1 << n):
+        depths = [row[root] for row in rows]
+        assert depths == tree_depths(dec, root) == reference_tree_depths(dec, root)
 
 
-# Spanning trees get rows; cyclic, split or empty labels are searched on
-# every query, and the mutated cases mix the two.  The Gray-code path of Q_9
-# has diameter 511, so its row is uint16.
-EVERY_ROOT = (
-    [construct(n) for n in range(2, 10)]
-    + [random_labels(n, seed, skew) for n, seed, skew in [(6, 1, 0), (7, 2, 3), (8, 3, 2), (9, 4, 1)]]
-    + [edge_moved(construct(8), 0, 1), edge_moved(construct(9), 1, 3), gray_path_tree(9)]
-    + [Decomposition(n=7, labels=np.repeat(construct(7).labels, 2)[::2])]  # a strided view
-)
-
-
-@pytest.mark.parametrize("dec", EVERY_ROOT)
-def test_every_root_matches_dict_bfs_reference(monkeypatch, dec):
-    # the first root searches, the second builds the rows, the rest read them
-    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
-    for root in range(1 << dec.n):
+@pytest.mark.parametrize("n, seed, skew", [(5, 1, 0), (6, 2, 3), (7, 3, 2), (8, 4, 1)])
+def test_every_root_of_random_labels_matches_reference(n, seed, skew):
+    # cyclic labels stop the walk and take the marked search from every root
+    dec = random_labels(n, seed, skew)
+    for root in range(1 << n):
         assert tree_depths(dec, root) == reference_tree_depths(dec, root)
 
 
-@pytest.mark.parametrize("dec", EVERY_ROOT)
-def test_searches_per_query(monkeypatch, dec):
+def test_distances_along_a_path_need_two_bytes():
+    # the Gray-code path of Q_9 is 511 edges long, so its distances are uint16
+    n = 9
+    marks = edge_mask(gray_path_tree(n).labels, 1, n)
+    path = np.arange(1 << n) ^ (np.arange(1 << n) >> 1)  # its vertices in order
+    dist, far = cubetrees.broadcast._distances(marks, n, path[3], 1)
+    assert dist.dtype == np.uint16 and far == path[-1]
+    assert dist[path].tolist() == [abs(i - 3) for i in range(1 << n)]
+
+
+NOT_ALL_TREES = [
+    random_labels(n, seed, skew) for n, seed, skew in [(4, 1, 0), (6, 2, 3), (8, 3, 2), (9, 4, 1)]
+] + [gray_path_tree(6)]
+
+
+@pytest.mark.parametrize("dec", NOT_ALL_TREES)
+def test_rows_refuse_a_label_that_is_no_spanning_tree(dec):
     trees = range(1, dec.k + 1)
-    spanning = sum(reference_is_spanning_tree(dec.tree_edge_ids(j), dec.n) for j in trees)
-    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
-    sources = counted_searches(monkeypatch)
-    counts = []
-    for root in (0, (1 << dec.n) - 1, 1, 0):
-        sources.clear()
-        tree_depths(dec, root)
-        counts.append(len(sources))
-    # 2 extra searches per spanning tree build its row; no other label gets one
-    assert counts == [dec.k, dec.k + spanning, dec.k - spanning, dec.k - spanning]
+    spanning = [reference_is_spanning_tree(dec.tree_edge_ids(j), dec.n) for j in trees]
+    first = spanning.index(False) + 1
+    with pytest.raises(ValueError, match=f"label {first} is not a spanning tree"):
+        cubetrees.broadcast._eccentricity_rows(dec)
 
 
-def test_rows_follow_the_labels_not_the_array(monkeypatch):
-    dec = Decomposition(n=6, labels=construct(6).labels.copy())
-    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
-    tree_depths(dec, 0)
-    tree_depths(dec, 1)  # rows built
-    dec.labels[np.flatnonzero(dec.labels == 1)[0]] = 2  # same array, new content
-    sources = counted_searches(monkeypatch)
-    assert tree_depths(dec, 2) == reference_tree_depths(dec, 2)
-    assert len(sources) == dec.k  # a first query again
-
-
-def test_memo_holds_no_reference_to_the_labels(monkeypatch):
-    dec = Decomposition(n=6, labels=construct(6).labels.copy())
-    labels = weakref.ref(dec.labels)
-    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
-    tree_depths(dec, 0)
-    tree_depths(dec, 1)
-    del dec
-    assert labels() is None
-
-
-def test_threads_sharing_the_memo_get_the_reference_depths(monkeypatch):
-    # Two label arrays queried in turn from four threads: each query may
-    # find the memo holding the other array, or its own at any stage.
-    decs = [construct(7), edge_moved(construct(7), 1, 2)]
-    roots = range(0, 1 << 7, 9)
-    want = [[reference_tree_depths(dec, root) for root in roots] for dec in decs]
-    monkeypatch.setattr(cubetrees.broadcast, "_memo", {})
-
-    def queries(offset):
-        for step in range(40):
-            pick = (step + offset) // 3 % 2
-            at = (step * 5 + offset) % len(roots)
-            assert tree_depths(decs[pick], roots[at]) == want[pick][at]
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(4) as pool:
-            for done in [pool.submit(queries, offset) for offset in range(4)]:
-                done.result(timeout=120)
-    finally:
-        sys.setswitchinterval(interval)
+@pytest.mark.slow
+def test_rows_at_scale():
+    dec = construct(20)
+    start = time.perf_counter()
+    rows = eccentricity_rows(dec)
+    assert time.perf_counter() - start < 6
+    assert [min(row) for row in rows] == [30] * 8 + [29, 29]  # each tree's radius
+    for root in np.random.default_rng(20).integers(0, 1 << 20, 16).tolist():
+        assert [row[root] for row in rows] == tree_depths(dec, root)
 
 
 def assert_depths_match_reference(dec, data):
@@ -225,9 +192,10 @@ def test_single_mutations_match_dict_bfs_reference(data):
 
 def wide_levels(mp, width):
     """Expand every level of at least width vertices with numpy, and check
-    each such step: every vertex it returns is new, returned once and now
-    marked reached, and it marks no other vertex."""
-    expand = cubetrees.broadcast._wide_level
+    each such step.  A marked step returns only new vertices, each once, now
+    marked, and marks no other vertex.  A walk step returns the entries the
+    interpreter loop would, or None only past its limit."""
+    expand, walk = cubetrees.broadcast._wide_level, cubetrees.broadcast._wide_walk_level
 
     def checked(marks, frontier, order):
         before = order.copy()
@@ -237,9 +205,22 @@ def wide_levels(mp, width):
         assert np.count_nonzero(order) - np.count_nonzero(before) == reached.size
         return reached
 
-    mp.setattr(cubetrees.broadcast, "_memo", {})  # rows from before would skip the search
+    def walked(marks, n, frontier, left):
+        reached = walk(marks, n, frontier, left)
+        want = []
+        for entry in np.asarray(frontier).tolist():
+            x = entry % (1 << n)
+            rest = int(marks[x]) ^ (entry >> n)
+            want += [x ^ 1 << d | 1 << d << n for d in range(n) if rest >> d & 1]
+        if reached is None:
+            assert len(want) > left
+        else:
+            assert sorted(reached.tolist()) == sorted(want)
+        return reached
+
     mp.setattr(cubetrees.broadcast, "_WIDE_LEVEL", width)
     mp.setattr(cubetrees.broadcast, "_wide_level", checked)
+    mp.setattr(cubetrees.broadcast, "_wide_walk_level", walked)
 
 
 # Width 1 sends every level through numpy, width 2 all but one-vertex levels.

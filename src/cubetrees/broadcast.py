@@ -5,20 +5,23 @@ of a message down different trees simultaneously without any link carrying
 two trees' traffic.  This module reports the quantities that drive such a
 schedule: per-tree depth from the root, the worst-case per-link tree load
 (1 for any valid decomposition), and a first-order pipelined time estimate.
-Depths come from a walk over each tree's per-vertex edge mask
-(hypercube.edge_mask) that goes one level at a time and never steps back
-along the edge it came by.  In a tree every other edge leads to a new
-vertex, so the walk keeps no visit array.  From a vertex whose component
-holds a cycle the walk would never end: once it has reached more than
-2^n - 1 vertices it stops, and a breadth-first search that marks reached
-vertices in one int32 visit array (0 for unreached) starts over.
-Both go level by level and pick, per level, who expands it:
-a wide level goes to numpy in a few dozen whole-array calls, a narrow one to
-an interpreter loop over its few vertices.  A bushy tree spends most of its
-vertices in a handful of wide levels, so numpy does nearly all of its work;
-a deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex)
-would pay numpy's fixed cost per call at every level, so it stays in the
-loop.
+Depths come from searches over each tree's per-vertex edge mask
+(hypercube.edge_mask) that share one level step (_level).  A frontier entry
+is a vertex plus, above it, the mask bit it was reached by; each of its other
+mask bits gives one entry of the next level.  A wide level goes to numpy in a
+few dozen whole-array calls, a narrow one to an interpreter loop over its few
+entries.  A bushy tree spends most of its vertices in a handful of wide
+levels, so numpy does nearly all of its work; a deep, thin tree (a
+Hamiltonian path has 2^n - 1 levels of one vertex) would pay numpy's fixed
+cost per call at every level, so it stays in the loop.
+
+In a tree every step leads to a new vertex, so the walk (_walk) takes each
+level as the step gives it and keeps no visit array.  From a vertex whose
+component holds a cycle the walk would never end: once it has reached more
+than 2^n - 1 vertices it stops, and a breadth-first search (_marked_search)
+starts over.  It passes each level through a first-visit filter
+(_first_visits) that keeps one entry per vertex not yet reached and marks
+those vertices in one int32 visit array (0 for unreached).
 
 A tree has the double-sweep property: if a is a vertex farthest from any
 start and b one farthest from a, every vertex v has eccentricity
@@ -42,11 +45,12 @@ import numpy as np
 from .construct import Decomposition
 from .hypercube import check_integer, edge_mask, num_vertices
 
-# A level with at least this many vertices is expanded by numpy, a
-# narrower one by the interpreter loop.  Measured crossover of the marked
-# search: on Q_16 a level of 64 vertices of tree 1 took about 35 us either
-# way; 8 vertices took 6 us in the loop and 35 us in numpy, 256 took 146 us
-# and 67 us.
+# A level with at least this many entries is expanded by numpy, a narrower
+# one by the interpreter loop.  Measured on slices of the widest level of
+# trees 1, 4 and 8 of construct(16), median of 500-2000 calls each: 8 entries
+# took 2-4 us in the loop and 8-28 us in numpy, 64 took 5-18 us and 6-30 us,
+# 128 took 17-40 us and 15-36 us, 256 took 33-85 us and 22-64 us.  The two
+# cross between 64 and 128 entries; a tree has only a few levels in that band.
 _WIDE_LEVEL = 64
 
 
@@ -73,13 +77,8 @@ def _walk(
     marks: np.ndarray, n: int, source: int, levels: list | None = None
 ) -> tuple[int, int] | None:
     """Depth and a deepest vertex of a walk from source that never steps back,
-    or None when it reaches more than 2^n - 1 vertices (a cycle).
-
-    A frontier entry is a vertex plus, shifted left by n, the mask bit it was
-    reached by.  Its other bits lead to new vertices when its component is a
-    tree, so no visit array is needed.  Every level, source's first, is
-    appended to levels when given.
-    """
+    or None when it reaches more than 2^n - 1 vertices (a cycle).  Every
+    level, source's first, is appended to levels when given."""
     mask = memoryview(marks)
     full = num_vertices(n) - 1
     left = full  # vertices a tree can still reach
@@ -87,106 +86,99 @@ def _walk(
     while True:
         if levels is not None:
             levels.append(frontier)
-        if len(frontier) >= _WIDE_LEVEL:
-            reached = _wide_walk_level(marks, n, frontier, left)
-            if reached is None:
-                return None
-            if reached.size < _WIDE_LEVEL:
-                reached = reached.tolist()
-        else:
-            reached = []
-            for entry in frontier:
-                x = entry & full
-                rest = mask[x] ^ (entry >> n)
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    reached.append(x ^ low | low << n)
-        left -= len(reached)
-        if left < 0:
+        reached = _level(marks, mask, n, frontier, left)
+        if reached is None:
             return None
         if not len(reached):
             return depth, int(frontier[0]) & full
+        left -= len(reached)
         frontier, depth = reached, depth + 1
 
 
+def _level(
+    marks: np.ndarray, mask: memoryview, n: int, frontier: list[int] | np.ndarray, limit: float
+) -> list[int] | np.ndarray | None:
+    """The entries one level past frontier, or None once they number more
+    than limit.  An entry is a vertex plus, shifted left by n, the mask bit it
+    was reached by; each of its other mask bits gives one next entry.  mask is
+    memoryview(marks), made once per search for the narrow loop."""
+    if len(frontier) >= _WIDE_LEVEL:
+        reached = _wide_walk_level(marks, n, frontier, limit)
+        return reached if reached is None or reached.size >= _WIDE_LEVEL else reached.tolist()
+    full = (1 << n) - 1
+    reached = []
+    for entry in frontier:
+        x = entry & full
+        rest = mask[x] ^ (entry >> n)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reached.append(x ^ low | low << n)
+    return None if len(reached) > limit else reached
+
+
 def _wide_walk_level(
-    marks: np.ndarray, n: int, frontier: list[int] | np.ndarray, left: int
+    marks: np.ndarray, n: int, frontier: list[int] | np.ndarray, left: float
 ) -> np.ndarray | None:
-    """The next level of _walk, or None once it holds more than left
-    vertices.  The lowest remaining bit of every frontier mask is peeled once
-    per pass."""
+    """_level for a wide frontier: the lowest remaining bit of every frontier
+    mask is peeled once per pass, and the level is dropped as soon as it holds
+    more than left entries."""
     x = np.asarray(frontier)
-    bits = marks[x & ((1 << n) - 1)] ^ (x >> n)
+    v = x & ((1 << n) - 1)
+    bits = marks[v] ^ (x >> n)
     found, size = [], 0
     while True:
         keep = bits != 0
-        x, bits = x[keep], bits[keep]
-        size += x.size
+        v, bits = v[keep], bits[keep]
+        size += v.size
         if size > left:
             return None
-        if not x.size:
+        if not v.size:
             break
         low = bits & -bits
-        found.append((x ^ low) & ((1 << n) - 1) | low << n)
+        found.append(v ^ low | low << n)
         bits ^= low
-    return np.concatenate(found) if found else x
+    return np.concatenate(found) if found else v
 
 
 def _marked_search(marks: np.ndarray, n: int, source: int) -> int:
-    """Depth of a breadth-first search from source that marks reached
-    vertices, so a cycle cannot loop it."""
+    """Depth of a breadth-first search from source that keeps only the first
+    visit to each vertex (_first_visits), so a cycle cannot loop it."""
     mask = memoryview(marks)
     order = np.zeros(num_vertices(n), dtype=np.int32)
-    seen = memoryview(order)
-    seen[source] = 1
+    order[source] = 1
     frontier, far = [source], -1
     while len(frontier):
         far += 1
-        if len(frontier) >= _WIDE_LEVEL:
-            wide = _wide_level(marks, frontier, order)
-            frontier = wide if wide.size >= _WIDE_LEVEL else wide.tolist()
-        else:
-            reached = []
-            for x in frontier:
-                bits = mask[x]
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    if not seen[x ^ low]:
-                        seen[x ^ low] = 1
-                        reached.append(x ^ low)
-            frontier = reached
+        frontier = _first_visits(_level(marks, mask, n, frontier, math.inf), order, n)
     return far
 
 
-def _wide_level(
-    marks: np.ndarray, frontier: list[int] | np.ndarray, order: np.ndarray
-) -> np.ndarray:
-    """The unreached neighbours of a wide frontier, each once, now marked.
+def _first_visits(
+    reached: list[int] | np.ndarray, order: np.ndarray, n: int
+) -> list[int] | np.ndarray:
+    """The entries of reached whose vertex order does not mark yet, one per
+    vertex, now marked.
 
-    The lowest set bit of every frontier mask is peeled once per pass.  A
-    vertex reached from two frontier vertices (a cyclic label set) is kept
-    once, without a sort: every copy writes its 1-based position to order[y],
-    which marks y reached, and only the copy whose position order[y] still
-    holds survives.
+    A list is checked and marked entry by entry.  An array is kept without a
+    sort: every entry writes its 1-based position to order[vertex], which
+    marks the vertex, and only the entry whose position order still holds
+    survives.
     """
-    x = np.asarray(frontier)
-    bits = marks[x]
-    found = []
-    while True:
-        keep = bits != 0
-        x, bits = x[keep], bits[keep]
-        if not x.size:
-            break
-        low = bits & -bits
-        found.append(x ^ low)
-        bits ^= low
-    y = np.concatenate(found) if found else x
-    y = y[order[y] == 0]
+    full = (1 << n) - 1
+    if isinstance(reached, list):
+        seen, first = memoryview(order), []
+        for entry in reached:
+            if not seen[entry & full]:
+                seen[entry & full] = 1
+                first.append(entry)
+        return first
+    reached = reached[order[reached & full] == 0]
+    y = reached & full
     place = np.arange(1, y.size + 1, dtype=np.int32)
     order[y] = place
-    return y[order[y] == place]
+    first = reached[order[y] == place]
+    return first if first.size >= _WIDE_LEVEL else first.tolist()
 
 
 def _eccentricity_rows(dec: Decomposition) -> list[np.ndarray]:

@@ -146,7 +146,11 @@ def cmd_export(args: argparse.Namespace) -> int:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    graph = load_edge_list(args.input.read_text())
+    try:
+        text = args.input.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise EdgeListParseError(f"{args.input}: not a text edge list ({exc.reason})") from None
+    graph = load_edge_list(text)
     if args.which == "arboricity":
         value = nw_arboricity(graph)
     else:
@@ -157,7 +161,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
 
 def cmd_broadcast(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.dimension is None):
-        raise ValueError("give either a decomposition file or -n, not both")
+        raise ValueError("give exactly one of a decomposition file or -n")
     if args.input is not None:
         dec = read_decomposition(args.input)
     else:

@@ -1,5 +1,7 @@
+import operator
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -191,19 +193,20 @@ def test_single_mutations_match_dict_bfs_reference(data):
 
 
 def wide_levels(mp, width):
-    """Expand every level of at least width vertices with numpy, and check
-    each such step.  A marked step returns only new vertices, each once, now
-    marked, and marks no other vertex.  A walk step returns the entries the
-    interpreter loop would, or None only past its limit."""
-    expand, walk = cubetrees.broadcast._wide_level, cubetrees.broadcast._wide_walk_level
+    """Expand every level of at least width entries with numpy, and check
+    each step.  The first-visit filter returns only new vertices, each once,
+    now marked, and marks no other vertex.  A walk step returns the entries
+    the interpreter loop would, or None only past its limit."""
+    first, walk = cubetrees.broadcast._first_visits, cubetrees.broadcast._wide_walk_level
 
-    def checked(marks, frontier, order):
+    def checked(reached, order, n):
         before = order.copy()
-        reached = expand(marks, frontier, order)
-        assert np.unique(reached).size == reached.size
-        assert not before[reached].any() and order[reached].all()
-        assert np.count_nonzero(order) - np.count_nonzero(before) == reached.size
-        return reached
+        kept = first(reached, order, n)
+        y = np.asarray(kept, dtype=np.int64) % (1 << n)
+        assert np.unique(y).size == y.size
+        assert not before[y].any() and order[y].all()
+        assert np.count_nonzero(order) - np.count_nonzero(before) == y.size
+        return kept
 
     def walked(marks, n, frontier, left):
         reached = walk(marks, n, frontier, left)
@@ -219,8 +222,27 @@ def wide_levels(mp, width):
         return reached
 
     mp.setattr(cubetrees.broadcast, "_WIDE_LEVEL", width)
-    mp.setattr(cubetrees.broadcast, "_wide_level", checked)
+    mp.setattr(cubetrees.broadcast, "_first_visits", checked)
     mp.setattr(cubetrees.broadcast, "_wide_walk_level", walked)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 10), st.booleans(), st.data())
+def test_first_visits_keep_one_entry_per_unmarked_vertex(n, as_array, data):
+    vertex = st.integers(0, (1 << n) - 1)
+    came_by = st.sampled_from([0] + [1 << d << n for d in range(n)])
+    entries = data.draw(st.lists(st.builds(operator.or_, vertex, came_by), max_size=300))
+    entries += data.draw(st.lists(st.sampled_from(entries), max_size=50)) if entries else []
+    marked = data.draw(st.sets(vertex))
+    order = np.zeros(1 << n, dtype=np.int32)
+    order[sorted(marked)] = data.draw(st.integers(1, 2**31 - 1))
+    reached = np.array(entries, dtype=np.int64) if as_array else list(entries)
+    kept = np.asarray(cubetrees.broadcast._first_visits(reached, order, n), dtype=np.int64)
+    vertices = (kept % (1 << n)).tolist()
+    new = {entry % (1 << n) for entry in entries} - marked
+    assert sorted(vertices) == sorted(new)  # each unmarked vertex exactly once
+    assert not Counter(kept.tolist()) - Counter(entries)  # as one of its entries
+    assert set(np.flatnonzero(order).tolist()) == marked | new
 
 
 # Width 1 sends every level through numpy, width 2 all but one-vertex levels.

@@ -168,6 +168,11 @@ def test_oracle_cap_and_parse_errors(tmp_path, capsys):
     garbled = tmp_path / "garbled.txt"
     garbled.write_text("0 1 2\n")
     assert run("oracle", str(garbled), "--which", "packing") == EXIT_PARSE
+    undecodable = tmp_path / "utf16.txt"
+    undecodable.write_bytes(b"\xff\xfe0\x00 \x001\x00\n\x00")  # UTF-16 with its BOM
+    capsys.readouterr()
+    assert run("oracle", str(undecodable), "--which", "packing") == EXIT_PARSE
+    assert "not a text edge list" in capsys.readouterr().err
 
 
 def test_broadcast_command(tmp_path, capsys):
@@ -181,8 +186,11 @@ def test_broadcast_command(tmp_path, capsys):
     assert run("broadcast", str(dec_path), "--hop-cost", "2.0") == EXIT_OK
     assert "14.0" in capsys.readouterr().out
     assert run("broadcast", "-n", "1") == EXIT_USAGE  # zero trees: model undefined
+    capsys.readouterr()
     assert run("broadcast") == EXIT_USAGE  # neither input nor -n
+    assert "give exactly one of a decomposition file or -n" in capsys.readouterr().err
     assert run("broadcast", str(dec_path), "-n", "4") == EXIT_USAGE  # both
+    assert "give exactly one of a decomposition file or -n" in capsys.readouterr().err
     assert run("broadcast", "-n", "4", "--hop-cost", "-2") == EXIT_USAGE
 
 

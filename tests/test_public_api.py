@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import cubetrees
+import cubetrees.broadcast
 import cubetrees.files
 import cubetrees.verify
 
@@ -83,6 +84,12 @@ HYPERCUBE_PUBLIC = [
 ]
 
 
+# The names cubetrees.broadcast defines: the report class, its builder, the
+# per-tree depths and the link load.  The searches, their level step and the
+# first-visit filter are private; a search helper made public shows up here.
+BROADCAST_PUBLIC = ["BroadcastMetrics", "broadcast_metrics", "link_load", "tree_depths"]
+
+
 def public_names(module):
     """Top-level names the module's source defines without a leading underscore."""
     defined = set()
@@ -110,6 +117,10 @@ def test_construct_defines_only_its_public_names():
 
 def test_hypercube_defines_only_its_public_names():
     assert public_names(importlib.import_module("cubetrees.hypercube")) == HYPERCUBE_PUBLIC
+
+
+def test_broadcast_defines_only_its_public_names():
+    assert public_names(cubetrees.broadcast) == BROADCAST_PUBLIC
 
 
 def test_import_loads_no_executor_or_ctypes_of_its_own():

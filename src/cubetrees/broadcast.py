@@ -5,23 +5,32 @@ of a message down different trees simultaneously without any link carrying
 two trees' traffic.  This module reports the quantities that drive such a
 schedule: per-tree depth from the root, the worst-case per-link tree load
 (1 for any valid decomposition), and a first-order pipelined time estimate.
-Depths come from searches over each tree's per-vertex edge mask
-(hypercube.edge_mask) that share one level step (_level).  A frontier entry
-is a vertex plus, above it, the mask bit it was reached by; each of its other
-mask bits gives one entry of the next level.  A wide level goes to numpy in a
-few dozen whole-array calls, a narrow one to an interpreter loop over its few
-entries.  A bushy tree spends most of its vertices in a handful of wide
-levels, so numpy does nearly all of its work; a deep, thin tree (a
-Hamiltonian path has 2^n - 1 levels of one vertex) would pay numpy's fixed
-cost per call at every level, so it stays in the loop.
+Depths come from searches over per-vertex edge masks (hypercube.edge_masks,
+uint8 up to n = 8, uint16 up to n = 16, uint32 above) that share one level
+step (_level).  A frontier entry is a mask index plus, above it, the mask bit
+it was reached by; each of its other mask bits gives one entry of the next
+level.  A wide level goes to numpy in a few dozen whole-array calls, a narrow
+one to an interpreter loop over its few entries.  A bushy tree spends most of
+its vertices in a handful of wide levels, so numpy does nearly all of its
+work; a deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex)
+would pay numpy's fixed cost per call at every level, so it stays in the
+loop.
 
-In a tree every step leads to a new vertex, so the walk (_walk) takes each
-level as the step gives it and keeps no visit array.  From a vertex whose
-component holds a cycle the walk would never end: once it has reached more
-than 2^n - 1 vertices it stops, and a breadth-first search (_marked_search)
-starts over.  It passes each level through a first-visit filter
-(_first_visits) that keeps one entry per vertex not yet reached and marks
-those vertices in one int32 visit array (0 for unreached).
+Trees are walked in groups (_groups): the masks of up to _GROUP_BYTES of
+trees sit in one flat array, tree t's at offset t * 2^n, so an entry of tree
+t is t << n | vertex with its came-by bit above the tree number, and one
+level step expands every tree of the group at once.  In a tree every step
+leads to a new vertex, so the walk (_walk) takes each level as the step
+gives it and keeps no visit array; a tree's depth is the last level that
+holds one of its entries.  From a vertex whose component holds a cycle the
+walk would never end: it stops once a level holds more entries than the
+trees still walking can reach (2^n - 1 vertices per tree, less what each has
+reached; a tree whose walk has ended gives up the rest).  Then each of its
+trees is walked alone, and only a tree whose own walk stops gets a
+breadth-first search (_marked_search).  It passes each level through a
+first-visit filter (_first_visits) that keeps one entry per vertex not yet
+reached and marks those vertices in one int32 visit array (0 for
+unreached).
 
 A tree has the double-sweep property: if a is a vertex farthest from any
 start and b one farthest from a, every vertex v has eccentricity
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import Decomposition
-from .hypercube import check_integer, edge_mask, num_vertices
+from .hypercube import check_integer, edge_masks, num_vertices
 
 # A level with at least this many entries is expanded by numpy, a narrower
 # one by the interpreter loop.  Measured on slices of the widest level of
@@ -53,6 +62,17 @@ from .hypercube import check_integer, edge_mask, num_vertices
 # cross between 64 and 128 entries; a tree has only a few levels in that band.
 _WIDE_LEVEL = 64
 
+# Trees are walked in groups whose stacked masks fill at most this many bytes
+# (one tree at least): all k trees up to n = 15, four at n = 16 (uint16
+# masks), one from n = 17 up (uint32).  Measured as the median of
+# tree_depths(construct(n), root) over 40-200 seeded roots, every group size
+# timed on each root in turn (2-CPU shared VM): n = 14 with 1/2/4/7 trees
+# took 8.0/7.0/5.3/4.3 ms, n = 15 with 2/4/7 took 11.2/8.7/8.1 ms, n = 16
+# with 1/2/3/4/8 took 21.8/20.2/19.5/17.4/17.7 ms, n = 17 with 1/2 took
+# 30.7/31.5 ms and n = 18 with 1/2 took 63/74 ms.  1 MB of masks was no
+# faster at n = 16 and 17, and slower at n = 18.
+_GROUP_BYTES = 1 << 19
+
 
 def _check_root(dec: Decomposition, root: int) -> int:
     root = check_integer("root", root, 0)
@@ -61,71 +81,105 @@ def _check_root(dec: Decomposition, root: int) -> int:
     return root
 
 
+def _groups(dec: Decomposition):
+    """(first label, stacked masks) for each group of trees, in label order."""
+    row = num_vertices(dec.n) * np.min_scalar_type(num_vertices(dec.n) - 1).itemsize
+    size = max(1, min(dec.k, _GROUP_BYTES // row))
+    for first in range(1, dec.k + 1, size):
+        yield first, edge_masks(dec.labels, range(first, min(first + size, dec.k + 1)), dec.n)
+
+
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
-    """Eccentricity of root within each tree: a walk that never steps back
-    (_walk), or a marked search when root's component holds a cycle."""
+    """Eccentricity of root within each tree: one walk that never steps back
+    per group of trees (_walk), and when a group's walk meets a cycle, one
+    walk per tree, or a marked search when root's component holds a cycle."""
     root = _check_root(dec, root)
     depths = []
-    for j in range(1, dec.k + 1):
-        marks = edge_mask(dec.labels, j, dec.n)
-        found = _walk(marks, dec.n, root)
-        depths.append(_marked_search(marks, dec.n, root) if found is None else found[0])
+    for _, masks in _groups(dec):
+        found = _walk(masks.reshape(-1), dec.n, root)
+        if found is None:
+            found = []
+            for marks in masks:
+                alone = _walk(marks, dec.n, root)
+                found.append(_marked_search(marks, dec.n, root) if alone is None else alone[0])
+        depths += found
     return depths
 
 
 def _walk(
     marks: np.ndarray, n: int, source: int, levels: list | None = None
-) -> tuple[int, int] | None:
-    """Depth and a deepest vertex of a walk from source that never steps back,
-    or None when it reaches more than 2^n - 1 vertices (a cycle).  Every
-    level, source's first, is appended to levels when given."""
+) -> list[int] | None:
+    """Each tree's depth in a walk of a group that never steps back, or None
+    once a level holds more entries than the trees still walking can reach:
+    2^n - 1 vertices per tree, less what each has reached (a cycle).  A tree
+    whose walk has ended gives up what it did not reach.
+
+    marks stacks the group's masks, tree t's at offset t * 2^n, and every
+    tree's walk starts at source.  So an entry is t << n | vertex, with its
+    came-by bit shifted above the tree number.  Every level, the first
+    holding source once per tree, is appended to levels when given."""
+    group = marks.size >> n
+    tree = (1 << (group - 1).bit_length()) - 1  # an entry's tree number, shifted down by n
+    shift = n + tree.bit_length()
     mask = memoryview(marks)
     full = num_vertices(n) - 1
-    left = full  # vertices a tree can still reach
-    frontier, depth = [source], 0
+    left = group * full  # vertices the trees still walking can reach
+    frontier = [t << n | source for t in range(group)]
+    depths, reach, depth = [0] * group, [0] * group, 0
+    alive = [*range(group)]  # the trees in frontier: a tree missing from a level has ended
     while True:
         if levels is not None:
             levels.append(frontier)
-        reached = _level(marks, mask, n, frontier, left)
+        reached = _level(marks, mask, shift, frontier, left)
         if reached is None:
             return None
         if not len(reached):
-            return depth, int(frontier[0]) & full
+            return depths
         left -= len(reached)
         frontier, depth = reached, depth + 1
+        if len(alive) > 1:
+            counts = np.bincount(np.asarray(reached) >> n & tree, minlength=group).tolist()
+            for t in alive:
+                reach[t] += counts[t]
+                if not counts[t]:
+                    left -= full - reach[t]  # what an ended tree did not reach
+            alive = [t for t in alive if counts[t]]
+        for t in alive:
+            depths[t] = depth
 
 
 def _level(
-    marks: np.ndarray, mask: memoryview, n: int, frontier: list[int] | np.ndarray, limit: float
+    marks: np.ndarray, mask: memoryview, shift: int, frontier: list[int] | np.ndarray, limit: float
 ) -> list[int] | np.ndarray | None:
     """The entries one level past frontier, or None once they number more
-    than limit.  An entry is a vertex plus, shifted left by n, the mask bit it
-    was reached by; each of its other mask bits gives one next entry.  mask is
-    memoryview(marks), made once per search for the narrow loop."""
+    than limit.  An entry is a mask index plus, shifted left by shift, the
+    mask bit it was reached by; each of its other mask bits gives one next
+    entry.  mask is memoryview(marks), made once per search for the narrow
+    loop."""
     if len(frontier) >= _WIDE_LEVEL:
-        reached = _wide_walk_level(marks, n, frontier, limit)
+        reached = _wide_walk_level(marks, shift, frontier, limit)
         return reached if reached is None or reached.size >= _WIDE_LEVEL else reached.tolist()
-    full = (1 << n) - 1
+    full = (1 << shift) - 1
     reached = []
     for entry in frontier:
         x = entry & full
-        rest = mask[x] ^ (entry >> n)
+        rest = mask[x] ^ (entry >> shift)
         while rest:
             low = rest & -rest
             rest ^= low
-            reached.append(x ^ low | low << n)
+            reached.append(x ^ low | low << shift)
     return None if len(reached) > limit else reached
 
 
 def _wide_walk_level(
-    marks: np.ndarray, n: int, frontier: list[int] | np.ndarray, left: float
+    marks: np.ndarray, shift: int, frontier: list[int] | np.ndarray, left: float
 ) -> np.ndarray | None:
     """_level for a wide frontier: the lowest remaining bit of every frontier
     mask is peeled once per pass, and the level is dropped as soon as it holds
     more than left entries."""
     x = np.asarray(frontier)
-    v = x & ((1 << n) - 1)
-    bits = marks[v] ^ (x >> n)
+    v = x & ((1 << shift) - 1)
+    bits = marks[v] ^ (x >> shift)
     found, size = [], 0
     while True:
         keep = bits != 0
@@ -136,38 +190,41 @@ def _wide_walk_level(
         if not v.size:
             break
         low = bits & -bits
-        found.append(v ^ low | low << n)
+        found.append(v ^ low | low << shift)
         bits ^= low
     return np.concatenate(found) if found else v
 
 
 def _marked_search(marks: np.ndarray, n: int, source: int) -> int:
-    """Depth of a breadth-first search from source that keeps only the first
-    visit to each vertex (_first_visits), so a cycle cannot loop it."""
+    """Depth of a breadth-first search from source through one tree's mask
+    that keeps only the first visit to each vertex (_first_visits), so a
+    cycle cannot loop it."""
     mask = memoryview(marks)
     order = np.zeros(num_vertices(n), dtype=np.int32)
+    seen = memoryview(order)
     order[source] = 1
     frontier, far = [source], -1
     while len(frontier):
         far += 1
-        frontier = _first_visits(_level(marks, mask, n, frontier, math.inf), order, n)
+        frontier = _first_visits(_level(marks, mask, n, frontier, math.inf), order, seen, n)
     return far
 
 
 def _first_visits(
-    reached: list[int] | np.ndarray, order: np.ndarray, n: int
+    reached: list[int] | np.ndarray, order: np.ndarray, seen: memoryview, n: int
 ) -> list[int] | np.ndarray:
     """The entries of reached whose vertex order does not mark yet, one per
     vertex, now marked.
 
-    A list is checked and marked entry by entry.  An array is kept without a
+    A list is checked and marked entry by entry through seen, which is
+    memoryview(order), made once per search.  An array is kept without a
     sort: every entry writes its 1-based position to order[vertex], which
     marks the vertex, and only the entry whose position order still holds
     survives.
     """
     full = (1 << n) - 1
     if isinstance(reached, list):
-        seen, first = memoryview(order), []
+        first = []
         for entry in reached:
             if not seen[entry & full]:
                 seen[entry & full] = 1
@@ -185,15 +242,16 @@ def _eccentricity_rows(dec: Decomposition) -> list[np.ndarray]:
     """Every root's depth at once: entry v of row j - 1 is
     tree_depths(dec, v)[j - 1].
 
-    Three walks per tree by the double sweep (module docstring).  Raises
-    ValueError when a label is not a spanning tree.
+    Three walks per tree by the double sweep (module docstring), each a
+    walk of a group of one.  Raises ValueError when a label is not a
+    spanning tree.
     """
     rows = []
-    for j in range(1, dec.k + 1):
-        marks = edge_mask(dec.labels, j, dec.n)
-        a = _distances(marks, dec.n, 0, j)[1]
-        from_a, b = _distances(marks, dec.n, a, j)
-        rows.append(np.maximum(from_a, _distances(marks, dec.n, b, j)[0]))
+    for first, masks in _groups(dec):
+        for j, marks in enumerate(masks, first):
+            a = _distances(marks, dec.n, 0, j)[1]
+            from_a, b = _distances(marks, dec.n, a, j)
+            rows.append(np.maximum(from_a, _distances(marks, dec.n, b, j)[0]))
     return rows
 
 
@@ -206,7 +264,7 @@ def _distances(marks: np.ndarray, n: int, source: int, j: int) -> tuple[np.ndarr
     dist = np.empty(num_vertices(n), dtype=np.min_scalar_type(found[0]))
     for depth, level in enumerate(levels):
         dist[np.asarray(level) % num_vertices(n)] = depth
-    return dist, found[1]
+    return dist, int(levels[-1][0]) % num_vertices(n)
 
 
 def link_load(dec: Decomposition) -> int:

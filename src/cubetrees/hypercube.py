@@ -14,10 +14,11 @@ each dimension there are exactly 2^(n-1) edges, so ids cover
 [0, n * 2^(n-1)) bijectively.  This order is the normative edge order for
 label arrays and file formats throughout the package.
 
-An edge set given by a label array can also be held per vertex: edge_mask
-sets bit d of mask[x] for the edge x -- x ^ 1<<d.  The broadcast search
-walks trees through it; the verifier reads edge ends straight from the
-dimension blocks instead.
+An edge set given by a label array can also be held per vertex: edge_masks
+sets bit d of mask[x] for the edge x -- x ^ 1<<d, one row per label value,
+in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.  The broadcast
+search walks groups of trees through stacked rows of it; the verifier reads
+edge ends straight from the dimension blocks instead.
 """
 
 from __future__ import annotations
@@ -79,20 +80,27 @@ def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def edge_mask(labels: np.ndarray, value: int, n: int) -> np.ndarray:
-    """Per-vertex bitmask of the edges labelled value.
+def edge_masks(labels: np.ndarray, values, n: int) -> np.ndarray:
+    """Per-vertex bitmasks of the edges labelled each of values, one row per
+    value, in the smallest unsigned dtype that holds n bits.
 
-    Bit d of mask[x] is the edge x -- x ^ 1<<d.
+    Bit d of masks[i, x] is the edge x -- x ^ 1<<d when it is labelled
+    values[i].
 
     Dimension block d of the edge-id layout, cut into rows of 2^d edges,
     has edge i of row r from vertex r * 2^(d+1) + i to the vertex 2^d above
-    it.  So the block with every row repeated twice lines up with the vertex
-    array, and one contiguous OR gives the bit to both ends of every edge in
-    the block.
+    it.  So the block's comparison with a value, every row repeated twice,
+    lines up with the vertex array and gives bit d to both ends of every
+    edge in the block.  The block is compared with every value at once and
+    the result repeated once; the bits go in from the highest dimension
+    down, each shifting the ones before it up by one.
     """
+    dtype = np.min_scalar_type((1 << n) - 1)  # uint8 up to n = 8, uint16 to 16, else uint32
+    values = np.asarray(values, dtype=labels.dtype).reshape(-1, 1, 1)
     half = 1 << (n - 1)
-    mask = np.zeros(1 << n, dtype=np.uint32)
-    for d in range(n):
-        picked = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d) == value
-        mask |= np.repeat(picked, 2, axis=0).reshape(-1) * np.uint32(1 << d)
-    return mask
+    masks = np.zeros((len(values), 1 << n), dtype=dtype)
+    for d in reversed(range(n)):
+        block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
+        masks <<= 1
+        masks |= np.repeat(block == values, 2, axis=1).reshape(len(values), -1)
+    return masks

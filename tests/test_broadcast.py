@@ -10,10 +10,16 @@ from hypothesis import given, settings, strategies as st
 import cubetrees.broadcast
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
-from cubetrees.hypercube import edge_mask, num_edges
+from cubetrees.hypercube import edge_masks, num_edges
 from broadcast_reference import reference_tree_depths
+from deadline import deadline
 from union_find_reference import reference_is_spanning_tree
 from test_verify import best_of_three_each, gray_code_path, random_labels, single_mutation
+
+# A search on cyclic or random labels that never ends fails its test after
+# this many seconds instead of hanging the suite; each such test takes a
+# few seconds at most.
+SEARCH_SECONDS = 60
 
 
 def test_depth_of_base_path_tree():
@@ -53,6 +59,7 @@ def test_depths_along_a_hamiltonian_path_tree():
     assert fast <= slow
 
 
+@deadline(SEARCH_SECONDS)
 def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level():
     # Every edge of Q_12 in tree 1: the number of shortest paths to a vertex
     # grows factorially with its depth, the number of vertices does not.
@@ -64,6 +71,7 @@ def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level():
     assert time.perf_counter() - start < 2
 
 
+@deadline(SEARCH_SECONDS)
 def test_a_cycle_stops_the_walk_inside_its_level():
     # Every edge of Q_16 in tree 1: a walk that never steps back passes 2^16
     # vertices within six levels.  Stopping inside that level keeps the peak
@@ -91,6 +99,7 @@ def marked_searches(mp):
     return sources
 
 
+@deadline(SEARCH_SECONDS)
 def test_only_a_cyclic_component_gets_a_marked_search(monkeypatch):
     sources = marked_searches(monkeypatch)
     for n in range(2, 11):
@@ -101,6 +110,22 @@ def test_only_a_cyclic_component_gets_a_marked_search(monkeypatch):
     cyclic = Decomposition(n=12, labels=np.ones(num_edges(12), dtype=np.uint8))
     assert tree_depths(cyclic, 7) == [12, 0, 0, 0, 0, 0]
     assert sources == [7]
+
+
+def test_a_group_of_trees_is_walked_once(monkeypatch):
+    # All trees of a decomposition in one walk up to n = 15, four per walk at
+    # n = 16, and no tree walked again on its own.
+    sizes, walk = [], cubetrees.broadcast._walk
+
+    def counted(marks, n, source, levels=None):
+        sizes.append(marks.size >> n)
+        return walk(marks, n, source, levels)
+
+    monkeypatch.setattr(cubetrees.broadcast, "_walk", counted)
+    for dec in [construct(n) for n in range(2, 17)] + [gray_path_tree(12)]:
+        sizes.clear()
+        tree_depths(dec, (1 << dec.n) - 1)
+        assert sizes == ([4, 4] if dec.n == 16 else [dec.k])
 
 
 @pytest.mark.slow
@@ -125,6 +150,7 @@ def test_rows_hold_every_roots_depths(n):
 
 
 @pytest.mark.parametrize("n, seed, skew", [(5, 1, 0), (6, 2, 3), (7, 3, 2), (8, 4, 1)])
+@deadline(SEARCH_SECONDS)
 def test_every_root_of_random_labels_matches_reference(n, seed, skew):
     # cyclic labels stop the walk and take the marked search from every root
     dec = random_labels(n, seed, skew)
@@ -135,7 +161,7 @@ def test_every_root_of_random_labels_matches_reference(n, seed, skew):
 def test_distances_along_a_path_need_two_bytes():
     # the Gray-code path of Q_9 is 511 edges long, so its distances are uint16
     n = 9
-    marks = edge_mask(gray_path_tree(n).labels, 1, n)
+    marks = edge_masks(gray_path_tree(n).labels, [1], n)[0]
     path = np.arange(1 << n) ^ (np.arange(1 << n) >> 1)  # its vertices in order
     dist, far = cubetrees.broadcast._distances(marks, n, path[3], 1)
     assert dist.dtype == np.uint16 and far == path[-1]
@@ -148,6 +174,7 @@ NOT_ALL_TREES = [
 
 
 @pytest.mark.parametrize("dec", NOT_ALL_TREES)
+@deadline(SEARCH_SECONDS)
 def test_rows_refuse_a_label_that_is_no_spanning_tree(dec):
     trees = range(1, dec.k + 1)
     spanning = [reference_is_spanning_tree(dec.tree_edge_ids(j), dec.n) for j in trees]
@@ -172,6 +199,7 @@ def assert_depths_match_reference(dec, data):
         assert tree_depths(dec, root) == reference_tree_depths(dec, root)
 
 
+@deadline(SEARCH_SECONDS)
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
 def test_random_labels_match_dict_bfs_reference(n, seed, skew, data):
@@ -180,6 +208,7 @@ def test_random_labels_match_dict_bfs_reference(n, seed, skew, data):
     assert_depths_match_reference(random_labels(n, seed, skew), data)
 
 
+@deadline(SEARCH_SECONDS)
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_single_mutations_match_dict_bfs_reference(data):
@@ -192,6 +221,57 @@ def test_single_mutations_match_dict_bfs_reference(data):
     assert_depths_match_reference(Decomposition(n=n, labels=labels), data)
 
 
+# Group g makes tree_depths walk min(k, g) trees together, and it and
+# _eccentricity_rows build that many masks at once; None groups all k.
+# Cyclic labels make a group walk fail partway and fall back to one walk per
+# tree.
+GROUPS = [1, 2, None]
+
+
+def grouped(mp, group, dec):
+    row = edge_masks(dec.labels, [0], dec.n).nbytes
+    mp.setattr(cubetrees.broadcast, "_GROUP_BYTES", (group or dec.k) * row)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@deadline(SEARCH_SECONDS)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_random_labels_match_dict_bfs_reference_in_groups(group, n, seed, skew, data):
+    dec = random_labels(n, seed, skew)
+    with pytest.MonkeyPatch.context() as mp:
+        grouped(mp, group, dec)
+        assert_depths_match_reference(dec, data)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@deadline(SEARCH_SECONDS)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_single_mutations_match_dict_bfs_reference_in_groups(group, data):
+    dec = single_mutation(data)
+    with pytest.MonkeyPatch.context() as mp:
+        grouped(mp, group, dec)
+        assert_depths_match_reference(dec, data)
+
+
+@pytest.mark.parametrize("group", GROUPS)
+@deadline(SEARCH_SECONDS)
+def test_rows_in_groups(group, monkeypatch):
+    for n in range(2, 8):
+        dec = construct(n)
+        grouped(monkeypatch, group, dec)
+        rows = eccentricity_rows(dec)
+        for root in range(1 << n):
+            assert [row[root] for row in rows] == reference_tree_depths(dec, root)
+    for dec in NOT_ALL_TREES:
+        grouped(monkeypatch, group, dec)
+        trees = range(1, dec.k + 1)
+        spanning = [reference_is_spanning_tree(dec.tree_edge_ids(j), dec.n) for j in trees]
+        with pytest.raises(ValueError, match=f"label {spanning.index(False) + 1} is not"):
+            cubetrees.broadcast._eccentricity_rows(dec)
+
+
 def wide_levels(mp, width):
     """Expand every level of at least width entries with numpy, and check
     each step.  The first-visit filter returns only new vertices, each once,
@@ -199,9 +279,9 @@ def wide_levels(mp, width):
     the interpreter loop would, or None only past its limit."""
     first, walk = cubetrees.broadcast._first_visits, cubetrees.broadcast._wide_walk_level
 
-    def checked(reached, order, n):
+    def checked(reached, order, seen, n):
         before = order.copy()
-        kept = first(reached, order, n)
+        kept = first(reached, order, seen, n)
         y = np.asarray(kept, dtype=np.int64) % (1 << n)
         assert np.unique(y).size == y.size
         assert not before[y].any() and order[y].all()
@@ -237,7 +317,8 @@ def test_first_visits_keep_one_entry_per_unmarked_vertex(n, as_array, data):
     order = np.zeros(1 << n, dtype=np.int32)
     order[sorted(marked)] = data.draw(st.integers(1, 2**31 - 1))
     reached = np.array(entries, dtype=np.int64) if as_array else list(entries)
-    kept = np.asarray(cubetrees.broadcast._first_visits(reached, order, n), dtype=np.int64)
+    kept = cubetrees.broadcast._first_visits(reached, order, memoryview(order), n)
+    kept = np.asarray(kept, dtype=np.int64)
     vertices = (kept % (1 << n)).tolist()
     new = {entry % (1 << n) for entry in entries} - marked
     assert sorted(vertices) == sorted(new)  # each unmarked vertex exactly once
@@ -247,6 +328,7 @@ def test_first_visits_keep_one_entry_per_unmarked_vertex(n, as_array, data):
 
 # Width 1 sends every level through numpy, width 2 all but one-vertex levels.
 @pytest.mark.parametrize("width", [1, 2])
+@deadline(SEARCH_SECONDS)
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
 def test_random_labels_match_dict_bfs_reference_on_wide_levels(width, n, seed, skew, data):
@@ -256,6 +338,7 @@ def test_random_labels_match_dict_bfs_reference_on_wide_levels(width, n, seed, s
 
 
 @pytest.mark.parametrize("width", [1, 2])
+@deadline(SEARCH_SECONDS)
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_single_mutations_match_dict_bfs_reference_on_wide_levels(width, data):

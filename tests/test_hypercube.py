@@ -7,7 +7,7 @@ from cubetrees.hypercube import (
     MalformedEdgeError,
     check_dimension,
     edge_endpoints,
-    edge_mask,
+    edge_masks,
     num_edges,
     num_vertices,
 )
@@ -115,20 +115,33 @@ def test_vectorized_decode_matches_scalar(n):
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
-def test_edge_mask_agrees_with_edge_endpoints(n, seed, skew):
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_edge_masks_agree_with_edge_endpoints(n, seed, skew, data):
     # skew > 0 makes one label dominate; value k + 1 labels no edge at all.
     dec = random_labels(n, seed, skew)
     ids = np.arange(num_edges(n))
     u, v = edge_endpoints(ids, n)
     d = ids >> (n - 1)
-    for value in range(dec.k + 2):
-        mask = edge_mask(dec.labels, value, n)
-        assert mask.dtype == np.uint32 and mask.shape == (num_vertices(n),)
+    values = data.draw(st.lists(st.integers(0, dec.k + 1), min_size=1, max_size=dec.k + 3))
+    masks = edge_masks(dec.labels, values, n)
+    assert masks.shape == (len(values), num_vertices(n))
+    for value, mask in zip(values, masks):
+        assert np.array_equal(mask, edge_masks(dec.labels, [value], n)[0])
         carried = dec.labels == value
         assert np.array_equal((mask[u] >> d) & 1 == 1, carried)
         assert np.array_equal((mask[v] >> d) & 1 == 1, carried)
         assert not (mask >> n).any()
+
+
+@pytest.mark.parametrize(
+    "n, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)]
+)
+def test_edge_masks_take_the_narrowest_dtype(n, dtype):
+    # every edge labelled 1: all n bits set at every vertex
+    labels = np.ones(num_edges(n), dtype=np.uint8)
+    masks = edge_masks(labels, [0, 1], n)
+    assert masks.dtype == dtype and masks.shape == (2, num_vertices(n))
+    assert not masks[0].any() and (masks[1] == (1 << n) - 1).all()
 
 
 @given(st.integers(1, 16), st.data())

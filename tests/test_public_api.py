@@ -70,7 +70,7 @@ CONSTRUCT_PUBLIC = ["Decomposition", "EVEN", "LEFTOVER", "ODD", "base_q2", "cons
 
 # The names cubetrees.hypercube defines: the cap and its error, the edge
 # error, the two argument checks, the counts, the edge decoder and the
-# per-vertex edge mask.
+# per-vertex edge masks.
 HYPERCUBE_PUBLIC = [
     "CapExceededError",
     "DIMENSION_CAP",
@@ -78,7 +78,7 @@ HYPERCUBE_PUBLIC = [
     "check_dimension",
     "check_integer",
     "edge_endpoints",
-    "edge_mask",
+    "edge_masks",
     "num_edges",
     "num_vertices",
 ]

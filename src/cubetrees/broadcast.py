@@ -16,21 +16,21 @@ work; a deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex)
 would pay numpy's fixed cost per call at every level, so it stays in the
 loop.
 
-Trees are walked in groups (_groups): the masks of up to _GROUP_BYTES of
+Trees are searched in groups (_groups): the masks of up to _GROUP_BYTES of
 trees sit in one flat array, tree t's at offset t * 2^n, so an entry of tree
 t is t << n | vertex with its came-by bit above the tree number, and one
-level step expands every tree of the group at once.  In a tree every step
-leads to a new vertex, so the walk (_walk) takes each level as the step
-gives it and keeps no visit array; a tree's depth is the last level that
-holds one of its entries.  From a vertex whose component holds a cycle the
-walk would never end: it stops once a level holds more entries than the
-trees still walking can reach (2^n - 1 vertices per tree, less what each has
-reached; a tree whose walk has ended gives up the rest).  Then each of its
-trees is walked alone, and only a tree whose own walk stops gets a
-breadth-first search (_marked_search).  It passes each level through a
-first-visit filter (_first_visits) that keeps one entry per vertex not yet
-reached and marks those vertices in one int32 visit array (0 for
-unreached).
+level step expands every tree of the group at once.  A group gets at most
+two searches (_search).  The first is a walk: in a tree every step leads to
+a new vertex, so the walk takes each level as the step gives it and keeps no
+visit array; a tree's depth is the last level that holds one of its entries.
+From a vertex whose component holds a cycle the walk would never end: it
+stops once a level holds more entries than the trees still walking can
+reach (2^n - 1 vertices per tree, less what each has reached; a tree whose
+walk has ended gives up the rest).  Then the same group gets one
+breadth-first search that passes each level through a first-visit filter
+(_first_visits).  It keeps one entry per index t << n | vertex not yet
+reached and marks those indices in one int32 visit array of the group's
+size (0 for unreached).
 
 A tree has the double-sweep property: if a is a vertex farthest from any
 start and b one farthest from a, every vertex v has eccentricity
@@ -82,42 +82,46 @@ def _check_root(dec: Decomposition, root: int) -> int:
 
 
 def _groups(dec: Decomposition):
-    """(first label, stacked masks) for each group of trees, in label order."""
+    """The stacked masks of each group of trees, in label order."""
     row = num_vertices(dec.n) * np.min_scalar_type(num_vertices(dec.n) - 1).itemsize
     size = max(1, min(dec.k, _GROUP_BYTES // row))
     for first in range(1, dec.k + 1, size):
-        yield first, edge_masks(dec.labels, range(first, min(first + size, dec.k + 1)), dec.n)
+        yield edge_masks(dec.labels, range(first, min(first + size, dec.k + 1)), dec.n)
 
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
     """Eccentricity of root within each tree: one walk that never steps back
-    per group of trees (_walk), and when a group's walk meets a cycle, one
-    walk per tree, or a marked search when root's component holds a cycle."""
+    per group of trees, and when a group's walk meets a cycle, one marked
+    search of that group (_search)."""
     root = _check_root(dec, root)
     depths = []
-    for _, masks in _groups(dec):
-        found = _walk(masks.reshape(-1), dec.n, root)
+    for masks in _groups(dec):
+        marks = masks.reshape(-1)
+        found = _search(marks, dec.n, root)
         if found is None:
-            found = []
-            for marks in masks:
-                alone = _walk(marks, dec.n, root)
-                found.append(_marked_search(marks, dec.n, root) if alone is None else alone[0])
+            found = _search(marks, dec.n, root, np.zeros(marks.size, dtype=np.int32))
         depths += found
     return depths
 
 
-def _walk(
-    marks: np.ndarray, n: int, source: int, levels: list | None = None
+def _search(
+    marks: np.ndarray, n: int, source: int,
+    order: np.ndarray | None = None, levels: list | None = None,
 ) -> list[int] | None:
-    """Each tree's depth in a walk of a group that never steps back, or None
-    once a level holds more entries than the trees still walking can reach:
-    2^n - 1 vertices per tree, less what each has reached (a cycle).  A tree
-    whose walk has ended gives up what it did not reach.
+    """Each tree's depth in a search of a group from source.
 
     marks stacks the group's masks, tree t's at offset t * 2^n, and every
-    tree's walk starts at source.  So an entry is t << n | vertex, with its
+    tree's search starts at source.  So an entry is t << n | vertex, with its
     came-by bit shifted above the tree number.  Every level, the first
-    holding source once per tree, is appended to levels when given."""
+    holding source once per tree, is appended to levels when given.
+
+    Without order the search is a walk that never steps back.  It returns
+    None once a level holds more entries than the trees still walking can
+    reach: 2^n - 1 vertices per tree, less what each has reached (a cycle).
+    A tree whose walk has ended gives up what it did not reach.  With order,
+    a zeroed int32 array of marks.size entries, every level keeps only first
+    visits (_first_visits), so a cycle cannot loop the search and it has no
+    limit."""
     group = marks.size >> n
     tree = (1 << (group - 1).bit_length()) - 1  # an entry's tree number, shifted down by n
     shift = n + tree.bit_length()
@@ -125,6 +129,9 @@ def _walk(
     full = num_vertices(n) - 1
     left = group * full  # vertices the trees still walking can reach
     frontier = [t << n | source for t in range(group)]
+    if order is not None:
+        seen, left = memoryview(order), math.inf
+        order[frontier] = 1
     depths, reach, depth = [0] * group, [0] * group, 0
     alive = [*range(group)]  # the trees in frontier: a tree missing from a level has ended
     while True:
@@ -133,19 +140,22 @@ def _walk(
         reached = _level(marks, mask, shift, frontier, left)
         if reached is None:
             return None
+        if order is not None:
+            reached = _first_visits(reached, order, seen, shift)
         if not len(reached):
+            for t in alive:
+                depths[t] = depth
             return depths
         left -= len(reached)
-        frontier, depth = reached, depth + 1
         if len(alive) > 1:
             counts = np.bincount(np.asarray(reached) >> n & tree, minlength=group).tolist()
             for t in alive:
                 reach[t] += counts[t]
                 if not counts[t]:
+                    depths[t] = depth  # the last level that held its entries
                     left -= full - reach[t]  # what an ended tree did not reach
             alive = [t for t in alive if counts[t]]
-        for t in alive:
-            depths[t] = depth
+        frontier, depth = reached, depth + 1
 
 
 def _level(
@@ -195,34 +205,20 @@ def _wide_walk_level(
     return np.concatenate(found) if found else v
 
 
-def _marked_search(marks: np.ndarray, n: int, source: int) -> int:
-    """Depth of a breadth-first search from source through one tree's mask
-    that keeps only the first visit to each vertex (_first_visits), so a
-    cycle cannot loop it."""
-    mask = memoryview(marks)
-    order = np.zeros(num_vertices(n), dtype=np.int32)
-    seen = memoryview(order)
-    order[source] = 1
-    frontier, far = [source], -1
-    while len(frontier):
-        far += 1
-        frontier = _first_visits(_level(marks, mask, n, frontier, math.inf), order, seen, n)
-    return far
-
-
 def _first_visits(
-    reached: list[int] | np.ndarray, order: np.ndarray, seen: memoryview, n: int
+    reached: list[int] | np.ndarray, order: np.ndarray, seen: memoryview, shift: int
 ) -> list[int] | np.ndarray:
-    """The entries of reached whose vertex order does not mark yet, one per
-    vertex, now marked.
+    """The entries of reached whose mask index (the bits below shift, so
+    t << n | vertex in a group) order does not mark yet, one per index, now
+    marked.
 
     A list is checked and marked entry by entry through seen, which is
     memoryview(order), made once per search.  An array is kept without a
-    sort: every entry writes its 1-based position to order[vertex], which
-    marks the vertex, and only the entry whose position order still holds
+    sort: every entry writes its 1-based position to order[index], which
+    marks the index, and only the entry whose position order still holds
     survives.
     """
-    full = (1 << n) - 1
+    full = (1 << shift) - 1
     if isinstance(reached, list):
         first = []
         for entry in reached:
@@ -247,18 +243,18 @@ def _eccentricity_rows(dec: Decomposition) -> list[np.ndarray]:
     spanning tree.
     """
     rows = []
-    for first, masks in _groups(dec):
-        for j, marks in enumerate(masks, first):
-            a = _distances(marks, dec.n, 0, j)[1]
-            from_a, b = _distances(marks, dec.n, a, j)
-            rows.append(np.maximum(from_a, _distances(marks, dec.n, b, j)[0]))
+    trees = (marks for masks in _groups(dec) for marks in masks)
+    for j, marks in enumerate(trees, 1):
+        a = _distances(marks, dec.n, 0, j)[1]
+        from_a, b = _distances(marks, dec.n, a, j)
+        rows.append(np.maximum(from_a, _distances(marks, dec.n, b, j)[0]))
     return rows
 
 
 def _distances(marks: np.ndarray, n: int, source: int, j: int) -> tuple[np.ndarray, int]:
     """Distance from source to every vertex of tree j, and a farthest vertex."""
     levels: list = []
-    found = _walk(marks, n, source, levels)
+    found = _search(marks, n, source, levels=levels)
     if found is None or sum(map(len, levels)) < num_vertices(n):
         raise ValueError(f"label {j} is not a spanning tree")
     dist = np.empty(num_vertices(n), dtype=np.min_scalar_type(found[0]))

@@ -1,7 +1,12 @@
+import json
 import operator
+import os
+import resource
+import subprocess
+import sys
 import time
-import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -71,61 +76,96 @@ def test_cyclic_labels_keep_one_copy_of_each_vertex_per_level():
     assert time.perf_counter() - start < 2
 
 
+# Runs tree_depths on every edge of Q_16 in tree 1 and prints the depths and
+# the tracemalloc peak as JSON.
+ALL_ONES_Q16 = """
+import json, tracemalloc
+import numpy as np
+from cubetrees.broadcast import tree_depths
+from cubetrees.construct import Decomposition
+from cubetrees.hypercube import num_edges
+dec = Decomposition(n=16, labels=np.ones(num_edges(16), dtype=np.uint8))
+tracemalloc.start()
+depths = tree_depths(dec, 0)
+print(json.dumps([depths, tracemalloc.get_traced_memory()[1]]))
+"""
+
+
+def limit_address_space():
+    # About 1 GB: a Python + numpy process starts near 150 MB, so a level that
+    # grows without bound raises MemoryError instead of exhausting the machine.
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
 @deadline(SEARCH_SECONDS)
 def test_a_cycle_stops_the_walk_inside_its_level():
     # Every edge of Q_16 in tree 1: a walk that never steps back passes 2^16
     # vertices within six levels.  Stopping inside that level keeps the peak
-    # at the marked search's own, about 5 MB; finishing it first took 13 MB.
+    # at the marked search's own, about 6 MB; finishing it first took 13 MB.
+    # The search runs in a child process under an address-space limit, so a
+    # walk without its limit fails this test instead of being killed.
     n = 16
     dec = Decomposition(n=n, labels=np.ones(num_edges(n), dtype=np.uint8))
-    tracemalloc.start()
-    try:
-        assert tree_depths(dec, 0) == [n] + [0] * (dec.k - 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    package = str(Path(cubetrees.__file__).parents[1])
+    # one BLAS thread: each thread reserves address space when numpy loads
+    threads = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", ALL_ONES_Q16],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package, **threads},
+        preexec_fn=limit_address_space,
+    )
+    assert proc.returncode == 0, proc.stderr
+    depths, peak = json.loads(proc.stdout)
+    assert depths == [n] + [0] * (dec.k - 1)
     assert peak < 8 << 20
 
 
-def marked_searches(mp):
-    """The sources of every marked search tree_depths falls back to."""
-    sources, search = [], cubetrees.broadcast._marked_search
+def searches(mp):
+    """(group size, source, marked?) of every search tree_depths makes."""
+    calls, search = [], cubetrees.broadcast._search
 
-    def counted(marks, n, source):
-        sources.append(source)
-        return search(marks, n, source)
+    def counted(marks, n, source, order=None, levels=None):
+        calls.append((marks.size >> n, source, order is not None))
+        return search(marks, n, source, order, levels)
 
-    mp.setattr(cubetrees.broadcast, "_marked_search", counted)
-    return sources
+    mp.setattr(cubetrees.broadcast, "_search", counted)
+    return calls
 
 
 @deadline(SEARCH_SECONDS)
 def test_only_a_cyclic_component_gets_a_marked_search(monkeypatch):
-    sources = marked_searches(monkeypatch)
+    calls = searches(monkeypatch)
     for n in range(2, 11):
         tree_depths(construct(n), (1 << n) - 1)
     tree_depths(gray_path_tree(12), 5)
-    assert sources == []
+    assert [source for _, source, marked in calls if marked] == []
     # every edge of Q_12 in tree 1, labels 2..6 empty: one vertex each
     cyclic = Decomposition(n=12, labels=np.ones(num_edges(12), dtype=np.uint8))
     assert tree_depths(cyclic, 7) == [12, 0, 0, 0, 0, 0]
-    assert sources == [7]
+    assert [source for _, source, marked in calls if marked] == [7]
+
+
+@deadline(SEARCH_SECONDS)
+def test_a_deep_cyclic_component_costs_two_group_searches(monkeypatch):
+    # The Gray-code Hamiltonian cycle of Q_12 in tree 1: the group walk goes
+    # half way round before it stops, then one marked search of the group.
+    dec = gray_path_tree(12)
+    dec.labels[11 << 11] = 1  # the edge 0 - 2^11 closes the path
+    calls = searches(monkeypatch)
+    assert tree_depths(dec, 0) == reference_tree_depths(dec, 0) == [2048, 0, 0, 0, 0, 0]
+    assert calls == [(6, 0, False), (6, 0, True)]
 
 
 def test_a_group_of_trees_is_walked_once(monkeypatch):
     # All trees of a decomposition in one walk up to n = 15, four per walk at
-    # n = 16, and no tree walked again on its own.
-    sizes, walk = [], cubetrees.broadcast._walk
-
-    def counted(marks, n, source, levels=None):
-        sizes.append(marks.size >> n)
-        return walk(marks, n, source, levels)
-
-    monkeypatch.setattr(cubetrees.broadcast, "_walk", counted)
+    # n = 16, and no group searched again.
+    calls = searches(monkeypatch)
     for dec in [construct(n) for n in range(2, 17)] + [gray_path_tree(12)]:
-        sizes.clear()
+        calls.clear()
         tree_depths(dec, (1 << dec.n) - 1)
-        assert sizes == ([4, 4] if dec.n == 16 else [dec.k])
+        assert [size for size, _, _ in calls] == ([4, 4] if dec.n == 16 else [dec.k])
 
 
 @pytest.mark.slow
@@ -223,8 +263,8 @@ def test_single_mutations_match_dict_bfs_reference(data):
 
 # Group g makes tree_depths walk min(k, g) trees together, and it and
 # _eccentricity_rows build that many masks at once; None groups all k.
-# Cyclic labels make a group walk fail partway and fall back to one walk per
-# tree.
+# Cyclic labels make a group walk fail partway, and the same group then gets
+# one marked search.
 GROUPS = [1, 2, None]
 
 
@@ -279,22 +319,22 @@ def wide_levels(mp, width):
     the interpreter loop would, or None only past its limit."""
     first, walk = cubetrees.broadcast._first_visits, cubetrees.broadcast._wide_walk_level
 
-    def checked(reached, order, seen, n):
+    def checked(reached, order, seen, shift):
         before = order.copy()
-        kept = first(reached, order, seen, n)
-        y = np.asarray(kept, dtype=np.int64) % (1 << n)
+        kept = first(reached, order, seen, shift)
+        y = np.asarray(kept, dtype=np.int64) & ((1 << shift) - 1)
         assert np.unique(y).size == y.size
         assert not before[y].any() and order[y].all()
         assert np.count_nonzero(order) - np.count_nonzero(before) == y.size
         return kept
 
-    def walked(marks, n, frontier, left):
-        reached = walk(marks, n, frontier, left)
+    def walked(marks, shift, frontier, left):
+        reached = walk(marks, shift, frontier, left)
         want = []
         for entry in np.asarray(frontier).tolist():
-            x = entry % (1 << n)
-            rest = int(marks[x]) ^ (entry >> n)
-            want += [x ^ 1 << d | 1 << d << n for d in range(n) if rest >> d & 1]
+            x = entry & ((1 << shift) - 1)
+            rest = int(marks[x]) ^ (entry >> shift)
+            want += [x ^ 1 << d | 1 << d << shift for d in range(shift) if rest >> d & 1]
         if reached is None:
             assert len(want) > left
         else:
@@ -307,21 +347,25 @@ def wide_levels(mp, width):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(1, 10), st.booleans(), st.data())
-def test_first_visits_keep_one_entry_per_unmarked_vertex(n, as_array, data):
-    vertex = st.integers(0, (1 << n) - 1)
-    came_by = st.sampled_from([0] + [1 << d << n for d in range(n)])
-    entries = data.draw(st.lists(st.builds(operator.or_, vertex, came_by), max_size=300))
+@given(st.integers(1, 10), st.integers(1, 4), st.booleans(), st.data())
+def test_first_visits_keep_one_entry_per_unmarked_vertex(n, group, as_array, data):
+    # An entry of tree t in a group is t << n | vertex, its came-by bit above
+    # shift; one visit array covers the group.
+    shift = n + (group - 1).bit_length()
+    tree, vertex = st.integers(0, group - 1), st.integers(0, (1 << n) - 1)
+    index = st.builds(lambda t, v: t << n | v, tree, vertex)
+    came_by = st.sampled_from([0] + [1 << d << shift for d in range(n)])
+    entries = data.draw(st.lists(st.builds(operator.or_, index, came_by), max_size=300))
     entries += data.draw(st.lists(st.sampled_from(entries), max_size=50)) if entries else []
-    marked = data.draw(st.sets(vertex))
-    order = np.zeros(1 << n, dtype=np.int32)
+    marked = data.draw(st.sets(index))
+    order = np.zeros(group << n, dtype=np.int32)
     order[sorted(marked)] = data.draw(st.integers(1, 2**31 - 1))
     reached = np.array(entries, dtype=np.int64) if as_array else list(entries)
-    kept = cubetrees.broadcast._first_visits(reached, order, memoryview(order), n)
+    kept = cubetrees.broadcast._first_visits(reached, order, memoryview(order), shift)
     kept = np.asarray(kept, dtype=np.int64)
-    vertices = (kept % (1 << n)).tolist()
-    new = {entry % (1 << n) for entry in entries} - marked
-    assert sorted(vertices) == sorted(new)  # each unmarked vertex exactly once
+    indices = (kept & ((1 << shift) - 1)).tolist()
+    new = {entry & ((1 << shift) - 1) for entry in entries} - marked
+    assert sorted(indices) == sorted(new)  # each unmarked (tree, vertex) exactly once
     assert not Counter(kept.tolist()) - Counter(entries)  # as one of its entries
     assert set(np.flatnonzero(order).tolist()) == marked | new
 

@@ -18,7 +18,8 @@ The arboricity oracle still visits every subset, but counts them all at
 once in numpy: subset sizes one vertex at a time and inner edges one edge
 at a time, over the array of all 2^|V| subset ids.  Partitions are
 enumerated as restricted growth strings, the canonical duplicate-free
-encoding: a[0] = 0 and a[i] <= max(a[:i]) + 1.
+encoding: a[0] = 0 and a[i] <= max(a[:i]) + 1, and their crossing edges are
+counted over one table of all of them.
 """
 
 from __future__ import annotations
@@ -153,17 +154,12 @@ def packing_upper_bound(g: SmallGraph) -> int:
             f"{g.num_vertices} vertices exceeds the packing oracle cap "
             f"of {PACKING_VERTEX_CAP}"
         )
-    edges = g.edges
-    best: int | None = None
-    for assign in restricted_growth_strings(g.num_vertices):
-        parts = max(assign) + 1
-        if parts < 2:
-            continue
-        cross = sum(1 for u, v in edges if assign[u] != assign[v])
-        value = cross // (parts - 1)
-        if best is None or value < best:
-            best = value
-            if best == 0:
-                break
-    assert best is not None  # n >= 2 always has the all-singletons partition
-    return best
+    # Row r of parts is partition r's block of every vertex, so one != per
+    # edge column counts that edge's crossings over all partitions at once.
+    parts = np.array(list(restricted_growth_strings(g.num_vertices)), dtype=np.int8)
+    cross = np.zeros(len(parts), dtype=np.int16)
+    for u, v in g.edges:
+        cross += parts[:, u] != parts[:, v]
+    blocks = parts.max(axis=1).astype(np.int16) + 1
+    several = blocks >= 2  # n >= 2 always has the all-singletons partition
+    return int((cross[several] // (blocks[several] - 1)).min())

@@ -6,16 +6,19 @@ edges along d by their lower end with bit d squeezed out, so each edge set
 becomes a (lower, upper) pair of uint32 vertex arrays, read block by block.
 Connected components come from min-label hooking with pointer jumping over
 those edges, whose round count does not grow with the depth of a tree.  One
-routine, _check_label, reduces every label's edge set, the leftover's
+routine, _check_labels, reduces every label's edge set, the leftover's
 included, to three integers: its edges, the vertices they touch and the
 components among those vertices.  Every reported property is an integer
 identity on them.  Nothing is imported from the construction code, so a
 verified decomposition is certified by a second, unrelated route.
 
-The label checks are independent of each other.  On a cube of at least 2^16
-vertices with two or more usable CPUs and two or more trees, a helper
-thread checks label 0 and the even labels while the calling thread checks
-the odd ones; afterwards the freed heap is handed back to the OS (glibc's
+Labels are checked in groups of consecutive labels (_groups), each label
+with a vertex space of its own, so one pass over small arrays serves a
+whole group; from 2^15 vertices up a group is one label.  The groups are
+independent of each other.  On a cube of at least 2^16 vertices with two or
+more usable CPUs and two or more groups, a helper thread checks the first
+group and every second one after it while the calling thread checks the
+others; afterwards the freed heap is handed back to the OS (glibc's
 malloc_trim).
 """
 
@@ -56,19 +59,28 @@ def _id_labels(ids: np.ndarray, n: int) -> np.ndarray:
     return chosen
 
 
-def _edge_ends(labels: np.ndarray, j: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) uint32 ends of every edge labelled j.
+def _edge_ends(labels: np.ndarray, first: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) uint32 ends of every edge labelled first .. first + count - 1.
 
     Dimension block d of the edge-id layout lists the lower ends of the
     edges along d with bit d squeezed out, so a block's picked offsets
     become lower ends once a clear bit d is inserted, and upper ends once
-    it is then set.
+    it is then set.  Label first + t has a vertex space of its own: its
+    vertex v becomes t << n | v.
     """
     half = 1 << (n - 1)
     lowers, bounds = [], [0]
     for d in range(n):
-        s = np.flatnonzero(labels[d * half : (d + 1) * half] == j).astype(np.uint32)
+        block = labels[d * half : (d + 1) * half]
+        if count == 1:
+            s = np.flatnonzero(block == first).astype(np.uint32)
+        else:  # uint8 arithmetic wraps a label below first past count
+            space = block - np.uint8(first)
+            s = np.flatnonzero(space < count).astype(np.uint32)
+            space = space[s].astype(np.uint32) << n
         s += (s >> d) << d  # insert a clear bit d
+        if count > 1:
+            s |= space
         lowers.append(s)
         bounds.append(bounds[-1] + s.size)
     lower = np.concatenate(lowers)
@@ -97,8 +109,8 @@ def _first_round(lower: np.ndarray, upper: np.ndarray, vertices: int) -> np.ndar
     return root
 
 
-def _roots(lower: np.ndarray, upper: np.ndarray, vertices: int) -> int:
-    """Number of connected components of the edges (lower, upper) over all vertices.
+def _roots(lower: np.ndarray, upper: np.ndarray, count: int, n: int) -> np.ndarray:
+    """Connected components of the edges (lower, upper) in each of count vertex spaces of 2^n.
 
     Min-label hooking with pointer jumping, starting from _first_round.  In
     each later round every root hooks onto the smallest root it shares an
@@ -107,8 +119,9 @@ def _roots(lower: np.ndarray, upper: np.ndarray, vertices: int) -> int:
     and gains nothing in one round has only smaller neighbours in the next,
     so every component with an edge left merges within two rounds: at most
     about 2 n rounds run, whatever the depth of the trees.  A vertex no
-    edge touches is a component of its own.
+    edge touches is a component of its own.  No edge joins two spaces.
     """
+    vertices = count << n
     root = _first_round(lower, upper, vertices)
     while True:
         a, b = np.take(root, lower, mode="clip"), np.take(root, upper, mode="clip")
@@ -125,28 +138,41 @@ def _roots(lower: np.ndarray, upper: np.ndarray, vertices: int) -> int:
             moving = upup != up
             hooked = hooked[moving]
             root[hooked] = upup[moving]
-    return int(np.count_nonzero(root == np.arange(vertices, dtype=np.uint32)))
+    return _per_space(root == np.arange(vertices, dtype=np.uint32), count)
 
 
-def _check_label(labels: np.ndarray, j: int, n: int) -> tuple[int, int, int]:
-    """(edges, touched vertices, components among those vertices) of label j.
+def _per_space(flags: np.ndarray, count: int) -> np.ndarray:
+    """The number of set flags in each of count equal vertex spaces."""
+    return np.array([np.count_nonzero(space) for space in flags.reshape(count, -1)])
+
+
+def _check_labels(labels: np.ndarray, first: int, count: int, n: int) -> list[tuple[int, int, int]]:
+    """(edges, touched vertices, components among those vertices) of each
+    label first .. first + count - 1.
 
     Each untouched vertex is a component of its own, so it is taken off the
     component count of all 2^n vertices.  One component over all of them
-    (at least two, as n >= 1) leaves no vertex untouched, so only a split
-    label set marks its edge ends to count the touched vertices.
+    (at least two, as n >= 1) leaves no vertex untouched, so only the edge
+    ends of a split label set are marked to count the touched vertices.
     """
     vertices = num_vertices(n)
-    lower, upper = _edge_ends(labels, j, n)
-    edges = lower.size
-    components = _roots(lower, upper, vertices)
-    if components == 1:
-        return edges, vertices, 1
-    hit = np.zeros(vertices, dtype=bool)
-    hit[lower] = True
-    hit[upper] = True
-    touched = int(np.count_nonzero(hit))
-    return edges, touched, components - (vertices - touched)
+    lower, upper = _edge_ends(labels, first, count, n)
+    components = _roots(lower, upper, count, n)
+    if count == 1:
+        edges = [lower.size]
+    else:  # np.bincount(lower >> n) would copy the ids to intp first
+        edges = [np.count_nonzero(labels == j) for j in range(first, first + count)]
+    touched = np.full(count, vertices)
+    split = components > 1
+    if split.any():
+        if not split.all():  # a group of labels, only some of them split
+            keep = np.isin(lower >> n, np.flatnonzero(split))
+            lower, upper = lower[keep], upper[keep]
+        hit = np.zeros(count << n, dtype=bool)
+        hit[lower] = True
+        hit[upper] = True
+        touched[split] = _per_space(hit, count)[split]
+    return [(int(e), int(t), int(c - vertices + t)) for e, t, c in zip(edges, touched, components)]
 
 
 def is_matching(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
@@ -167,7 +193,7 @@ def forest_components(edge_ids: Iterable[int] | np.ndarray, n: int) -> tuple[boo
     counts as a cycle.
     """
     ids = _as_id_array(edge_ids, n)
-    _, touched, components = _check_label(_id_labels(ids, n), 1, n)
+    [(_, touched, components)] = _check_labels(_id_labels(ids, n), 1, 1, n)
     return ids.size == touched - components, components
 
 
@@ -247,8 +273,28 @@ def _mark(ok: bool) -> str:
     return "ok" if ok else "FAIL"
 
 
-# Cubes below this many vertices were measured no faster on two threads.
+# Cubes below this many vertices were measured no faster on two threads:
+# verify(construct(n)) one thread against two, median of 30 interleaved
+# calls (2-CPU shared VM), n = 13 took 3.0/4.0 ms, n = 14 5.5/6.7 ms, n = 15
+# 10.5/11.3 ms, n = 16 25.7/19.1 ms and n = 17 51/35 ms.
 _THREAD_MIN_VERTICES = 1 << 16
+
+# Labels are checked in groups whose vertex spaces hold at most this many
+# vertices together (one label at least): all k + 1 labels up to n = 12,
+# four at n = 13, two at n = 14, one from n = 15 up.  Measured as the median
+# of verify on construct(n) plus verify on a one-label mutation of it, 60
+# interleaved runs of every group size on one thread (2-CPU shared VM): n = 12
+# with 1/2/4/7 labels took 4.0/3.6/2.8/2.7 ms, n = 13 with 1/2/4/7 took
+# 5.9/5.8/4.8/4.9 ms, n = 14 with 1/2/4/8 took 9.5/9.5/8.8/9.9 ms and n = 15
+# with 1/2/4/8 took 16.4/18.0/18.1/22.3 ms.
+_GROUP_VERTICES = 1 << 15
+
+
+def _groups(n: int) -> list[tuple[int, int]]:
+    """(first label, label count) of each group of labels 0..k, in label order."""
+    k = n // 2
+    size = max(1, min(k + 1, _GROUP_VERTICES >> n))
+    return [(first, min(size, k + 1 - first)) for first in range(0, k + 1, size)]
 
 
 def _usable_cpus() -> int:
@@ -258,19 +304,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _check_labels_on_two_threads(labels: np.ndarray, n: int, k: int) -> list[tuple[int, int, int]]:
-    """_check_label for labels 0..k, in label order.
+def _check_groups_on_two_threads(labels: np.ndarray, groups: list[tuple[int, int]], n: int) -> list:
+    """_check_labels for every group, one list per group, in group order.
 
-    The checks are independent and numpy releases the GIL inside them, so a
-    helper thread takes label 0 and the even labels while this thread takes
-    the odd ones.  An exception in the helper is raised again here by result().
+    The groups are independent and numpy releases the GIL inside their
+    checks, so a helper thread takes the first group and every second one
+    after it while this thread takes the others.  An exception in the
+    helper is raised again here by result().
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    checks = [None] * (k + 1)
+    checks = [None] * len(groups)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cubetrees-verify") as pool:
-        evens = pool.submit(lambda: [_check_label(labels, j, n) for j in range(0, k + 1, 2)])
-        checks[1::2] = [_check_label(labels, j, n) for j in range(1, k + 1, 2)]
+        evens = pool.submit(lambda: [_check_labels(labels, *group, n) for group in groups[0::2]])
+        checks[1::2] = [_check_labels(labels, *group, n) for group in groups[1::2]]
         checks[0::2] = evens.result()
     _trim_heap()  # every check is done, so the helper's arena is all free
     return checks
@@ -311,11 +358,12 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             f"label {int(labels.max())} exceeds tree count k={k}"
         )
 
-    vertices = num_vertices(n)
-    if k >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2:
-        checks = _check_labels_on_two_threads(labels, n, k)
+    vertices, groups = num_vertices(n), _groups(n)
+    if len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2:
+        by_group = _check_groups_on_two_threads(labels, groups, n)
     else:
-        checks = [_check_label(labels, j, n) for j in range(k + 1)]
+        by_group = [_check_labels(labels, *group, n) for group in groups]
+    checks = [check for group in by_group for check in group]
 
     trees = tuple(
         TreeCheck(

@@ -8,11 +8,15 @@ before it counted every subset at once in numpy.  It walks the subsets as
 Python ints and counts inner edges with per-vertex adjacency bitmasks, so it
 shares no counting code with the library; the property tests require the
 two values to agree.
+
+`reference_packing_upper_bound` is the loop `cubetrees.oracle.packing_upper_bound`
+ran before it counted every partition's crossing edges at once: it takes the
+partitions one at a time and counts each one's crossing edges in Python.
 """
 
 from __future__ import annotations
 
-from cubetrees.oracle import SmallGraph
+from cubetrees.oracle import SmallGraph, restricted_growth_strings
 
 
 def hypercube_graph(n: int) -> SmallGraph:
@@ -42,4 +46,21 @@ def reference_nw_arboricity(g: SmallGraph) -> int:
         inner //= 2
         if inner:
             best = max(best, -(-inner // (size - 1)))
+    return best
+
+
+def reference_packing_upper_bound(g: SmallGraph) -> int:
+    """Min over partitions with >= 2 parts of floor(cross / (parts - 1))."""
+    best: int | None = None
+    for assign in restricted_growth_strings(g.num_vertices):
+        parts = max(assign) + 1
+        if parts < 2:
+            continue
+        cross = sum(1 for u, v in g.edges if assign[u] != assign[v])
+        value = cross // (parts - 1)
+        if best is None or value < best:
+            best = value
+            if best == 0:
+                break
+    assert best is not None  # n >= 2 always has the all-singletons partition
     return best

@@ -13,7 +13,11 @@ from cubetrees.oracle import (
     restricted_growth_strings,
 )
 
-from oracle_reference import hypercube_graph, reference_nw_arboricity
+from oracle_reference import (
+    hypercube_graph,
+    reference_nw_arboricity,
+    reference_packing_upper_bound,
+)
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
 SPOT_CHECK_VERTEX_CAP = 8
@@ -166,10 +170,10 @@ def test_load_edge_list():
 
 
 @st.composite
-def small_graphs(draw, min_vertices=3, max_vertices=7):
+def small_graphs(draw, min_vertices=3, max_vertices=7, min_edges=1):
     v = draw(st.integers(min_vertices, max_vertices))
     pairs = [(i, j) for i in range(v) for j in range(i + 1, v)]
-    edges = draw(st.sets(st.sampled_from(pairs), min_size=1))
+    edges = draw(st.sets(st.sampled_from(pairs), min_size=min_edges))
     return SmallGraph(v, tuple(edges))
 
 
@@ -195,3 +199,12 @@ def test_packing_never_exceeds_arboricity(g):
 @example(SmallGraph(16, tuple((i, i + 1) for i in range(15))))
 def test_arboricity_equals_the_reference(g):
     assert nw_arboricity(g) == reference_nw_arboricity(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_graphs(2, 8, min_edges=0))
+@example(SmallGraph(2, ()))
+@example(SmallGraph(6, ((0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5))))  # two triangles
+@example(complete_graph(8))
+def test_packing_equals_the_reference(g):
+    assert packing_upper_bound(g) == reference_packing_upper_bound(g)

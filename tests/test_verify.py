@@ -328,49 +328,97 @@ def test_single_mutations_match_union_find_reference(data):
     assert not assert_same_report(single_mutation(data)).overall
 
 
+# Labels per group to monkeypatch in: one, two, and 13, which holds all
+# k + 1 <= 13 labels of any cube up to Q_24.
+GROUP_SIZES = (1, 2, 13)
+
+
+def labels_per_group(mp, n, size):
+    """Make verify check Q_n's labels in groups of `size` (fewer in the last)."""
+    mp.setattr(cubetrees.verify, "_GROUP_VERTICES", size << n)
+
+
+@pytest.mark.parametrize("size", GROUP_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_random_labels_match_union_find_reference_in_groups(size, n, seed, skew):
+    with pytest.MonkeyPatch.context() as mp:
+        labels_per_group(mp, n, size)
+        assert_same_report(random_labels(n, seed, skew))
+
+
+@pytest.mark.parametrize("size", GROUP_SIZES)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_single_mutations_match_union_find_reference_in_groups(size, data):
+    dec = single_mutation(data)
+    with pytest.MonkeyPatch.context() as mp:
+        labels_per_group(mp, dec.n, size)
+        assert not assert_same_report(dec).overall
+
+
+def test_group_plan():
+    """Groups cover labels 0..k once, in order, with stacked ids that fit uint32."""
+    bound = cubetrees.verify._GROUP_VERTICES
+    for n in range(1, 25):
+        k = n // 2
+        groups = cubetrees.verify._groups(n)
+        assert [first + t for first, count in groups for t in range(count)] == list(range(k + 1))
+        for first, count in groups:
+            assert count == 1 or count << n <= bound
+            assert count << n <= 1 << 32
+        if n >= 17:
+            assert all(count == 1 for _, count in groups)
+        if n <= 6:  # the exhaustive single-mutation rejection checks one group
+            assert groups == [(0, k + 1)]
+
+
 def label_check_threads(mp):
     """Take the two-thread path at every size; return the idents of the
-    threads that check a label set, one per check."""
+    threads that check a group of labels, one per group."""
     idents = []
-    check = cubetrees.verify._check_label
+    check = cubetrees.verify._check_labels
 
-    def recorded(labels, j, n):
+    def recorded(labels, first, count, n):
         idents.append(threading.get_ident())
-        return check(labels, j, n)
+        return check(labels, first, count, n)
 
     mp.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.verify, "_usable_cpus", lambda: 2)
-    mp.setattr(cubetrees.verify, "_check_label", recorded)
+    mp.setattr(cubetrees.verify, "_check_labels", recorded)
     return idents
 
 
-def assert_same_report_on_two_threads(dec):
+def assert_same_report_on_two_threads(dec, size=1):
     with pytest.MonkeyPatch.context() as mp:
         idents = label_check_threads(mp)
+        labels_per_group(mp, dec.n, size)
+        groups = len(cubetrees.verify._groups(dec.n))
         report = assert_same_report(dec)
-    # labels 0..k: with two or more trees the helper takes label 0 and the
-    # even labels, the calling thread the odd ones; otherwise no helper runs
+    # with two or more groups the helper takes the first group and every
+    # second one after it, the calling thread the others; otherwise no
+    # helper runs
     here = threading.get_ident()
-    helper = dec.k // 2 + 1 if dec.k >= 2 else 0
+    helper = (groups + 1) // 2 if groups >= 2 else 0
     assert len(idents) - idents.count(here) == helper
-    assert idents.count(here) == dec.k + 1 - helper
+    assert idents.count(here) == groups - helper
     return report
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
-def test_random_labels_match_union_find_reference_on_two_threads(n, seed, skew):
-    assert_same_report_on_two_threads(random_labels(n, seed, skew))
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from(GROUP_SIZES))
+def test_random_labels_match_union_find_reference_on_two_threads(n, seed, skew, size):
+    assert_same_report_on_two_threads(random_labels(n, seed, skew), size)
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data())
-def test_single_mutations_match_union_find_reference_on_two_threads(data):
-    assert not assert_same_report_on_two_threads(single_mutation(data)).overall
+@given(st.data(), st.sampled_from(GROUP_SIZES))
+def test_single_mutations_match_union_find_reference_on_two_threads(data, size):
+    assert not assert_same_report_on_two_threads(single_mutation(data), size).overall
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("an edge set was checked outside _check_label")
+    raise AssertionError("an edge set was checked outside _check_labels")
 
 
 @pytest.mark.parametrize("check", [assert_same_report, assert_same_report_on_two_threads])
@@ -389,14 +437,15 @@ def test_every_edge_set_is_checked_by_one_routine(monkeypatch, check):
 
 def test_a_helper_thread_failure_is_raised_on_the_calling_thread(monkeypatch, tmp_path, capsys):
     label_check_threads(monkeypatch)
-    check = cubetrees.verify._check_label
+    labels_per_group(monkeypatch, 6, 1)  # four groups, so the helper gets two
+    check = cubetrees.verify._check_labels
 
-    def exhausted_off_the_main_thread(labels, j, n):
+    def exhausted_off_the_main_thread(labels, first, count, n):
         if threading.current_thread() is not threading.main_thread():
             raise MemoryError
-        return check(labels, j, n)
+        return check(labels, first, count, n)
 
-    monkeypatch.setattr(cubetrees.verify, "_check_label", exhausted_off_the_main_thread)
+    monkeypatch.setattr(cubetrees.verify, "_check_labels", exhausted_off_the_main_thread)
     dec = construct(6)
     with pytest.raises(MemoryError):
         verify_decomposition(dec)
@@ -415,12 +464,15 @@ def test_no_helper_thread_for_small_cubes_one_tree_or_one_cpu(monkeypatch):
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_helper)
     monkeypatch.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1 << 16)
     assert_same_report(construct(15))  # 2^15 vertices: below the crossover
+    assert len(idents) == 8  # labels 0..7, the leftover's included, one per group
     monkeypatch.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
-    for n in (2, 3):  # k = 1
+    for n in (2, 3):  # k = 1: both labels in one group
         assert_same_report(construct(n))
+    assert len(idents) == 8 + 1 + 1
     monkeypatch.setattr(cubetrees.verify, "_usable_cpus", lambda: 1)
+    labels_per_group(monkeypatch, 8, 1)
     assert_same_report(construct(8))
-    assert len(idents) == 8 + 2 + 2 + 5  # labels 0..k, the leftover's included
+    assert len(idents) == 8 + 1 + 1 + 5
     assert set(idents) == {threading.get_ident()}
 
 
@@ -482,17 +534,26 @@ def test_all_zero_labels_leave_the_whole_cube(n):
     assert not any(t.connected or t.incident_to_all for t in report.trees)
 
 
+def label_group(data, n):
+    """(first, count) of a run of labels from 0..k + 1 (k + 1 labels no edge)."""
+    first = data.draw(st.integers(0, n // 2 + 1))
+    return first, data.draw(st.integers(1, n // 2 + 2 - first))
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.booleans(), st.data())
 def test_edge_ends_match_the_edge_id_decode(n, seed, skew, all_equal, data):
     labels = random_labels(n, seed, skew).labels
     if all_equal:
         labels[:] = seed % (n // 2 + 1)
-    j = data.draw(st.integers(0, n // 2 + 1))  # k + 1 labels no edge: an empty set
-    lower, upper = cubetrees.verify._edge_ends(labels, j, n)
-    u, v = edge_endpoints(np.flatnonzero(labels == j), n)
+    first, count = label_group(data, n)
+    lower, upper = cubetrees.verify._edge_ends(labels, first, count, n)
     assert lower.dtype == upper.dtype == np.uint32
-    assert sorted(zip(lower.tolist(), upper.tolist())) == sorted(zip(u.tolist(), v.tolist()))
+    want = []
+    for t in range(count):  # label first + t in vertex space t
+        u, v = edge_endpoints(np.flatnonzero(labels == first + t), n)
+        want += zip((t << n | u).tolist(), (t << n | v).tolist())
+    assert sorted(zip(lower.tolist(), upper.tolist())) == sorted(want)
 
 
 def chain_ends(lower, upper, vertices):
@@ -513,11 +574,11 @@ def chain_ends(lower, upper, vertices):
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
 def test_first_round_jumps_every_chain_to_its_end(n, seed, skew, data):
     labels = random_labels(n, seed, skew).labels
-    j = data.draw(st.integers(0, n // 2))
-    lower, upper = cubetrees.verify._edge_ends(labels, j, n)
-    root = cubetrees.verify._first_round(lower, upper, 1 << n)
+    first, count = label_group(data, n)
+    lower, upper = cubetrees.verify._edge_ends(labels, first, count, n)
+    root = cubetrees.verify._first_round(lower, upper, count << n)
     assert root.dtype == np.uint32
-    assert root.tolist() == chain_ends(lower, upper, 1 << n)
+    assert root.tolist() == chain_ends(lower, upper, count << n)
 
 
 @pytest.mark.parametrize("n", [1, 2, 8])
@@ -527,7 +588,7 @@ def test_one_label_on_every_edge_spans_the_cube_with_cycles(n):
     j = min(k, 1)
     labels = np.full(num_edges(n), j, dtype=np.uint8)
     dec = Decomposition(n=n, labels=labels)
-    assert cubetrees.verify._check_label(labels, j, n) == (num_edges(n), 1 << n, 1)
+    assert cubetrees.verify._check_labels(labels, j, 1, n) == [(num_edges(n), 1 << n, 1)]
     report = assert_same_report(dec)
     if k:
         tree = report.trees[0]
@@ -543,7 +604,7 @@ def test_a_label_that_misses_one_vertex_is_not_touched_everywhere(n):
     labels = np.ones(num_edges(n), dtype=np.uint8)
     labels[[edge_id(Edge(0, d), n) for d in range(n)]] = 0
     dec = Decomposition(n=n, labels=labels)
-    assert cubetrees.verify._check_label(labels, 1, n) == (num_edges(n) - n, (1 << n) - 1, 1)
+    assert cubetrees.verify._check_labels(labels, 1, 1, n) == [(num_edges(n) - n, (1 << n) - 1, 1)]
     tree = assert_same_report(dec).trees[0]
     assert not tree.connected and not tree.incident_to_all
 

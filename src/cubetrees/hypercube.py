@@ -16,9 +16,10 @@ label arrays and file formats throughout the package.
 
 An edge set given by a label array can also be held per vertex: edge_masks
 sets bit d of mask[x] for the edge x -- x ^ 1<<d, one row per label value,
-in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.  The broadcast
-search walks groups of trees through stacked rows of it; the verifier reads
-edge ends straight from the dimension blocks instead.
+in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.  The searches
+of walk.py go through stacked rows of it: broadcast walks groups of trees,
+and on large cubes the verifier walks each tree label.  The verifier's
+hooking reads edge ends straight from the dimension blocks instead.
 """
 
 from __future__ import annotations
@@ -27,7 +28,8 @@ import numpy as np
 
 # The largest n that construct + verify has been run at: n = 24 is ~201M
 # one-byte edge labels, verified in under a minute and 2 GB (a slow test
-# holds it there; about 12 s and 1.2 GB on two CPUs, 23 s and 0.7 GB on one).
+# holds it there; verify alone takes about 8 s and 0.6 GB of peak RSS on two
+# CPUs, 13 s and 0.5 GB on one).
 DIMENSION_CAP = 24
 
 

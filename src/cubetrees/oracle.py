@@ -99,22 +99,30 @@ def load_edge_list(text: str) -> SmallGraph:
 def restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
     """All set partitions of {0..n-1} as restricted growth strings.
 
-    Yields Bell(n) assignment tuples; a[i] is the block of element i, blocks
-    are numbered by first appearance.
+    Yields Bell(n) assignment tuples in lexicographic order; a[i] is the
+    block of element i, blocks are numbered by first appearance.  Each head
+    a[:n - 1] comes with every last entry it allows; the next head raises
+    its last entry not above its prefix maximum and zeroes those after it.
     """
     if n < 1:
         raise ValueError("need at least one element")
-    a = [0] * n
-
-    def grow(i: int, top: int) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(a)
+    if n == 1:
+        yield (0,)
+        return
+    a, top = [0] * (n - 1), [0] * (n - 1)  # the head; top[i] = max(a[:i + 1])
+    while True:
+        head = tuple(a)
+        for block in range(top[-1] + 2):
+            yield head + (block,)
+        i = n - 2
+        while i and a[i] > top[i - 1]:
+            i -= 1
+        if not i:
             return
-        for block in range(top + 2):
-            a[i] = block
-            yield from grow(i + 1, max(top, block))
-
-    yield from grow(1, 0)
+        a[i] += 1
+        top[i] = max(top[i - 1], a[i])
+        a[i + 1 :] = [0] * (n - 2 - i)
+        top[i + 1 :] = [top[i]] * (n - 2 - i)
 
 
 def nw_arboricity(g: SmallGraph) -> int:

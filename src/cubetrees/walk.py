@@ -1,0 +1,168 @@
+"""Level searches over per-vertex edge masks (hypercube.edge_masks).
+
+Every search shares one level step (_level).  A frontier entry is a mask
+index plus, above it, the mask bit it was reached by; each of its other
+mask bits gives one entry of the next level.  A wide level goes to numpy in
+a few dozen whole-array calls, a narrow one to an interpreter loop, so a
+deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex) does
+not pay numpy's fixed cost per call at every level.  A search covers a
+group of trees stacked in one flat array, tree t's masks at offset t * 2^n,
+so an entry of tree t is t << n | vertex and one step expands the group.
+
+Without a visit array the search (_search) is a walk: in a tree every step
+leads to a new vertex, and a tree's depth is the last level holding one of
+its entries.  A walk into a cycle would never end, so it stops once a level
+holds more entries than the trees still walking can reach (2^n - 1 vertices
+per tree, less what each has reached).  So a label's walk from vertex 0
+ends having reached all 2^n vertices exactly when the label is a spanning
+tree.  With a visit array the search is breadth-first: each level passes a
+first-visit filter (_first_visits) that marks the indices it keeps.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .hypercube import num_vertices
+
+# A level with at least this many entries is expanded by numpy, a narrower
+# one by the interpreter loop.  Measured on slices of the widest level of
+# trees 1, 4 and 8 of construct(16), median of 500-2000 calls each: 8 entries
+# took 2-4 us in the loop and 8-28 us in numpy, 64 took 5-18 us and 6-30 us,
+# 128 took 17-40 us and 15-36 us, 256 took 33-85 us and 22-64 us.  The two
+# cross between 64 and 128 entries; a tree has only a few levels in that band.
+_WIDE_LEVEL = 64
+
+
+def _search(
+    marks: np.ndarray, n: int, source: int,
+    order: np.ndarray | None = None, levels: list | None = None,
+) -> tuple[list[int], float] | None:
+    """Each tree's depth in a search of a group from source, and what the
+    last trees searched did not reach.
+
+    marks stacks the group's masks, tree t's at offset t * 2^n, and every
+    tree's search starts at source.  So an entry is t << n | vertex, with its
+    came-by bit shifted above the tree number.  Every level, the first
+    holding source once per tree, is appended to levels when given.
+
+    Without order the search is a walk that never steps back.  It returns
+    None once a level holds more entries than the trees still walking can
+    reach: 2^n - 1 vertices per tree, less what each has reached (a cycle).
+    A tree whose walk has ended gives up what it did not reach.  With order,
+    a zeroed int32 array of marks.size entries, every level keeps only first
+    visits (_first_visits), so a cycle cannot loop the search and it has no
+    limit.  For a walk of one tree, what was not reached is 0 exactly when
+    the tree spans the cube."""
+    group = marks.size >> n
+    tree = (1 << (group - 1).bit_length()) - 1  # an entry's tree number, shifted down by n
+    shift = n + tree.bit_length()
+    mask = memoryview(marks)
+    full = num_vertices(n) - 1
+    left = group * full  # vertices the trees still walking can reach
+    frontier = [t << n | source for t in range(group)]
+    if order is not None:
+        seen, left = memoryview(order), math.inf
+        order[frontier] = 1
+    depths, reach, depth = [0] * group, [0] * group, 0
+    alive = [*range(group)]  # the trees in frontier: a tree missing from a level has ended
+    while True:
+        if levels is not None:
+            levels.append(frontier)
+        reached = _level(marks, mask, shift, frontier, left)
+        if reached is None:
+            return None
+        if order is not None:
+            reached = _first_visits(reached, order, seen, shift)
+        if not len(reached):
+            for t in alive:
+                depths[t] = depth
+            return depths, left
+        left -= len(reached)
+        if len(alive) > 1:
+            counts = np.bincount(np.asarray(reached) >> n & tree, minlength=group).tolist()
+            for t in alive:
+                reach[t] += counts[t]
+                if not counts[t]:
+                    depths[t] = depth  # the last level that held its entries
+                    left -= full - reach[t]  # what an ended tree did not reach
+            alive = [t for t in alive if counts[t]]
+        frontier, depth = reached, depth + 1
+
+
+def _level(
+    marks: np.ndarray, mask: memoryview, shift: int, frontier: list[int] | np.ndarray, limit: float
+) -> list[int] | np.ndarray | None:
+    """The entries one level past frontier, or None once they number more
+    than limit.  An entry is a mask index plus, shifted left by shift, the
+    mask bit it was reached by; each of its other mask bits gives one next
+    entry.  mask is memoryview(marks), made once per search for the narrow
+    loop."""
+    if len(frontier) >= _WIDE_LEVEL:
+        reached = _wide_walk_level(marks, shift, frontier, limit)
+        return reached if reached is None or reached.size >= _WIDE_LEVEL else reached.tolist()
+    full = (1 << shift) - 1
+    reached = []
+    for entry in frontier:
+        x = entry & full
+        rest = mask[x] ^ (entry >> shift)
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            reached.append(x ^ low | low << shift)
+    return None if len(reached) > limit else reached
+
+
+def _wide_walk_level(
+    marks: np.ndarray, shift: int, frontier: list[int] | np.ndarray, left: float
+) -> np.ndarray | None:
+    """_level for a wide frontier: the lowest remaining bit of every frontier
+    mask is peeled once per pass, and the level is dropped as soon as it holds
+    more than left entries."""
+    x = np.asarray(frontier)
+    v = x & ((1 << shift) - 1)
+    bits = marks[v] ^ (x >> shift)
+    found, size = [], 0
+    while True:
+        keep = bits != 0
+        v, bits = v[keep], bits[keep]
+        size += v.size
+        if size > left:
+            return None
+        if not v.size:
+            break
+        low = bits & -bits
+        found.append(v ^ low | low << shift)
+        bits ^= low
+    return np.concatenate(found) if found else v
+
+
+def _first_visits(
+    reached: list[int] | np.ndarray, order: np.ndarray, seen: memoryview, shift: int
+) -> list[int] | np.ndarray:
+    """The entries of reached whose mask index (the bits below shift, so
+    t << n | vertex in a group) order does not mark yet, one per index, now
+    marked.
+
+    A list is checked and marked entry by entry through seen, which is
+    memoryview(order), made once per search.  An array is kept without a
+    sort: every entry writes its 1-based position to order[index], which
+    marks the index, and only the entry whose position order still holds
+    survives.
+    """
+    full = (1 << shift) - 1
+    if isinstance(reached, list):
+        first = []
+        for entry in reached:
+            if not seen[entry & full]:
+                seen[entry & full] = 1
+                first.append(entry)
+        return first
+    reached = reached[order[reached & full] == 0]
+    y = reached & full
+    place = np.arange(1, y.size + 1, dtype=np.int32)
+    order[y] = place
+    first = reached[order[y] == place]
+    return first if first.size >= _WIDE_LEVEL else first.tolist()

@@ -9,12 +9,18 @@ Python ints and counts inner edges with per-vertex adjacency bitmasks, so it
 shares no counting code with the library; the property tests require the
 two values to agree.
 
+`reference_restricted_growth_strings` is the recursive generator
+`cubetrees.oracle.restricted_growth_strings` was before it became a loop;
+the tests require the two to yield the same tuples in the same order.
+
 `reference_packing_upper_bound` is the loop `cubetrees.oracle.packing_upper_bound`
 ran before it counted every partition's crossing edges at once: it takes the
 partitions one at a time and counts each one's crossing edges in Python.
 """
 
 from __future__ import annotations
+
+from typing import Iterator
 
 from cubetrees.oracle import SmallGraph, restricted_growth_strings
 
@@ -23,6 +29,21 @@ def hypercube_graph(n: int) -> SmallGraph:
     """Q_n as a plain edge list."""
     edges = [(v, v | (1 << d)) for v in range(1 << n) for d in range(n) if not v & (1 << d)]
     return SmallGraph(num_vertices=1 << n, edges=tuple(edges))
+
+
+def reference_restricted_growth_strings(n: int) -> Iterator[tuple[int, ...]]:
+    """All set partitions of {0..n-1} as restricted growth strings, by recursion."""
+    a = [0] * n
+
+    def grow(i: int, top: int) -> Iterator[tuple[int, ...]]:
+        if i == n:
+            yield tuple(a)
+            return
+        for block in range(top + 2):
+            a[i] = block
+            yield from grow(i + 1, max(top, block))
+
+    yield from grow(1, 0)
 
 
 def reference_nw_arboricity(g: SmallGraph) -> int:

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubetrees.broadcast
+import cubetrees.walk
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.hypercube import edge_masks, num_edges
@@ -317,7 +318,7 @@ def wide_levels(mp, width):
     each step.  The first-visit filter returns only new vertices, each once,
     now marked, and marks no other vertex.  A walk step returns the entries
     the interpreter loop would, or None only past its limit."""
-    first, walk = cubetrees.broadcast._first_visits, cubetrees.broadcast._wide_walk_level
+    first, walk = cubetrees.walk._first_visits, cubetrees.walk._wide_walk_level
 
     def checked(reached, order, seen, shift):
         before = order.copy()
@@ -341,9 +342,9 @@ def wide_levels(mp, width):
             assert sorted(reached.tolist()) == sorted(want)
         return reached
 
-    mp.setattr(cubetrees.broadcast, "_WIDE_LEVEL", width)
-    mp.setattr(cubetrees.broadcast, "_first_visits", checked)
-    mp.setattr(cubetrees.broadcast, "_wide_walk_level", walked)
+    mp.setattr(cubetrees.walk, "_WIDE_LEVEL", width)
+    mp.setattr(cubetrees.walk, "_first_visits", checked)
+    mp.setattr(cubetrees.walk, "_wide_walk_level", walked)
 
 
 @settings(max_examples=200, deadline=None)
@@ -361,7 +362,7 @@ def test_first_visits_keep_one_entry_per_unmarked_vertex(n, group, as_array, dat
     order = np.zeros(group << n, dtype=np.int32)
     order[sorted(marked)] = data.draw(st.integers(1, 2**31 - 1))
     reached = np.array(entries, dtype=np.int64) if as_array else list(entries)
-    kept = cubetrees.broadcast._first_visits(reached, order, memoryview(order), shift)
+    kept = cubetrees.walk._first_visits(reached, order, memoryview(order), shift)
     kept = np.asarray(kept, dtype=np.int64)
     indices = (kept & ((1 << shift) - 1)).tolist()
     new = {entry & ((1 << shift) - 1) for entry in entries} - marked

@@ -17,6 +17,7 @@ from oracle_reference import (
     hypercube_graph,
     reference_nw_arboricity,
     reference_packing_upper_bound,
+    reference_restricted_growth_strings,
 )
 
 BELL = [1, 1, 2, 5, 15, 52, 203, 877, 4140]
@@ -81,6 +82,16 @@ def test_partition_enumeration_counts_and_canonicity(n):
             top = max(top, value)
         seen.add(assign)
     assert len(seen) == BELL[n]
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+def test_partitions_come_in_the_recursive_order(n):
+    assert list(restricted_growth_strings(n)) == list(reference_restricted_growth_strings(n))
+
+
+def test_partitions_need_an_element():
+    with pytest.raises(ValueError):
+        next(restricted_growth_strings(0))
 
 
 def test_arboricity_examples():

@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import cubetrees.cli
 import cubetrees.verify
+import cubetrees.walk
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
 from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, num_edges
@@ -22,6 +23,7 @@ from cubetrees.verify import (
     verify_decomposition,
 )
 from construct_reference import leftover_edge_ids
+from deadline import deadline
 from cube_reference import Edge, edge_id, squeeze_bit
 from union_find_reference import (
     UnionFind,
@@ -182,8 +184,9 @@ def test_checker_does_not_use_the_constructor():
 BUILDER_MODULES = {"construct", "files", "broadcast"}
 
 
-def _builder_imports(source):
-    """Imports of construct, files or broadcast outside `if TYPE_CHECKING:`."""
+def _builder_imports(source, modules=BUILDER_MODULES):
+    """Imports of construct, files or broadcast (or of the package modules
+    given) outside `if TYPE_CHECKING:`."""
     found = []
 
     def visit(node):
@@ -202,7 +205,7 @@ def _builder_imports(source):
             parts = name.split(".")
             if parts[0] == "cubetrees":
                 parts = parts[1:]
-            if parts and parts[0] in BUILDER_MODULES:
+            if parts and parts[0] in modules:
                 found.append(name)
         for child in ast.iter_child_nodes(node):
             visit(child)
@@ -212,7 +215,14 @@ def _builder_imports(source):
 
 
 def test_checker_source_imports_no_builder_module():
-    assert _builder_imports(Path(cubetrees.verify.__file__).read_text()) == []
+    # verify imports only walk and hypercube from the package, walk only
+    # hypercube, and hypercube nothing, so no import chain from the checker
+    # reaches a builder module.
+    package = {path.stem for path in Path(cubetrees.verify.__file__).parent.glob("*.py")}
+    assert BUILDER_MODULES < package
+    for module, allowed in [("verify", {"walk", "hypercube"}), ("walk", {"hypercube"}), ("hypercube", set())]:
+        source = Path(importlib.import_module(f"cubetrees.{module}").__file__).read_text()
+        assert _builder_imports(source, package - allowed) == []
     # the scan itself sees every import form it has to rule out
     assert _builder_imports("from .construct import Decomposition")
     assert _builder_imports("from . import files")
@@ -239,9 +249,10 @@ def _hypercube_names(module):
 
 def test_builder_and_checker_share_only_the_cube_counts():
     # The checker decodes its own edges: of the cube model, the builder and
-    # the checker share only the vertex and edge counts.
+    # the checker (verify and the walk it certifies trees with) share only
+    # the vertex and edge counts.
     builder = _hypercube_names(importlib.import_module("cubetrees.construct"))
-    checker = _hypercube_names(cubetrees.verify)
+    checker = _hypercube_names(cubetrees.verify) | _hypercube_names(cubetrees.walk)
     assert "*" not in builder | checker  # a whole-module import shares every name
     assert builder & checker <= {"num_edges", "num_vertices"}
 
@@ -375,9 +386,9 @@ def test_group_plan():
 
 def label_check_threads(mp):
     """Take the two-thread path at every size; return the idents of the
-    threads that check a group of labels, one per group."""
+    threads that check a group of labels (_check_group), one per group."""
     idents = []
-    check = cubetrees.verify._check_labels
+    check = cubetrees.verify._check_group
 
     def recorded(labels, first, count, n):
         idents.append(threading.get_ident())
@@ -385,7 +396,7 @@ def label_check_threads(mp):
 
     mp.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.verify, "_usable_cpus", lambda: 2)
-    mp.setattr(cubetrees.verify, "_check_labels", recorded)
+    mp.setattr(cubetrees.verify, "_check_group", recorded)
     return idents
 
 
@@ -417,11 +428,114 @@ def test_single_mutations_match_union_find_reference_on_two_threads(data, size):
     assert not assert_same_report_on_two_threads(single_mutation(data), size).overall
 
 
+# A walk on cyclic or random labels that never ends fails its test after
+# this many seconds instead of hanging the suite.
+SEARCH_SECONDS = 60
+
+
+def assert_same_report_through_the_walk(dec):
+    """assert_same_report with every tree label walked before it is hooked,
+    one label per group; each walk must certify exactly the labels that are
+    spanning trees."""
+    certified, search = [], cubetrees.verify._search
+
+    def recorded(marks, n, source):
+        found = search(marks, n, source)
+        certified.append(found is not None and not found[1])
+        return found
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubetrees.verify, "_WALK_MIN_DIMENSION", 1)
+        mp.setattr(cubetrees.verify, "_search", recorded)
+        labels_per_group(mp, dec.n, 1)
+        with deadline(SEARCH_SECONDS):
+            report = assert_same_report(dec)
+    assert certified == [tree.ok for tree in report.trees]
+    return report
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_random_labels_match_union_find_reference_through_the_walk(n, seed, skew):
+    assert_same_report_through_the_walk(random_labels(n, seed, skew))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_single_mutations_match_union_find_reference_through_the_walk(data):
+    assert not assert_same_report_through_the_walk(single_mutation(data)).overall
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_every_single_mutation_is_rejected_through_the_walk(n):
+    dec = construct(n)
+    assert assert_same_report_through_the_walk(dec).overall
+    for eid in range(num_edges(n)):
+        for new in range(dec.k + 1):
+            if new != dec.labels[eid]:
+                labels = dec.labels.copy()
+                labels[eid] = new
+                mutated = Decomposition(n=n, labels=labels)
+                assert not assert_same_report_through_the_walk(mutated).overall
+
+
+@pytest.mark.parametrize("n", [2, 5, 8, 12])
+def test_cycles_stop_the_walk(n):
+    # Every edge in tree 1 (the leftover and trees 2..k hold none), then the
+    # Gray-code Hamiltonian cycle in tree 1: a walk that never steps back
+    # goes round either for ever unless its limit stops it.
+    labels = np.ones(num_edges(n), dtype=np.uint8)
+    assert not assert_same_report_through_the_walk(Decomposition(n=n, labels=labels)).overall
+    labels[:] = 0
+    labels[gray_code_path(n)] = 1
+    labels[edge_id(Edge(0, n - 1), n)] = 1  # the edge 0 - 2^(n-1) closes the path
+    tree = assert_same_report_through_the_walk(Decomposition(n=n, labels=labels)).trees[0]
+    assert (tree.edge_count, tree.connected, tree.size_ok) == (1 << n, True, False)
+
+
+def hooked_labels(mp):
+    """The first label of every group that _check_labels hooks."""
+    hooked, check = [], cubetrees.verify._check_labels
+
+    def recorded(labels, first, count, n):
+        hooked.append(first)
+        return check(labels, first, count, n)
+
+    mp.setattr(cubetrees.verify, "_check_labels", recorded)
+    return hooked
+
+
+def test_only_labels_the_walk_cannot_certify_are_hooked(monkeypatch):
+    n = cubetrees.verify._WALK_MIN_DIMENSION
+    dec = construct(n)
+    hooked = hooked_labels(monkeypatch)
+    assert verify_decomposition(dec).overall
+    assert hooked == [0]
+    # one edge of tree 1 moved to tree 2, then one leftover edge moved to tree 3
+    for old, new, broken in [(1, 2, [0, 1, 2]), (0, 3, [0, 3])]:
+        labels = dec.labels.copy()
+        labels[np.flatnonzero(labels == old)[0]] = new
+        mutated = Decomposition(n=n, labels=labels)
+        hooked.clear()
+        report = verify_decomposition(mutated)
+        assert sorted(hooked) == broken
+        monkeypatch.setattr(cubetrees.verify, "_WALK_MIN_DIMENSION", n + 1)
+        hooked.clear()
+        want = verify_decomposition(mutated)
+        monkeypatch.setattr(cubetrees.verify, "_WALK_MIN_DIMENSION", n)
+        assert sorted(hooked) == list(range(dec.k + 1))
+        assert report.to_dict() == want.to_dict() and not report.overall
+        assert report.to_text() == want.to_text()
+
+
 def refuse(*args, **kwargs):
-    raise AssertionError("an edge set was checked outside _check_labels")
+    raise AssertionError("an edge set was checked outside _check_group")
 
 
-@pytest.mark.parametrize("check", [assert_same_report, assert_same_report_on_two_threads])
+@pytest.mark.parametrize(
+    "check",
+    [assert_same_report, assert_same_report_on_two_threads, assert_same_report_through_the_walk],
+)
 def test_every_edge_set_is_checked_by_one_routine(monkeypatch, check):
     for name in ("is_matching", "forest_components", "edge_endpoints"):
         monkeypatch.setattr(cubetrees.verify, name, refuse)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .construct import Decomposition
-from .hypercube import check_integer, edge_masks, num_vertices
+from .hypercube import bit_planes, check_integer, num_vertices, plane_masks
 from .walk import _search
 
 # Trees are walked in groups whose stacked masks fill at most this many bytes
@@ -52,11 +52,11 @@ def _check_root(dec: Decomposition, root: int) -> int:
 
 
 def _groups(dec: Decomposition):
-    """The stacked masks of each group of trees, in label order."""
-    row = num_vertices(dec.n) * np.min_scalar_type(num_vertices(dec.n) - 1).itemsize
-    size = max(1, min(dec.k, _GROUP_BYTES // row))
+    """The stacked masks of each group of trees, in label order, from one set of bit planes."""
+    planes = bit_planes(dec.labels, dec.n)
+    size = max(1, min(dec.k, _GROUP_BYTES // (planes.itemsize << dec.n)))
     for first in range(1, dec.k + 1, size):
-        yield edge_masks(dec.labels, range(first, min(first + size, dec.k + 1)), dec.n)
+        yield plane_masks(planes, range(first, min(first + size, dec.k + 1)), dec.n)
 
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:

@@ -14,12 +14,12 @@ each dimension there are exactly 2^(n-1) edges, so ids cover
 [0, n * 2^(n-1)) bijectively.  This order is the normative edge order for
 label arrays and file formats throughout the package.
 
-An edge set given by a label array can also be held per vertex: edge_masks
-sets bit d of mask[x] for the edge x -- x ^ 1<<d, one row per label value,
-in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.  The searches
-of walk.py go through stacked rows of it: broadcast walks groups of trees,
-and on large cubes the verifier walks each tree label.  The verifier's
-hooking reads edge ends straight from the dimension blocks instead.
+An edge set can also be held per vertex: bit d of mask[x] marks the edge
+x -- x ^ 1<<d, in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.
+bit_planes builds one per label bit, plane_masks those of label values from
+them.  The searches of walk.py go through these masks: broadcast walks
+groups of trees, and on large cubes the verifier walks each tree label.
+The verifier's hooking reads edge ends from the dimension blocks instead.
 """
 
 from __future__ import annotations
@@ -28,9 +28,15 @@ import numpy as np
 
 # The largest n that construct + verify has been run at: n = 24 is ~201M
 # one-byte edge labels, verified in under a minute and 2 GB (a slow test
-# holds it there; verify alone takes about 8 s and 0.6 GB of peak RSS on two
-# CPUs, 13 s and 0.5 GB on one).
+# holds it there; verify alone took 5.9-6.5 s and 754-765 MB of peak RSS
+# on two CPUs, in fresh processes).
 DIMENSION_CAP = 24
+
+
+# bit_planes fills planes together up to this many bytes (one at least).  Four
+# planes stacked against one at a time, best of five (2-CPU shared VM): n = 8
+# took 0.06/0.14 ms, n = 16 2.6/3.0 ms, n = 18 33/17 ms, n = 22 0.82/0.38 s.
+_STACK_BYTES = 1 << 19
 
 
 class CapExceededError(ValueError):
@@ -82,27 +88,48 @@ def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def edge_masks(labels: np.ndarray, values, n: int) -> np.ndarray:
-    """Per-vertex bitmasks of the edges labelled each of values, one row per
-    value, in the smallest unsigned dtype that holds n bits.
-
-    Bit d of masks[i, x] is the edge x -- x ^ 1<<d when it is labelled
-    values[i].
+def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray | None = None, rows=slice(None)) -> np.ndarray:
+    """Per-vertex masks of the label bits: bit d of planes[b, x] is bit b of
+    the label of the edge x -- x ^ 1<<d, one row per bit of labels.max().
+    Given planes, only planes[rows] are filled, so two threads can share it.
 
     Dimension block d of the edge-id layout, cut into rows of 2^d edges,
     has edge i of row r from vertex r * 2^(d+1) + i to the vertex 2^d above
-    it.  So the block's comparison with a value, every row repeated twice,
-    lines up with the vertex array and gives bit d to both ends of every
-    edge in the block.  The block is compared with every value at once and
-    the result repeated once; the bits go in from the highest dimension
-    down, each shifting the ones before it up by one.
+    it, so its bit b, every row repeated twice, gives bit d to both ends of
+    every edge in the block; the bits go in from the highest dimension down.
     """
-    dtype = np.min_scalar_type((1 << n) - 1)  # uint8 up to n = 8, uint16 to 16, else uint32
-    values = np.asarray(values, dtype=labels.dtype).reshape(-1, 1, 1)
-    half = 1 << (n - 1)
-    masks = np.zeros((len(values), 1 << n), dtype=dtype)
-    for d in reversed(range(n)):
-        block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
-        masks <<= 1
-        masks |= np.repeat(block == values, 2, axis=1).reshape(len(values), -1)
+    if planes is None:
+        bits = int(labels.max(initial=0)).bit_length()
+        planes = np.empty((bits, 1 << n), np.min_scalar_type((1 << n) - 1))
+    half, rows = 1 << (n - 1), range(len(planes))[rows]
+    size = max(1, _STACK_BYTES // (planes.itemsize << n))
+    for part in (rows[i : i + size] for i in range(0, len(rows), size)):
+        stack = planes[part.start : part.stop : part.step]
+        bits = (np.uint8(1) << np.array(part, dtype=np.uint8)).reshape(-1, 1, 1)
+        stack[:] = 0
+        for d in reversed(range(n)):
+            block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
+            stack <<= 1
+            stack |= np.repeat(block & bits != 0, 2, axis=1).reshape(len(part), -1)
+    return planes
+
+
+def plane_masks(planes: np.ndarray, values, n: int) -> np.ndarray:
+    """Per-vertex masks of the edges labelled each of values, one row per
+    value (bit d of masks[i, x] is the edge x -- x ^ 1<<d).  Such a label has
+    every bit of values[i] and no other, so a row ORs the planes of the bits
+    it lacks, complements that and ANDs in the planes of the bits it has, in
+    place.  A value with a bit above every plane labels no edge."""
+    full = planes.dtype.type((1 << n) - 1)
+    masks = np.zeros((len(values), 1 << n), dtype=planes.dtype)
+    for mask, value in zip(masks, values):
+        if value >> len(planes):
+            continue
+        for b, plane in enumerate(planes):
+            if not value >> b & 1:
+                mask |= plane
+        mask ^= full
+        for b, plane in enumerate(planes):
+            if value >> b & 1:
+                mask &= plane
     return masks

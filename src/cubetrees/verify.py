@@ -13,9 +13,10 @@ identity on them.  Nothing is imported from the construction code, so a
 verified decomposition is certified by a second, unrelated route.
 
 From _WALK_MIN_DIMENSION up a tree label is first walked from vertex 0
-(walk.py).  A walk that reaches all 2^n vertices certifies a spanning tree,
-(2^n - 1, 2^n, 1), without hooking; every other label is hooked, so every
-failing report still comes from _check_labels.
+(walk.py) over a mask from the labels' bit planes, which the threads below
+build once per call first.  A walk that reaches all 2^n vertices certifies
+a spanning tree, (2^n - 1, 2^n, 1), without hooking; every other label is
+hooked, so every failing report still comes from _check_labels.
 
 Labels are checked in groups of consecutive labels (_groups), each label
 with a vertex space of its own, so one pass over small arrays serves a
@@ -31,11 +32,12 @@ from __future__ import annotations
 
 import os
 from dataclasses import asdict, dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .hypercube import MalformedEdgeError, edge_endpoints, edge_masks, num_edges, num_vertices
+from .hypercube import MalformedEdgeError, bit_planes, edge_endpoints, num_edges, num_vertices, plane_masks
 from .walk import _search
 
 if TYPE_CHECKING:  # annotation only; the checker never calls into construct
@@ -115,8 +117,8 @@ def _first_round(lower: np.ndarray, upper: np.ndarray, vertices: int) -> np.ndar
     return root
 
 
-def _roots(lower: np.ndarray, upper: np.ndarray, count: int, n: int) -> np.ndarray:
-    """Connected components of the edges (lower, upper) in each of count vertex spaces of 2^n.
+def _roots(lower: np.ndarray, upper: np.ndarray, vertices: int) -> np.ndarray:
+    """A flag per vertex, set on the root of each component of the edges (lower, upper).
 
     Min-label hooking with pointer jumping, starting from _first_round.  In
     each later round every root hooks onto the smallest root it shares an
@@ -125,9 +127,8 @@ def _roots(lower: np.ndarray, upper: np.ndarray, count: int, n: int) -> np.ndarr
     and gains nothing in one round has only smaller neighbours in the next,
     so every component with an edge left merges within two rounds: at most
     about 2 n rounds run, whatever the depth of the trees.  A vertex no
-    edge touches is a component of its own.  No edge joins two spaces.
+    edge touches is a component of its own.
     """
-    vertices = count << n
     root = _first_round(lower, upper, vertices)
     while True:
         a, b = np.take(root, lower, mode="clip"), np.take(root, upper, mode="clip")
@@ -144,7 +145,7 @@ def _roots(lower: np.ndarray, upper: np.ndarray, count: int, n: int) -> np.ndarr
             moving = upup != up
             hooked = hooked[moving]
             root[hooked] = upup[moving]
-    return _per_space(root == np.arange(vertices, dtype=np.uint32), count)
+    return root == np.arange(vertices, dtype=np.uint32)
 
 
 def _per_space(flags: np.ndarray, count: int) -> np.ndarray:
@@ -160,10 +161,16 @@ def _check_labels(labels: np.ndarray, first: int, count: int, n: int) -> list[tu
     component count of all 2^n vertices.  One component over all of them
     (at least two, as n >= 1) leaves no vertex untouched, so only the edge
     ends of a split label set are marked to count the touched vertices.
+    A lone label with few edges (_FEW_EDGES) is hooked over the ranks of its
+    touched vertices, which keep their order: _first_round's chains stay short.
     """
     vertices = num_vertices(n)
     lower, upper = _edge_ends(labels, first, count, n)
-    components = _roots(lower, upper, count, n)
+    if count == 1 and lower.size * _FEW_EDGES < vertices:
+        ends, ranks = np.unique(np.concatenate([lower, upper]), return_inverse=True)
+        roots = _roots(*ranks.astype(np.uint32).reshape(2, -1), ends.size)
+        return [(lower.size, ends.size, int(np.count_nonzero(roots)))]
+    components = _per_space(_roots(lower, upper, count << n), count)
     if count == 1:
         edges = [lower.size]
     else:  # np.bincount(lower >> n) would copy the ids to intp first
@@ -303,20 +310,27 @@ def _groups(n: int) -> list[tuple[int, int]]:
     return [(first, min(size, k + 1 - first)) for first in range(0, k + 1, size)]
 
 
+# A lone label with fewer than one edge per this many vertices is hooked over
+# its touched vertices alone (_check_labels).  Median of 15 calls on 2^n/s random
+# edges, touched against all vertices: n = 16, s = 64/16/8/4 took 0.6/1.0/1.7/2.6
+# against 0.9/1.2/1.7/2.0 ms; n = 20 3.8/8.9/20/40 against 10/14/24/36 ms.
+_FEW_EDGES = 16
+
+
 # Tree labels are walked before they are hooked from this dimension up.
 # Measured as the median of 15 interleaved calls of verify on construct(n)
 # and on it with one edge of tree 1 moved to tree 2, hooking every label
-# against walking first (two threads, 2-CPU shared VM): n = 17 took 37/37
-# against 42/49 ms, n = 18 76/79 against 67/88 ms, n = 19 167/181 against
-# 131/168 ms and n = 20 361/369 against 248/329 ms.
+# against walking first over plane masks (two threads, 2-CPU shared VM):
+# n = 17 took 35/35 against 41/46 ms, n = 18 70-72/72-74 against 63-66/79-85
+# ms (the walk loses on the moved edge), n = 19 135/139 against 110/142 ms.
 _WALK_MIN_DIMENSION = 19
 
 
-def _check_group(labels: np.ndarray, first: int, count: int, n: int) -> list[tuple[int, int, int]]:
-    """_check_labels, except that a lone tree label of a large cube that
-    its walk certifies as a spanning tree is not hooked."""
-    if count == 1 and first and n >= _WALK_MIN_DIMENSION:
-        found = _search(edge_masks(labels, [first], n).reshape(-1), n, 0)
+def _check_group(labels: np.ndarray, first: int, count: int, n: int, planes) -> list[tuple[int, int, int]]:
+    """_check_labels, except that given the labels' bit planes (or None), a
+    lone tree label that its walk certifies as a spanning tree is not hooked."""
+    if count == 1 and first and planes is not None:
+        found = _search(plane_masks(planes, [first], n).reshape(-1), n, 0)
         if found is not None and not found[1]:
             return [(num_vertices(n) - 1, num_vertices(n), 1)]
     return _check_labels(labels, first, count, n)
@@ -329,23 +343,20 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _check_groups_on_two_threads(labels: np.ndarray, groups: list[tuple[int, int]], n: int) -> list:
-    """_check_group for every group, one list per group, in group order.
-
-    The groups are independent and numpy releases the GIL inside their
-    checks, so a helper thread takes the first group and every second one
-    after it while this thread takes the others.  An exception in the
-    helper is raised again here by result().
-    """
+def _on_two_threads(tasks: list) -> list:
+    """Every task's result, in task order.  The tasks are independent and
+    numpy releases the GIL inside them, so a helper thread runs the first
+    task and every second one after it while this thread runs the others.
+    An exception in the helper is raised again here by result()."""
     from concurrent.futures import ThreadPoolExecutor
 
-    checks = [None] * len(groups)
+    results = [None] * len(tasks)
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cubetrees-verify") as pool:
-        evens = pool.submit(lambda: [_check_group(labels, *group, n) for group in groups[0::2]])
-        checks[1::2] = [_check_group(labels, *group, n) for group in groups[1::2]]
-        checks[0::2] = evens.result()
-    _trim_heap()  # every check is done, so the helper's arena is all free
-    return checks
+        evens = pool.submit(lambda: [task() for task in tasks[0::2]])
+        results[1::2] = [task() for task in tasks[1::2]]
+        results[0::2] = evens.result()
+    _trim_heap()  # every task is done, so the helper's arena is all free
+    return results
 
 
 def _trim_heap() -> None:
@@ -383,11 +394,13 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             f"label {int(labels.max())} exceeds tree count k={k}"
         )
 
-    vertices, groups = num_vertices(n), _groups(n)
-    if len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2:
-        by_group = _check_groups_on_two_threads(labels, groups, n)
-    else:
-        by_group = [_check_group(labels, *group, n) for group in groups]
+    vertices, groups, planes = num_vertices(n), _groups(n), None
+    threads = len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
+    run = _on_two_threads if threads else lambda tasks: [task() for task in tasks]
+    if n >= _WALK_MIN_DIMENSION:  # every label is below 2^k.bit_length()
+        planes = np.empty((k.bit_length(), vertices), np.min_scalar_type(vertices - 1))
+        run([partial(bit_planes, labels, n, planes, slice(b, None, 2)) for b in (0, 1)])
+    by_group = run([partial(_check_group, labels, *group, n, planes) for group in groups])
     checks = [check for group in by_group for check in group]
 
     trees = tuple(

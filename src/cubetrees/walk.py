@@ -1,4 +1,4 @@
-"""Level searches over per-vertex edge masks (hypercube.edge_masks).
+"""Level searches over per-vertex edge masks (hypercube.plane_masks).
 
 Every search shares one level step (_level).  A frontier entry is a mask
 index plus, above it, the mask bit it was reached by; each of its other

@@ -1,0 +1,32 @@
+"""Slow reference for per-vertex edge masks: one set of n passes per value.
+
+This is how `cubetrees.hypercube` built edge masks before it derived them
+from bit planes (`bit_planes`, `plane_masks`): every value compares the whole
+label array again.  The property tests require the plane-derived masks to
+equal it.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def reference_edge_masks(labels: np.ndarray, values, n: int) -> np.ndarray:
+    """Per-vertex bitmasks of the edges labelled each of values, one row per
+    value, in the smallest unsigned dtype that holds n bits.
+
+    Bit d of masks[i, x] is the edge x -- x ^ 1<<d when it is labelled
+    values[i].  Dimension block d of the edge-id layout, cut into rows of
+    2^d edges, has edge i of row r from vertex r * 2^(d+1) + i to the vertex
+    2^d above it, so the block's comparison with a value, every row repeated
+    twice, gives bit d to both ends of every edge in the block.
+    """
+    dtype = np.min_scalar_type((1 << n) - 1)
+    values = np.asarray(values, dtype=labels.dtype).reshape(-1, 1, 1)
+    half = 1 << (n - 1)
+    masks = np.zeros((len(values), 1 << n), dtype=dtype)
+    for d in reversed(range(n)):
+        block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
+        masks <<= 1
+        masks |= np.repeat(block == values, 2, axis=1).reshape(len(values), -1)
+    return masks

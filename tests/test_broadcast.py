@@ -16,7 +16,7 @@ import cubetrees.broadcast
 import cubetrees.walk
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
-from cubetrees.hypercube import edge_masks, num_edges
+from cubetrees.hypercube import bit_planes, num_edges, plane_masks
 from broadcast_reference import reference_tree_depths
 from deadline import deadline
 from union_find_reference import reference_is_spanning_tree
@@ -199,10 +199,25 @@ def test_every_root_of_random_labels_matches_reference(n, seed, skew):
         assert tree_depths(dec, root) == reference_tree_depths(dec, root)
 
 
+@pytest.mark.parametrize("n, high", [(6, 16), (8, 8), (9, 16), (16, 16)])
+def test_labels_with_a_bit_above_k_do_not_alias(n, high):
+    # some edges of each tree j carry high + j, whose low bits are j's: the
+    # bit planes must cover the labels' top bit, or those edges stay in tree j
+    dec = construct(n)
+    labels = dec.labels.copy()
+    rng = np.random.default_rng(n)
+    for j in range(1, dec.k + 1):
+        ids = dec.tree_edge_ids(j)
+        labels[rng.choice(ids, size=1 + j % 3, replace=False)] = high + j
+    dec = Decomposition(n=n, labels=labels)
+    for root in [0, (1 << n) - 1, int(rng.integers(1 << n))]:
+        assert tree_depths(dec, root) == reference_tree_depths(dec, root)
+
+
 def test_distances_along_a_path_need_two_bytes():
     # the Gray-code path of Q_9 is 511 edges long, so its distances are uint16
     n = 9
-    marks = edge_masks(gray_path_tree(n).labels, [1], n)[0]
+    marks = plane_masks(bit_planes(gray_path_tree(n).labels, n), [1], n)[0]
     path = np.arange(1 << n) ^ (np.arange(1 << n) >> 1)  # its vertices in order
     dist, far = cubetrees.broadcast._distances(marks, n, path[3], 1)
     assert dist.dtype == np.uint16 and far == path[-1]
@@ -270,7 +285,7 @@ GROUPS = [1, 2, None]
 
 
 def grouped(mp, group, dec):
-    row = edge_masks(dec.labels, [0], dec.n).nbytes
+    row = plane_masks(bit_planes(dec.labels, dec.n), [0], dec.n).nbytes
     mp.setattr(cubetrees.broadcast, "_GROUP_BYTES", (group or dec.k) * row)
 
 

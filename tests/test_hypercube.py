@@ -6,12 +6,14 @@ from cubetrees.hypercube import (
     CapExceededError,
     MalformedEdgeError,
     check_dimension,
+    bit_planes,
     edge_endpoints,
-    edge_masks,
     num_edges,
     num_vertices,
+    plane_masks,
 )
 from construct_reference import embed
+from mask_reference import reference_edge_masks
 from cube_reference import Edge, edge_from_id, edge_id, squeeze_bit, unsqueeze_bit
 from test_verify import random_labels
 
@@ -114,6 +116,10 @@ def test_vectorized_decode_matches_scalar(n):
         assert (u[eid], v[eid]) == e.endpoints()
 
 
+def edge_masks(labels, values, n):
+    return plane_masks(bit_planes(labels, n), values, n)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
 def test_edge_masks_agree_with_edge_endpoints(n, seed, skew, data):
@@ -133,15 +139,50 @@ def test_edge_masks_agree_with_edge_endpoints(n, seed, skew, data):
         assert not (mask >> n).any()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([*range(1, 13), 16, 17]),  # every mask dtype
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1, 2, 3, 7, 16, 100, 256]),
+    st.lists(st.integers(0, 255), max_size=6),
+)
+def test_plane_masks_equal_the_reference(n, seed, top, values):
+    # labels above k and values no edge carries included: the planes cover
+    # the labels' bits and a value with a bit above them gets a zero row
+    labels = np.random.default_rng(seed).integers(0, top, num_edges(n)).astype(np.uint8)
+    values += [0, 1, top - 1, min(top, 255), 16 + n // 2]
+    planes = bit_planes(labels, n)
+    assert len(planes) == int(labels.max()).bit_length()
+    masks = plane_masks(planes, values, n)
+    want = reference_edge_masks(labels, values, n)
+    assert masks.dtype == want.dtype == np.min_scalar_type((1 << n) - 1)
+    assert np.array_equal(masks, want)
+
+
+@pytest.mark.parametrize("n", [3, 9, 17])
+def test_planes_filled_by_rows_equal_planes_filled_at_once(n):
+    labels = np.random.default_rng(n).integers(0, 13, num_edges(n)).astype(np.uint8)
+    planes = bit_planes(labels, n)
+    parts = np.full_like(planes, 0xAB)
+    for rows in (slice(1, None, 2), slice(0, None, 2)):
+        bit_planes(labels, n, parts, rows)
+    assert np.array_equal(parts, planes)
+
+
 @pytest.mark.parametrize(
     "n, dtype", [(1, np.uint8), (8, np.uint8), (9, np.uint16), (16, np.uint16), (17, np.uint32)]
 )
 def test_edge_masks_take_the_narrowest_dtype(n, dtype):
     # every edge labelled 1: all n bits set at every vertex
     labels = np.ones(num_edges(n), dtype=np.uint8)
-    masks = edge_masks(labels, [0, 1], n)
-    assert masks.dtype == dtype and masks.shape == (2, num_vertices(n))
+    planes = bit_planes(labels, n)
+    masks = plane_masks(planes, [0, 1], n)
+    assert planes.dtype == masks.dtype == dtype and masks.shape == (2, num_vertices(n))
     assert not masks[0].any() and (masks[1] == (1 << n) - 1).all()
+    # no label above 0: no plane, and every edge carries 0
+    none = bit_planes(labels - 1, n)
+    assert none.shape == (0, num_vertices(n)) and none.dtype == dtype
+    assert (plane_masks(none, [0, 1], n) == [[(1 << n) - 1], [0]]).all()
 
 
 @given(st.integers(1, 16), st.data())

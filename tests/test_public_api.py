@@ -69,18 +69,19 @@ CONSTRUCT_PUBLIC = ["Decomposition", "EVEN", "LEFTOVER", "ODD", "base_q2", "cons
 
 
 # The names cubetrees.hypercube defines: the cap and its error, the edge
-# error, the two argument checks, the counts, the edge decoder and the
-# per-vertex edge masks.
+# error, the two argument checks, the counts, the edge decoder, and the
+# label bit planes with the per-vertex edge masks derived from them.
 HYPERCUBE_PUBLIC = [
     "CapExceededError",
     "DIMENSION_CAP",
     "MalformedEdgeError",
+    "bit_planes",
     "check_dimension",
     "check_integer",
     "edge_endpoints",
-    "edge_masks",
     "num_edges",
     "num_vertices",
+    "plane_masks",
 ]
 
 

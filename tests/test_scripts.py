@@ -13,6 +13,7 @@ def test_scripts_run_and_pass():
         ("decomposition_sweep.py", "--max", "6"),
         ("stress_large.py", "-n", "8"),
         ("stress_large.py", "-n", "16"),  # large enough for a helper thread
+        ("stress_large.py", "-n", "19"),  # large enough for verify to walk its trees
     ):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), *args],

@@ -15,7 +15,7 @@ import cubetrees.verify
 import cubetrees.walk
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
-from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, num_edges
+from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, num_edges, plane_masks
 from cubetrees.verify import (
     MalformedDecompositionError,
     forest_components,
@@ -24,6 +24,7 @@ from cubetrees.verify import (
 )
 from construct_reference import leftover_edge_ids
 from deadline import deadline
+from mask_reference import reference_edge_masks
 from cube_reference import Edge, edge_id, squeeze_bit
 from union_find_reference import (
     UnionFind,
@@ -368,6 +369,47 @@ def test_single_mutations_match_union_find_reference_in_groups(size, data):
         assert not assert_same_report(dec).overall
 
 
+def hooked_over_touched_vertices(mp, n):
+    """Make verify check Q_n's labels one per group, each hooked over the
+    ranks of its touched vertices alone, however many edges it has."""
+    labels_per_group(mp, n, 1)
+    mp.setattr(cubetrees.verify, "_FEW_EDGES", 0)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_random_labels_match_union_find_reference_over_touched_vertices(n, seed, skew):
+    with pytest.MonkeyPatch.context() as mp:
+        hooked_over_touched_vertices(mp, n)
+        assert_same_report(random_labels(n, seed, skew))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_single_mutations_match_union_find_reference_over_touched_vertices(data):
+    dec = single_mutation(data)
+    with pytest.MonkeyPatch.context() as mp:
+        hooked_over_touched_vertices(mp, dec.n)
+        assert not assert_same_report(dec).overall
+
+
+@pytest.mark.parametrize("n", [15, 16, 17])
+def test_only_a_few_edge_leftover_is_hooked_over_its_touched_vertices(monkeypatch, n):
+    # the even leftover's k edges touch 2k vertices; the odd leftover
+    # (2^(n-1) + k edges) and every tree are hooked over all 2^n
+    spaces, roots = [], cubetrees.verify._roots
+
+    def recorded(lower, upper, vertices):
+        spaces.append(vertices)
+        return roots(lower, upper, vertices)
+
+    monkeypatch.setattr(cubetrees.verify, "_roots", recorded)
+    monkeypatch.setattr(cubetrees.verify, "_usable_cpus", lambda: 1)
+    assert assert_same_report(construct(n)).overall
+    k = n // 2
+    assert spaces == [2 * k if n % 2 == 0 else 1 << n] + [1 << n] * k
+
+
 def test_group_plan():
     """Groups cover labels 0..k once, in order, with stacked ids that fit uint32."""
     bound = cubetrees.verify._GROUP_VERTICES
@@ -390,9 +432,9 @@ def label_check_threads(mp):
     idents = []
     check = cubetrees.verify._check_group
 
-    def recorded(labels, first, count, n):
+    def recorded(*args):
         idents.append(threading.get_ident())
-        return check(labels, first, count, n)
+        return check(*args)
 
     mp.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.verify, "_usable_cpus", lambda: 2)
@@ -526,6 +568,37 @@ def test_only_labels_the_walk_cannot_certify_are_hooked(monkeypatch):
         assert sorted(hooked) == list(range(dec.k + 1))
         assert report.to_dict() == want.to_dict() and not report.overall
         assert report.to_text() == want.to_text()
+
+
+def test_planes_filled_on_two_threads_give_the_reference_masks(monkeypatch):
+    # the helper fills the even-numbered planes, this thread the others, and
+    # every label's mask taken from them equals the slow per-value build
+    n, fills, masks = 9, [], []
+    fill, check = cubetrees.verify.bit_planes, cubetrees.verify._check_group
+
+    def recorded_fill(labels, n, planes, rows):
+        fills.append((rows.start, threading.get_ident()))
+        return fill(labels, n, planes, rows)
+
+    def recorded_check(labels, first, count, n, planes):
+        masks.append(plane_masks(planes, range(n // 2 + 1), n))
+        return check(labels, first, count, n, planes)
+
+    label_check_threads(monkeypatch)
+    labels_per_group(monkeypatch, n, 1)
+    monkeypatch.setattr(cubetrees.verify, "_WALK_MIN_DIMENSION", 1)
+    monkeypatch.setattr(cubetrees.verify, "bit_planes", recorded_fill)
+    monkeypatch.setattr(cubetrees.verify, "_check_group", recorded_check)
+    for seed in range(4):
+        dec = random_labels(n, seed, seed % 4)
+        fills.clear()
+        masks.clear()
+        assert_same_report(dec)
+        by_rows = dict(fills)  # the first row each call fills -> its thread
+        assert len(fills) == 2 and by_rows[1] == threading.get_ident() != by_rows[0]
+        want = reference_edge_masks(dec.labels, range(dec.k + 1), n)
+        assert len(masks) == dec.k + 1
+        assert all(np.array_equal(got, want) for got in masks)
 
 
 def refuse(*args, **kwargs):

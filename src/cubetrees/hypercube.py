@@ -33,9 +33,18 @@ import numpy as np
 DIMENSION_CAP = 24
 
 
-# bit_planes fills planes together up to this many bytes (one at least).  Four
-# planes stacked against one at a time, best of five (2-CPU shared VM): n = 8
-# took 0.06/0.14 ms, n = 16 2.6/3.0 ms, n = 18 33/17 ms, n = 22 0.82/0.38 s.
+# Rows of 2^n masks are stacked up to this many bytes (one row at least,
+# _stacks): the planes bit_planes fills together, and the trees broadcast
+# walks together.  Both measured on a 2-CPU shared VM.  Four planes stacked
+# against one at a time, best of five: n = 8 took 0.06/0.14 ms, n = 16
+# 2.6/3.0 ms, n = 18 33/17 ms, n = 22 0.82/0.38 s.  So all k trees are walked
+# together up to n = 15, four at n = 16 (uint16 masks), one from n = 17 up
+# (uint32): median of tree_depths(construct(n), root) over 40-200 seeded
+# roots, every group size timed on each root in turn, n = 14 with 1/2/4/7
+# trees took 8.0/7.0/5.3/4.3 ms, n = 15 with 2/4/7 took 11.2/8.7/8.1 ms,
+# n = 16 with 1/2/3/4/8 took 21.8/20.2/19.5/17.4/17.7 ms, n = 17 with 1/2
+# took 30.7/31.5 ms and n = 18 with 1/2 took 63/74 ms.  1 MB of masks was
+# no faster at n = 16 and 17, and slower at n = 18.
 _STACK_BYTES = 1 << 19
 
 
@@ -62,8 +71,10 @@ def check_dimension(n: int) -> int:
     """Validate a cube dimension, returning it as a Python int."""
     n = check_integer("dimension", n, 1)
     if n > DIMENSION_CAP:
+        shown = n if n.bit_length() <= 64 else f"of {n.bit_length()} bits"  # str(n) stops at 4300 digits
         raise CapExceededError(
-            f"dimension {n} exceeds cap {DIMENSION_CAP} (~{num_edges(n)} edge labels)"
+            f"dimension {shown} exceeds cap {DIMENSION_CAP} "
+            f"(Q_{DIMENSION_CAP} has {num_edges(DIMENSION_CAP)} edge labels)"
         )
     return n
 
@@ -101,9 +112,8 @@ def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray | None = None, row
     if planes is None:
         bits = int(labels.max(initial=0)).bit_length()
         planes = np.empty((bits, 1 << n), np.min_scalar_type((1 << n) - 1))
-    half, rows = 1 << (n - 1), range(len(planes))[rows]
-    size = max(1, _STACK_BYTES // (planes.itemsize << n))
-    for part in (rows[i : i + size] for i in range(0, len(rows), size)):
+    half = 1 << (n - 1)
+    for part in _stacks(range(len(planes))[rows], planes):
         stack = planes[part.start : part.stop : part.step]
         bits = (np.uint8(1) << np.array(part, dtype=np.uint8)).reshape(-1, 1, 1)
         stack[:] = 0
@@ -112,6 +122,13 @@ def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray | None = None, row
             stack <<= 1
             stack |= np.repeat(block & bits != 0, 2, axis=1).reshape(len(part), -1)
     return planes
+
+
+def _stacks(items, planes: np.ndarray) -> list:
+    """items cut into runs of as many as fit _STACK_BYTES when each takes
+    one row of planes (one item per run at least)."""
+    size = max(1, _STACK_BYTES // (planes.itemsize * planes.shape[-1]))
+    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def plane_masks(planes: np.ndarray, values, n: int) -> np.ndarray:

@@ -9,14 +9,16 @@ those edges, whose round count does not grow with the depth of a tree.  One
 routine, _check_labels, reduces every label's edge set, the leftover's
 included, to three integers: its edges, the vertices they touch and the
 components among those vertices.  Every reported property is an integer
-identity on them.  Nothing is imported from the construction code, so a
-verified decomposition is certified by a second, unrelated route.
+identity on them.  An even leftover checked alone is only counted: its
+report is a matching test, which needs no components.  Nothing is imported
+from the construction code, so a verified decomposition is certified by a
+second, unrelated route.
 
 From _WALK_MIN_DIMENSION up a tree label is first walked from vertex 0
 (walk.py) over a mask from the labels' bit planes, which the threads below
 build once per call first.  A walk that reaches all 2^n vertices certifies
-a spanning tree, (2^n - 1, 2^n, 1), without hooking; every other label is
-hooked, so every failing report still comes from _check_labels.
+a spanning tree, (2^n - 1, 2^n, 1), without hooking; every other tree
+label is hooked, so every failing tree report still comes from _check_labels.
 
 Labels are checked in groups of consecutive labels (_groups), each label
 with a vertex space of its own, so one pass over small arrays serves a
@@ -161,15 +163,9 @@ def _check_labels(labels: np.ndarray, first: int, count: int, n: int) -> list[tu
     component count of all 2^n vertices.  One component over all of them
     (at least two, as n >= 1) leaves no vertex untouched, so only the edge
     ends of a split label set are marked to count the touched vertices.
-    A lone label with few edges (_FEW_EDGES) is hooked over the ranks of its
-    touched vertices, which keep their order: _first_round's chains stay short.
     """
     vertices = num_vertices(n)
     lower, upper = _edge_ends(labels, first, count, n)
-    if count == 1 and lower.size * _FEW_EDGES < vertices:
-        ends, ranks = np.unique(np.concatenate([lower, upper]), return_inverse=True)
-        roots = _roots(*ranks.astype(np.uint32).reshape(2, -1), ends.size)
-        return [(lower.size, ends.size, int(np.count_nonzero(roots)))]
     components = _per_space(_roots(lower, upper, count << n), count)
     if count == 1:
         edges = [lower.size]
@@ -310,13 +306,6 @@ def _groups(n: int) -> list[tuple[int, int]]:
     return [(first, min(size, k + 1 - first)) for first in range(0, k + 1, size)]
 
 
-# A lone label with fewer than one edge per this many vertices is hooked over
-# its touched vertices alone (_check_labels).  Median of 15 calls on 2^n/s random
-# edges, touched against all vertices: n = 16, s = 64/16/8/4 took 0.6/1.0/1.7/2.6
-# against 0.9/1.2/1.7/2.0 ms; n = 20 3.8/8.9/20/40 against 10/14/24/36 ms.
-_FEW_EDGES = 16
-
-
 # Tree labels are walked before they are hooked from this dimension up.
 # Measured as the median of 15 interleaved calls of verify on construct(n)
 # and on it with one edge of tree 1 moved to tree 2, hooking every label
@@ -326,9 +315,14 @@ _FEW_EDGES = 16
 _WALK_MIN_DIMENSION = 19
 
 
-def _check_group(labels: np.ndarray, first: int, count: int, n: int, planes) -> list[tuple[int, int, int]]:
-    """_check_labels, except that given the labels' bit planes (or None), a
-    lone tree label that its walk certifies as a spanning tree is not hooked."""
+def _check_group(labels: np.ndarray, first: int, count: int, n: int, planes) -> list[tuple]:
+    """_check_labels, except that two lone labels are not hooked: the even
+    leftover, a matching iff its edges touch twice as many vertices, is only
+    counted (no components), and given the labels' bit planes (or None), a
+    tree label is not hooked once its walk certifies it a spanning tree."""
+    if count == 1 and not first and n % 2 == 0:
+        lower, upper = _edge_ends(labels, 0, 1, n)
+        return [(lower.size, np.unique(np.concatenate([lower, upper])).size, None)]
     if count == 1 and first and planes is not None:
         found = _search(plane_masks(planes, [first], n).reshape(-1), n, 0)
         if found is not None and not found[1]:

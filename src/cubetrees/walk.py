@@ -37,16 +37,14 @@ _WIDE_LEVEL = 64
 
 
 def _search(
-    marks: np.ndarray, n: int, source: int,
-    order: np.ndarray | None = None, levels: list | None = None,
+    marks: np.ndarray, n: int, source: int, order: np.ndarray | None = None
 ) -> tuple[list[int], float] | None:
     """Each tree's depth in a search of a group from source, and what the
     last trees searched did not reach.
 
     marks stacks the group's masks, tree t's at offset t * 2^n, and every
     tree's search starts at source.  So an entry is t << n | vertex, with its
-    came-by bit shifted above the tree number.  Every level, the first
-    holding source once per tree, is appended to levels when given.
+    came-by bit shifted above the tree number.
 
     Without order the search is a walk that never steps back.  It returns
     None once a level holds more entries than the trees still walking can
@@ -69,8 +67,6 @@ def _search(
     depths, reach, depth = [0] * group, [0] * group, 0
     alive = [*range(group)]  # the trees in frontier: a tree missing from a level has ended
     while True:
-        if levels is not None:
-            levels.append(frontier)
         reached = _level(marks, mask, shift, frontier, left)
         if reached is None:
             return None

@@ -13,13 +13,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubetrees.broadcast
+import cubetrees.hypercube
 import cubetrees.walk
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.hypercube import bit_planes, num_edges, plane_masks
 from broadcast_reference import reference_tree_depths
 from deadline import deadline
-from union_find_reference import reference_is_spanning_tree
 from test_verify import best_of_three_each, gray_code_path, random_labels, single_mutation
 
 # A search on cyclic or random labels that never ends fails its test after
@@ -127,9 +127,9 @@ def searches(mp):
     """(group size, source, marked?) of every search tree_depths makes."""
     calls, search = [], cubetrees.broadcast._search
 
-    def counted(marks, n, source, order=None, levels=None):
+    def counted(marks, n, source, order=None):
         calls.append((marks.size >> n, source, order is not None))
-        return search(marks, n, source, order, levels)
+        return search(marks, n, source, order)
 
     mp.setattr(cubetrees.broadcast, "_search", counted)
     return calls
@@ -177,17 +177,12 @@ def test_depths_at_scale():
     assert time.perf_counter() - start < 5
 
 
-def eccentricity_rows(dec):
-    return [row.tolist() for row in cubetrees.broadcast._eccentricity_rows(dec)]
-
-
 @pytest.mark.parametrize("n", range(2, 10))
 def test_rows_hold_every_roots_depths(n):
+    # each root's row of depths, one per tree, from every root of construct(n)
     dec = construct(n)
-    rows = eccentricity_rows(dec)
     for root in range(1 << n):
-        depths = [row[root] for row in rows]
-        assert depths == tree_depths(dec, root) == reference_tree_depths(dec, root)
+        assert tree_depths(dec, root) == reference_tree_depths(dec, root)
 
 
 @pytest.mark.parametrize("n, seed, skew", [(5, 1, 0), (6, 2, 3), (7, 3, 2), (8, 4, 1)])
@@ -212,42 +207,6 @@ def test_labels_with_a_bit_above_k_do_not_alias(n, high):
     dec = Decomposition(n=n, labels=labels)
     for root in [0, (1 << n) - 1, int(rng.integers(1 << n))]:
         assert tree_depths(dec, root) == reference_tree_depths(dec, root)
-
-
-def test_distances_along_a_path_need_two_bytes():
-    # the Gray-code path of Q_9 is 511 edges long, so its distances are uint16
-    n = 9
-    marks = plane_masks(bit_planes(gray_path_tree(n).labels, n), [1], n)[0]
-    path = np.arange(1 << n) ^ (np.arange(1 << n) >> 1)  # its vertices in order
-    dist, far = cubetrees.broadcast._distances(marks, n, path[3], 1)
-    assert dist.dtype == np.uint16 and far == path[-1]
-    assert dist[path].tolist() == [abs(i - 3) for i in range(1 << n)]
-
-
-NOT_ALL_TREES = [
-    random_labels(n, seed, skew) for n, seed, skew in [(4, 1, 0), (6, 2, 3), (8, 3, 2), (9, 4, 1)]
-] + [gray_path_tree(6)]
-
-
-@pytest.mark.parametrize("dec", NOT_ALL_TREES)
-@deadline(SEARCH_SECONDS)
-def test_rows_refuse_a_label_that_is_no_spanning_tree(dec):
-    trees = range(1, dec.k + 1)
-    spanning = [reference_is_spanning_tree(dec.tree_edge_ids(j), dec.n) for j in trees]
-    first = spanning.index(False) + 1
-    with pytest.raises(ValueError, match=f"label {first} is not a spanning tree"):
-        cubetrees.broadcast._eccentricity_rows(dec)
-
-
-@pytest.mark.slow
-def test_rows_at_scale():
-    dec = construct(20)
-    start = time.perf_counter()
-    rows = eccentricity_rows(dec)
-    assert time.perf_counter() - start < 6
-    assert [min(row) for row in rows] == [30] * 8 + [29, 29]  # each tree's radius
-    for root in np.random.default_rng(20).integers(0, 1 << 20, 16).tolist():
-        assert [row[root] for row in rows] == tree_depths(dec, root)
 
 
 def assert_depths_match_reference(dec, data):
@@ -277,16 +236,16 @@ def test_single_mutations_match_dict_bfs_reference(data):
     assert_depths_match_reference(Decomposition(n=n, labels=labels), data)
 
 
-# Group g makes tree_depths walk min(k, g) trees together, and it and
-# _eccentricity_rows build that many masks at once; None groups all k.
-# Cyclic labels make a group walk fail partway, and the same group then gets
-# one marked search.
+# Group g makes tree_depths walk and build the masks of min(k, g) trees
+# together; None groups all k.  Cyclic labels make a group walk fail
+# partway, and the same group then gets one marked search.  The stacking
+# budget is shared, so bit_planes then fills planes in stacks of g too.
 GROUPS = [1, 2, None]
 
 
 def grouped(mp, group, dec):
     row = plane_masks(bit_planes(dec.labels, dec.n), [0], dec.n).nbytes
-    mp.setattr(cubetrees.broadcast, "_GROUP_BYTES", (group or dec.k) * row)
+    mp.setattr(cubetrees.hypercube, "_STACK_BYTES", (group or dec.k) * row)
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -309,23 +268,6 @@ def test_single_mutations_match_dict_bfs_reference_in_groups(group, data):
     with pytest.MonkeyPatch.context() as mp:
         grouped(mp, group, dec)
         assert_depths_match_reference(dec, data)
-
-
-@pytest.mark.parametrize("group", GROUPS)
-@deadline(SEARCH_SECONDS)
-def test_rows_in_groups(group, monkeypatch):
-    for n in range(2, 8):
-        dec = construct(n)
-        grouped(monkeypatch, group, dec)
-        rows = eccentricity_rows(dec)
-        for root in range(1 << n):
-            assert [row[root] for row in rows] == reference_tree_depths(dec, root)
-    for dec in NOT_ALL_TREES:
-        grouped(monkeypatch, group, dec)
-        trees = range(1, dec.k + 1)
-        spanning = [reference_is_spanning_tree(dec.tree_edge_ids(j), dec.n) for j in trees]
-        with pytest.raises(ValueError, match=f"label {spanning.index(False) + 1} is not"):
-            cubetrees.broadcast._eccentricity_rows(dec)
 
 
 def wide_levels(mp, width):

@@ -127,6 +127,14 @@ def test_info_reports_bounds(capsys):
     assert run("info", "-n", "99") == EXIT_CAP
 
 
+@pytest.mark.parametrize("command", ["info", "construct", "broadcast"])
+def test_a_dimension_far_above_the_cap_exits_with_the_cap_code(command, capsys):
+    assert run(command, "-n", "20000") == EXIT_CAP
+    assert capsys.readouterr().err == (
+        "error: dimension 20000 exceeds cap 24 (Q_24 has 201326592 edge labels)\n"
+    )
+
+
 def test_export_formats(tmp_path, capsys):
     dec_path = tmp_path / "q2.dec"
     assert run("construct", "-n", "2", "-o", str(dec_path)) == EXIT_OK

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,6 +83,24 @@ def test_dimension_cap():
     assert type(check_dimension(np.int64(3))) is int
     with pytest.raises(CapExceededError):
         check_dimension(25)
+
+
+@pytest.mark.parametrize(
+    "n, shown",
+    [(20000, "20000"), (10**9, "1000000000"), (10**5000, "of 16610 bits")],
+    ids=["2e4", "1e9", "1e5000"],
+)
+def test_a_dimension_far_above_the_cap_is_refused_at_once(n, shown):
+    # The message names the cap's own edge count: Q_n's would be an n-bit
+    # integer, and Python refuses to print one past 4300 digits.
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceededError, match=f"^dimension {shown} exceeds cap 24 "):
+            check_dimension(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_embed_identity_and_placement():

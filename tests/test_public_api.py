@@ -124,6 +124,27 @@ def test_broadcast_defines_only_its_public_names():
     assert public_names(cubetrees.broadcast) == BROADCAST_PUBLIC
 
 
+def test_every_private_name_is_loaded_in_the_package():
+    # A module-level private function, class or constant that no module of
+    # the package reads is dead code, whatever the tests still call.
+    trees = [ast.parse(path.read_text()) for path in Path(cubetrees.__file__).parent.glob("*.py")]
+    loaded = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            loaded.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            loaded.add(node.attr)
+    private = set()
+    for node in (node for tree in trees for node in tree.body):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            private.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            private.update(t.id for t in targets if isinstance(t, ast.Name))
+    private = {name for name in private if name.startswith("_") and not name.endswith("__")}
+    assert private and sorted(private - loaded) == []
+
+
 def test_import_loads_no_executor_or_ctypes_of_its_own():
     # numpy may load ctypes itself; the package must add neither module.
     code = (

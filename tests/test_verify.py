@@ -369,34 +369,10 @@ def test_single_mutations_match_union_find_reference_in_groups(size, data):
         assert not assert_same_report(dec).overall
 
 
-def hooked_over_touched_vertices(mp, n):
-    """Make verify check Q_n's labels one per group, each hooked over the
-    ranks of its touched vertices alone, however many edges it has."""
-    labels_per_group(mp, n, 1)
-    mp.setattr(cubetrees.verify, "_FEW_EDGES", 0)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
-def test_random_labels_match_union_find_reference_over_touched_vertices(n, seed, skew):
-    with pytest.MonkeyPatch.context() as mp:
-        hooked_over_touched_vertices(mp, n)
-        assert_same_report(random_labels(n, seed, skew))
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.data())
-def test_single_mutations_match_union_find_reference_over_touched_vertices(data):
-    dec = single_mutation(data)
-    with pytest.MonkeyPatch.context() as mp:
-        hooked_over_touched_vertices(mp, dec.n)
-        assert not assert_same_report(dec).overall
-
-
 @pytest.mark.parametrize("n", [15, 16, 17])
-def test_only_a_few_edge_leftover_is_hooked_over_its_touched_vertices(monkeypatch, n):
-    # the even leftover's k edges touch 2k vertices; the odd leftover
-    # (2^(n-1) + k edges) and every tree are hooked over all 2^n
+def test_an_even_leftover_alone_is_counted_not_hooked(monkeypatch, n):
+    # the even leftover's k edges are never hooked; the odd leftover
+    # (2^(n-1) + k edges) and every tree are hooked over all 2^n vertices
     spaces, roots = [], cubetrees.verify._roots
 
     def recorded(lower, upper, vertices):
@@ -407,7 +383,7 @@ def test_only_a_few_edge_leftover_is_hooked_over_its_touched_vertices(monkeypatc
     monkeypatch.setattr(cubetrees.verify, "_usable_cpus", lambda: 1)
     assert assert_same_report(construct(n)).overall
     k = n // 2
-    assert spaces == [2 * k if n % 2 == 0 else 1 << n] + [1 << n] * k
+    assert spaces == [1 << n] * (k + 1 if n % 2 else k)
 
 
 def test_group_plan():

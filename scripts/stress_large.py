@@ -4,9 +4,12 @@ broadcast depths from root 0 at desk scale (n = 20 is ~10.5M edges).
 
 Besides the peak RSS it prints the minor page faults taken during
 verification (the ru_minflt delta), which count how much fresh memory the
-verifier's temporaries touch."""
+verifier's temporaries touch.  The last line repeats the figures as one JSON
+object: n, construct_s, verify_s, broadcast_s, peak_rss_mb and
+verify_minflt."""
 
 import argparse
+import json
 import resource
 import time
 
@@ -36,6 +39,15 @@ def main() -> None:
     print(f"verify:    {done - built:.2f}s ({'PASS' if report.overall else 'FAIL'})")
     print(f"broadcast: {searched - done:.2f}s (depths from root 0: {depths})")
     print(f"peak RSS:  {peak_mb:.0f} MB, verify minor page faults: {faults}")
+    result = {
+        "n": dec.n,
+        "construct_s": built - start,
+        "verify_s": done - built,
+        "broadcast_s": searched - done,
+        "peak_rss_mb": peak_mb,
+        "verify_minflt": faults,
+    }
+    print(json.dumps(result))
 
 
 if __name__ == "__main__":

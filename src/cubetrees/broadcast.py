@@ -28,18 +28,14 @@ from .construct import Decomposition
 from .hypercube import _stacks, bit_planes, check_integer, num_vertices, plane_masks
 from .walk import _search
 
-def _check_root(dec: Decomposition, root: int) -> int:
-    root = check_integer("root", root, 0)
-    if root >= num_vertices(dec.n):
-        raise ValueError(f"root {root} out of range for n={dec.n}")
-    return root
-
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
     """Eccentricity of root within each tree: one walk that never steps back
     per group of trees, and when a group's walk meets a cycle, one marked
     search of that group (_search)."""
-    root = _check_root(dec, root)
+    root = check_integer("root", root, 0)
+    if root >= num_vertices(dec.n):
+        raise ValueError(f"root {root} out of range for n={dec.n}")
     planes, depths = bit_planes(dec.labels, dec.n), []
     for trees in _stacks(range(1, dec.k + 1), planes):
         marks = plane_masks(planes, trees, dec.n).reshape(-1)
@@ -77,17 +73,17 @@ def broadcast_metrics(
     dec: Decomposition, root: int, parts: int = 1, hop_cost: float = 1.0
 ) -> BroadcastMetrics:
     """Per-tree depths from root, link load, and the pipelined completion
-    time hop_cost * max over trees of (depth + parts - 1)."""
+    time hop_cost * max over trees of (depth + parts - 1).  tree_depths
+    checks root."""
     if dec.k == 0:
         raise ValueError("broadcast model undefined with zero trees (n = 1)")
-    root = _check_root(dec, root)
     parts = check_integer("parts", parts, 1)
     real = isinstance(hop_cost, numbers.Real) and not isinstance(hop_cost, bool)
     if not (real and 0 < hop_cost < math.inf):
         raise ValueError(f"hop_cost must be finite and > 0, got {hop_cost!r}")
     depths = tuple(tree_depths(dec, root))
     return BroadcastMetrics(
-        root=root,
+        root=int(root),
         depths=depths,
         max_link_load=link_load(dec),
         total_time_model=hop_cost * (max(depths) + parts - 1),

@@ -28,8 +28,8 @@ import numpy as np
 
 # The largest n that construct + verify has been run at: n = 24 is ~201M
 # one-byte edge labels, verified in under a minute and 2 GB (a slow test
-# holds it there; verify alone took 5.9-6.5 s and 754-765 MB of peak RSS
-# on two CPUs, in fresh processes).
+# holds it there; verify alone took 5.0-7.6 s and 701-705 MB of peak RSS
+# on two CPUs, in five fresh scripts/stress_large.py -n 24 runs).
 DIMENSION_CAP = 24
 
 

@@ -1,13 +1,16 @@
 """Level searches over per-vertex edge masks (hypercube.plane_masks).
 
 Every search shares one level step (_level).  A frontier entry is a mask
-index plus, above it, the mask bit it was reached by; each of its other
-mask bits gives one entry of the next level.  A wide level goes to numpy in
-a few dozen whole-array calls, a narrow one to an interpreter loop, so a
-deep, thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex) does
-not pay numpy's fixed cost per call at every level.  A search covers a
-group of trees stacked in one flat array, tree t's masks at offset t * 2^n,
-so an entry of tree t is t << n | vertex and one step expands the group.
+index and the mask bit it was reached by; each of its other mask bits gives
+one entry of the next level.  A narrow level is a list of Python ints, the
+came-by bit shifted above the index, for an interpreter loop, so a deep,
+thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex) does not
+pay numpy's fixed cost per call at every level.  A wide level is a pair of
+arrays, uint32 indices and came-by bits in the masks' dtype, for a few
+dozen whole-array calls.  A search covers a group of trees stacked in one
+flat array, tree t's masks at offset t * 2^n, so an entry of tree t has
+index t << n | vertex (below 2^24 under the dimension cap) and one step
+expands the group.
 
 Without a visit array the search (_search) is a walk: in a tree every step
 leads to a new vertex, and a tree's depth is the last level holding one of
@@ -43,8 +46,8 @@ def _search(
     last trees searched did not reach.
 
     marks stacks the group's masks, tree t's at offset t * 2^n, and every
-    tree's search starts at source.  So an entry is t << n | vertex, with its
-    came-by bit shifted above the tree number.
+    tree's search starts at source.  So an entry's index is t << n | vertex;
+    a packed entry shifts its came-by bit above the tree number.
 
     Without order the search is a walk that never steps back.  It returns
     None once a level holds more entries than the trees still walking can
@@ -72,13 +75,16 @@ def _search(
             return None
         if order is not None:
             reached = _first_visits(reached, order, seen, shift)
-        if not len(reached):
+        wide = isinstance(reached, tuple)
+        size = reached[0].size if wide else len(reached)
+        if not size:
             for t in alive:
                 depths[t] = depth
             return depths, left
-        left -= len(reached)
+        left -= size
         if len(alive) > 1:
-            counts = np.bincount(np.asarray(reached) >> n & tree, minlength=group).tolist()
+            trees = reached[0] >> n if wide else np.asarray(reached) >> n & tree
+            counts = np.bincount(trees, minlength=group).tolist()
             for t in alive:
                 reach[t] += counts[t]
                 if not counts[t]:
@@ -89,17 +95,21 @@ def _search(
 
 
 def _level(
-    marks: np.ndarray, mask: memoryview, shift: int, frontier: list[int] | np.ndarray, limit: float
-) -> list[int] | np.ndarray | None:
+    marks: np.ndarray, mask: memoryview, shift: int, frontier: list[int] | tuple, limit: float
+) -> list[int] | tuple | None:
     """The entries one level past frontier, or None once they number more
-    than limit.  An entry is a mask index plus, shifted left by shift, the
-    mask bit it was reached by; each of its other mask bits gives one next
-    entry.  mask is memoryview(marks), made once per search for the narrow
-    loop."""
-    if len(frontier) >= _WIDE_LEVEL:
-        reached = _wide_walk_level(marks, shift, frontier, limit)
-        return reached if reached is None or reached.size >= _WIDE_LEVEL else reached.tolist()
+    than limit.  A packed entry is a mask index plus, shifted left by shift,
+    the mask bit it was reached by; each of its other mask bits gives one
+    next entry.  A level changes form only when it crosses _WIDE_LEVEL.
+    mask is memoryview(marks), made once per search for the narrow loop."""
     full = (1 << shift) - 1
+    if isinstance(frontier, list) and len(frontier) >= _WIDE_LEVEL:
+        x = np.asarray(frontier)
+        frontier = (x & full).astype(np.uint32), (x >> shift).astype(marks.dtype)
+    elif isinstance(frontier, tuple) and frontier[0].size < _WIDE_LEVEL:
+        frontier = (frontier[1].astype(np.int64) << shift | frontier[0]).tolist()
+    if isinstance(frontier, tuple):
+        return _wide_walk_level(marks, *frontier, limit)
     reached = []
     for entry in frontier:
         x = entry & full
@@ -112,41 +122,39 @@ def _level(
 
 
 def _wide_walk_level(
-    marks: np.ndarray, shift: int, frontier: list[int] | np.ndarray, left: float
-) -> np.ndarray | None:
-    """_level for a wide frontier: the lowest remaining bit of every frontier
-    mask is peeled once per pass, and the level is dropped as soon as it holds
-    more than left entries."""
-    x = np.asarray(frontier)
-    v = x & ((1 << shift) - 1)
-    bits = marks[v] ^ (x >> shift)
-    found, size = [], 0
+    marks: np.ndarray, index: np.ndarray, came: np.ndarray, left: float
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """_level for a wide frontier of uint32 indices and their came-by bits:
+    the lowest remaining bit of every frontier mask is peeled once per pass,
+    and the level is dropped as soon as it holds more than left entries."""
+    bits = marks.take(index) ^ came  # faster than marks[index] for a uint32 index
+    indices, cames, size = [], [], 0
     while True:
         keep = bits != 0
-        v, bits = v[keep], bits[keep]
-        size += v.size
+        index, bits = index[keep], bits[keep]
+        size += index.size
         if size > left:
             return None
-        if not v.size:
+        if not index.size:
             break
         low = bits & -bits
-        found.append(v ^ low | low << shift)
+        indices.append(index ^ low)
+        cames.append(low)
         bits ^= low
-    return np.concatenate(found) if found else v
+    return (np.concatenate(indices), np.concatenate(cames)) if indices else (index, bits)
 
 
 def _first_visits(
-    reached: list[int] | np.ndarray, order: np.ndarray, seen: memoryview, shift: int
-) -> list[int] | np.ndarray:
-    """The entries of reached whose mask index (the bits below shift, so
-    t << n | vertex in a group) order does not mark yet, one per index, now
-    marked.
+    reached: list[int] | tuple, order: np.ndarray, seen: memoryview, shift: int
+) -> list[int] | tuple:
+    """The entries of reached whose mask index (t << n | vertex in a group)
+    order does not mark yet, one per index, now marked.
 
-    A list is checked and marked entry by entry through seen, which is
-    memoryview(order), made once per search.  An array is kept without a
-    sort: every entry writes its 1-based position to order[index], which
-    marks the index, and only the entry whose position order still holds
-    survives.
+    A list of packed entries, the index the bits below shift, is checked and
+    marked entry by entry through seen, which is memoryview(order), made
+    once per search.  An (index, came) pair is kept without a sort: every
+    entry writes its 1-based position to order[index], which marks the
+    index, and only the entry whose position order still holds survives.
     """
     full = (1 << shift) - 1
     if isinstance(reached, list):
@@ -156,9 +164,10 @@ def _first_visits(
                 seen[entry & full] = 1
                 first.append(entry)
         return first
-    reached = reached[order[reached & full] == 0]
-    y = reached & full
-    place = np.arange(1, y.size + 1, dtype=np.int32)
-    order[y] = place
-    first = reached[order[y] == place]
-    return first if first.size >= _WIDE_LEVEL else first.tolist()
+    index, came = reached
+    keep = order[index] == 0
+    index, came = index[keep], came[keep]
+    place = np.arange(1, index.size + 1, dtype=np.int32)
+    order[index] = place
+    keep = order[index] == place
+    return index[keep], came[keep]

@@ -1,6 +1,7 @@
 import json
-import operator
+import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -270,33 +271,58 @@ def test_single_mutations_match_dict_bfs_reference_in_groups(group, data):
         assert_depths_match_reference(dec, data)
 
 
+def pairs(level, shift):
+    """(index, came-by bit) of every entry of a level: a list of packed ints,
+    the came-by bit above shift, or an (index, came) pair of arrays."""
+    if isinstance(level, list):
+        return [(entry & ((1 << shift) - 1), entry >> shift) for entry in level]
+    index, came = level
+    return list(zip(index.tolist(), came.tolist()))
+
+
+def as_arrays(entries, dtype):
+    """A wide level of (index, came-by bit) entries: uint32 indices and
+    came-by bits in dtype."""
+    index = np.array([index for index, _ in entries], dtype=np.uint32)
+    return index, np.array([came for _, came in entries], dtype=dtype)
+
+
+def loop_level(marks, shift, level):
+    """The next level's (index, came-by bit) pairs, from the interpreter loop."""
+    packed = [index | came << shift for index, came in pairs(level, shift)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubetrees.walk, "_WIDE_LEVEL", math.inf)
+        reached = cubetrees.walk._level(marks, memoryview(marks), shift, packed, math.inf)
+    return pairs(reached, shift)
+
+
 def wide_levels(mp, width):
     """Expand every level of at least width entries with numpy, and check
     each step.  The first-visit filter returns only new vertices, each once,
     now marked, and marks no other vertex.  A walk step returns the entries
-    the interpreter loop would, or None only past its limit."""
+    the interpreter loop would, as uint32 indices and came-by bits in the
+    masks' dtype, or None only past its limit."""
     first, walk = cubetrees.walk._first_visits, cubetrees.walk._wide_walk_level
 
     def checked(reached, order, seen, shift):
         before = order.copy()
         kept = first(reached, order, seen, shift)
-        y = np.asarray(kept, dtype=np.int64) & ((1 << shift) - 1)
+        assert isinstance(kept, list) or kept[0].dtype == np.uint32
+        y = np.array([index for index, _ in pairs(kept, shift)], dtype=np.int64)
         assert np.unique(y).size == y.size
         assert not before[y].any() and order[y].all()
         assert np.count_nonzero(order) - np.count_nonzero(before) == y.size
         return kept
 
-    def walked(marks, shift, frontier, left):
-        reached = walk(marks, shift, frontier, left)
-        want = []
-        for entry in np.asarray(frontier).tolist():
-            x = entry & ((1 << shift) - 1)
-            rest = int(marks[x]) ^ (entry >> shift)
-            want += [x ^ 1 << d | 1 << d << shift for d in range(shift) if rest >> d & 1]
+    def walked(marks, index, came, left):
+        reached = walk(marks, index, came, left)
+        shift = 32  # above every index; only the pairs are compared
+        want = loop_level(marks, shift, (index, came))
         if reached is None:
             assert len(want) > left
         else:
-            assert sorted(reached.tolist()) == sorted(want)
+            assert reached[0].dtype == np.uint32 and reached[1].dtype == marks.dtype
+            assert sorted(pairs(reached, shift)) == sorted(want)
         return reached
 
     mp.setattr(cubetrees.walk, "_WIDE_LEVEL", width)
@@ -305,26 +331,53 @@ def wide_levels(mp, width):
 
 
 @settings(max_examples=200, deadline=None)
+@given(st.sampled_from([np.uint8, np.uint16, np.uint32]), st.integers(1, 4), st.data())
+def test_wide_walk_level_matches_the_loop(dtype, group, data):
+    # A wide level of a group of up to four trees, over random masks of each
+    # dtype: the same entries as the interpreter loop, indices kept uint32
+    # and came-by bits in the masks' dtype, and None only past the limit.
+    n = data.draw(st.integers(1, min(np.iinfo(dtype).bits, 10)))
+    shift = n + (group - 1).bit_length()
+    size = group << n
+    masks = st.lists(st.integers(0, (1 << n) - 1), min_size=size, max_size=size)
+    marks = np.array(data.draw(masks), dtype=dtype)
+    index = st.integers(0, size - 1)
+    came = st.sampled_from([0] + [1 << d for d in range(n)])
+    frontier = data.draw(st.lists(st.tuples(index, came), max_size=200))
+    index, came = as_arrays(frontier, dtype)
+    want = loop_level(marks, shift, (index, came))
+    left = data.draw(st.one_of(st.integers(0, len(want) + 2), st.just(math.inf)))
+    reached = cubetrees.walk._wide_walk_level(marks, index, came, left)
+    if reached is None:
+        assert len(want) > left
+    else:
+        assert len(want) <= left
+        assert reached[0].dtype == np.uint32 and reached[1].dtype == dtype
+        assert sorted(pairs(reached, shift)) == sorted(want)
+
+
+@settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10), st.integers(1, 4), st.booleans(), st.data())
 def test_first_visits_keep_one_entry_per_unmarked_vertex(n, group, as_array, data):
-    # An entry of tree t in a group is t << n | vertex, its came-by bit above
-    # shift; one visit array covers the group.
+    # An entry of tree t in a group has index t << n | vertex; packed, its
+    # came-by bit sits above shift.  One visit array covers the group.
     shift = n + (group - 1).bit_length()
     tree, vertex = st.integers(0, group - 1), st.integers(0, (1 << n) - 1)
     index = st.builds(lambda t, v: t << n | v, tree, vertex)
-    came_by = st.sampled_from([0] + [1 << d << shift for d in range(n)])
-    entries = data.draw(st.lists(st.builds(operator.or_, index, came_by), max_size=300))
+    came_by = st.sampled_from([0] + [1 << d for d in range(n)])
+    entries = data.draw(st.lists(st.tuples(index, came_by), max_size=300))
     entries += data.draw(st.lists(st.sampled_from(entries), max_size=50)) if entries else []
     marked = data.draw(st.sets(index))
     order = np.zeros(group << n, dtype=np.int32)
     order[sorted(marked)] = data.draw(st.integers(1, 2**31 - 1))
-    reached = np.array(entries, dtype=np.int64) if as_array else list(entries)
-    kept = cubetrees.walk._first_visits(reached, order, memoryview(order), shift)
-    kept = np.asarray(kept, dtype=np.int64)
-    indices = (kept & ((1 << shift) - 1)).tolist()
-    new = {entry & ((1 << shift) - 1) for entry in entries} - marked
-    assert sorted(indices) == sorted(new)  # each unmarked (tree, vertex) exactly once
-    assert not Counter(kept.tolist()) - Counter(entries)  # as one of its entries
+    if as_array:
+        reached = as_arrays(entries, np.min_scalar_type((1 << n) - 1))
+    else:
+        reached = [i | c << shift for i, c in entries]
+    kept = pairs(cubetrees.walk._first_visits(reached, order, memoryview(order), shift), shift)
+    new = {i for i, _ in entries} - marked
+    assert sorted(i for i, _ in kept) == sorted(new)  # each unmarked (tree, vertex) exactly once
+    assert not Counter(kept) - Counter(entries)  # as one of its entries
     assert set(np.flatnonzero(order).tolist()) == marked | new
 
 
@@ -388,11 +441,12 @@ def test_broadcast_time_model():
 
 
 def test_broadcast_time_errors(monkeypatch):
-    def no_search(dec, root):
-        raise AssertionError("tree_depths ran before the arguments were checked")
+    def no_search(labels, n):
+        raise AssertionError("a tree was searched before the arguments were checked")
 
-    # bad arguments are rejected before any tree is searched
-    monkeypatch.setattr(cubetrees.broadcast, "tree_depths", no_search)
+    # bad arguments are rejected before any tree is searched: the root by
+    # tree_depths, before it builds the bit planes of the masks
+    monkeypatch.setattr(cubetrees.broadcast, "bit_planes", no_search)
     with pytest.raises(ValueError, match="zero trees"):
         broadcast_metrics(construct(1), 0)  # zero trees: model undefined
     for parts in (0, -3, 1.5, 2.0, True, np.bool_(True), np.float64(2.0)):
@@ -406,6 +460,32 @@ def test_broadcast_time_errors(monkeypatch):
     for hop_cost in (0, -2.0, float("nan"), float("inf"), "2", None, True, np.bool_(True)):
         with pytest.raises(ValueError, match="hop_cost"):
             broadcast_metrics(construct(4), 0, hop_cost=hop_cost)
+
+
+def test_metrics_check_the_root_once(monkeypatch):
+    # broadcast_metrics leaves the root to tree_depths: one check per call,
+    # with the messages tree_depths gives
+    checked, check = [], cubetrees.broadcast.check_integer
+
+    def counted(name, value, least):
+        checked.append(name)
+        return check(name, value, least)
+
+    monkeypatch.setattr(cubetrees.broadcast, "check_integer", counted)
+    for root, message in [
+        (-1, "root must be >= 0, got -1"),
+        (16, "root 16 out of range for n=4"),
+        (True, "root must be an integer, got True"),
+    ]:
+        checked.clear()
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            broadcast_metrics(construct(4), root)
+        assert checked.count("root") == 1
+    checked.clear()
+    metrics = broadcast_metrics(construct(4), np.int64(15))
+    assert checked.count("root") == 1
+    assert type(metrics.root) is int and metrics.root == 15
+    assert metrics.depths == tuple(tree_depths(construct(4), 15))
 
 
 def test_metrics_bundle():

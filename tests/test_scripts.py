@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import subprocess
@@ -29,3 +30,9 @@ def test_scripts_run_and_pass():
             assert re.search(
                 r"^peak RSS: +\d+ MB, verify minor page faults: \d+$", proc.stdout, re.M
             ), proc.stdout
+            result = json.loads(proc.stdout.splitlines()[-1])
+            keys = ["n", "construct_s", "verify_s", "broadcast_s", "peak_rss_mb", "verify_minflt"]
+            assert list(result) == keys, result
+            assert result["n"] == int(args[-1])
+            assert isinstance(result["verify_minflt"], int) and result["verify_minflt"] >= 0
+            assert all(result[key] >= 0 for key in keys[1:4]) and result["peak_rss_mb"] > 0

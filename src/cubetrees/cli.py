@@ -9,7 +9,8 @@ Exit codes are stable per failure class so scripts can branch on them:
     4  size cap exceeded (cube dimension or oracle vertex caps), or out of
        memory (a MemoryError ends the command with an error line, not a
        traceback)
-    5  verification failed (file parsed fine but a structural check failed)
+    5  verification failed (file parsed fine but a structural check failed,
+       or a broadcast tree does not reach every vertex)
 
 The argument parser is built by the first `main` call and reused by every
 later one in the process, so an in-process caller pays for it once.
@@ -169,7 +170,7 @@ def cmd_broadcast(args: argparse.Namespace) -> int:
     metrics = broadcast_metrics(dec, args.root, parts=args.parts, hop_cost=args.hop_cost)
     print(f"Q_{dec.n}, k={dec.k}, parts={args.parts}, hop cost={args.hop_cost}")
     print(metrics.to_text())
-    return EXIT_OK
+    return EXIT_OK if metrics.ok else EXIT_VERIFY
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -17,9 +17,8 @@ label arrays and file formats throughout the package.
 An edge set can also be held per vertex: bit d of mask[x] marks the edge
 x -- x ^ 1<<d, in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.
 bit_planes builds one per label bit, plane_masks those of label values from
-them.  The searches of walk.py go through these masks: broadcast walks
-groups of trees, and on large cubes the verifier walks each tree label.
-The verifier's hooking reads edge ends from the dimension blocks instead.
+them.  The searches of walk.py go through these masks: broadcast and the
+verifier walk groups of trees.
 """
 
 from __future__ import annotations

@@ -6,28 +6,27 @@ edges along d by their lower end with bit d squeezed out, so each edge set
 becomes a (lower, upper) pair of uint32 vertex arrays, read block by block.
 Connected components come from min-label hooking with pointer jumping over
 those edges, whose round count does not grow with the depth of a tree.  One
-routine, _check_labels, reduces every label's edge set, the leftover's
-included, to three integers: its edges, the vertices they touch and the
-components among those vertices.  Every reported property is an integer
-identity on them.  An even leftover checked alone is only counted: its
-report is a matching test, which needs no components.  Nothing is imported
-from the construction code, so a verified decomposition is certified by a
-second, unrelated route.
+routine, _check_labels, reduces a label's edge set to three integers: its
+edges, the vertices they touch and the components among those vertices.
+Every reported property is an integer identity on them.  Nothing is
+imported from the construction code, so a verified decomposition is
+certified by a second, unrelated route.
 
-From _WALK_MIN_DIMENSION up a tree label is first walked from vertex 0
-(walk.py) over a mask from the labels' bit planes, which the threads below
-build once per call first.  A walk that reaches all 2^n vertices certifies
-a spanning tree, (2^n - 1, 2^n, 1), without hooking; every other tree
-label is hooked, so every failing tree report still comes from _check_labels.
+Most labels are not hooked.  The tree labels are walked from vertex 0
+(walk.py) over masks from the labels' bit planes, in the groups that
+broadcast walks (_stacks).  A tree the walk settles with all 2^n vertices
+reached is a spanning tree, (2^n - 1, 2^n, connected), and one it settles
+short of them is not connected, so only its edges and touched vertices are
+counted.  Only a tree the walk cuts (a cycle) and the odd leftover are
+hooked.  The even leftover is only counted: its report is a matching test,
+which needs no components.
 
-Labels are checked in groups of consecutive labels (_groups), each label
-with a vertex space of its own, so one pass over small arrays serves a
-whole group; from 2^15 vertices up a group is one label.  The groups are
-independent of each other.  On a cube of at least 2^16 vertices with two or
-more usable CPUs and two or more groups, a helper thread checks the first
-group and every second one after it while the calling thread checks the
-others; afterwards the freed heap is handed back to the OS (glibc's
-malloc_trim).
+The planes are built once per call.  The leftover's check and each group's
+walk are independent tasks, the leftover's first.  On a cube of at least
+2^17 vertices with two or more usable CPUs and two or more walks, a helper
+thread fills half the planes, then runs the first task and every second one
+after it while the calling thread runs the others; afterwards the freed
+heap is handed back to the OS (glibc's malloc_trim).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .hypercube import MalformedEdgeError, bit_planes, edge_endpoints, num_edges, num_vertices, plane_masks
+from .hypercube import MalformedEdgeError, _stacks, bit_planes, edge_endpoints, num_edges, num_vertices, plane_masks
 from .walk import _search
 
 if TYPE_CHECKING:  # annotation only; the checker never calls into construct
@@ -69,28 +68,19 @@ def _id_labels(ids: np.ndarray, n: int) -> np.ndarray:
     return chosen
 
 
-def _edge_ends(labels: np.ndarray, first: int, count: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(lower, upper) uint32 ends of every edge labelled first .. first + count - 1.
+def _edge_ends(labels: np.ndarray, label: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lower, upper) uint32 ends of every edge labelled label.
 
     Dimension block d of the edge-id layout lists the lower ends of the
     edges along d with bit d squeezed out, so a block's picked offsets
     become lower ends once a clear bit d is inserted, and upper ends once
-    it is then set.  Label first + t has a vertex space of its own: its
-    vertex v becomes t << n | v.
+    it is then set.
     """
     half = 1 << (n - 1)
     lowers, bounds = [], [0]
     for d in range(n):
-        block = labels[d * half : (d + 1) * half]
-        if count == 1:
-            s = np.flatnonzero(block == first).astype(np.uint32)
-        else:  # uint8 arithmetic wraps a label below first past count
-            space = block - np.uint8(first)
-            s = np.flatnonzero(space < count).astype(np.uint32)
-            space = space[s].astype(np.uint32) << n
+        s = np.flatnonzero(labels[d * half : (d + 1) * half] == label).astype(np.uint32)
         s += (s >> d) << d  # insert a clear bit d
-        if count > 1:
-            s |= space
         lowers.append(s)
         bounds.append(bounds[-1] + s.size)
     lower = np.concatenate(lowers)
@@ -150,38 +140,24 @@ def _roots(lower: np.ndarray, upper: np.ndarray, vertices: int) -> np.ndarray:
     return root == np.arange(vertices, dtype=np.uint32)
 
 
-def _per_space(flags: np.ndarray, count: int) -> np.ndarray:
-    """The number of set flags in each of count equal vertex spaces."""
-    return np.array([np.count_nonzero(space) for space in flags.reshape(count, -1)])
-
-
-def _check_labels(labels: np.ndarray, first: int, count: int, n: int) -> list[tuple[int, int, int]]:
-    """(edges, touched vertices, components among those vertices) of each
-    label first .. first + count - 1.
+def _check_labels(labels: np.ndarray, label: int, n: int) -> tuple[int, int, int]:
+    """(edges, touched vertices, components among those vertices) of label.
 
     Each untouched vertex is a component of its own, so it is taken off the
     component count of all 2^n vertices.  One component over all of them
     (at least two, as n >= 1) leaves no vertex untouched, so only the edge
-    ends of a split label set are marked to count the touched vertices.
+    ends of a split label are marked to count the touched vertices.
     """
     vertices = num_vertices(n)
-    lower, upper = _edge_ends(labels, first, count, n)
-    components = _per_space(_roots(lower, upper, count << n), count)
-    if count == 1:
-        edges = [lower.size]
-    else:  # np.bincount(lower >> n) would copy the ids to intp first
-        edges = [np.count_nonzero(labels == j) for j in range(first, first + count)]
-    touched = np.full(count, vertices)
-    split = components > 1
-    if split.any():
-        if not split.all():  # a group of labels, only some of them split
-            keep = np.isin(lower >> n, np.flatnonzero(split))
-            lower, upper = lower[keep], upper[keep]
-        hit = np.zeros(count << n, dtype=bool)
+    lower, upper = _edge_ends(labels, label, n)
+    components = int(np.count_nonzero(_roots(lower, upper, vertices)))
+    touched = vertices
+    if components > 1:
+        hit = np.zeros(vertices, dtype=bool)
         hit[lower] = True
         hit[upper] = True
-        touched[split] = _per_space(hit, count)[split]
-    return [(int(e), int(t), int(c - vertices + t)) for e, t, c in zip(edges, touched, components)]
+        touched = int(np.count_nonzero(hit))
+    return lower.size, touched, components - vertices + touched
 
 
 def is_matching(edge_ids: Iterable[int] | np.ndarray, n: int) -> bool:
@@ -202,7 +178,7 @@ def forest_components(edge_ids: Iterable[int] | np.ndarray, n: int) -> tuple[boo
     counts as a cycle.
     """
     ids = _as_id_array(edge_ids, n)
-    [(_, touched, components)] = _check_labels(_id_labels(ids, n), 1, 1, n)
+    _, touched, components = _check_labels(_id_labels(ids, n), 1, n)
     return ids.size == touched - components, components
 
 
@@ -283,51 +259,43 @@ def _mark(ok: bool) -> str:
 
 
 # Cubes below this many vertices were measured no faster on two threads:
-# verify(construct(n)) one thread against two, median of 30 interleaved
-# calls (2-CPU shared VM), n = 13 took 3.0/4.0 ms, n = 14 5.5/6.7 ms, n = 15
-# 10.5/11.3 ms, n = 16 25.7/19.1 ms and n = 17 51/35 ms.
-_THREAD_MIN_VERTICES = 1 << 16
-
-# Labels are checked in groups whose vertex spaces hold at most this many
-# vertices together (one label at least): all k + 1 labels up to n = 12,
-# four at n = 13, two at n = 14, one from n = 15 up.  Measured as the median
-# of verify on construct(n) plus verify on a one-label mutation of it, 60
-# interleaved runs of every group size on one thread (2-CPU shared VM): n = 12
-# with 1/2/4/7 labels took 4.0/3.6/2.8/2.7 ms, n = 13 with 1/2/4/7 took
-# 5.9/5.8/4.8/4.9 ms, n = 14 with 1/2/4/8 took 9.5/9.5/8.8/9.9 ms and n = 15
-# with 1/2/4/8 took 16.4/18.0/18.1/22.3 ms.
-_GROUP_VERTICES = 1 << 15
+# verify one thread against two, medians of 15-41 interleaved calls (2-CPU
+# shared VM), on construct(n) and on it with one tree-1 edge moved to tree 2.
+# n = 16 took 11.8-15.0/13.7-16.2 ms clean and 14.6-18.6/16.0-17.5 ms moved,
+# n = 17 26.8-32.6/27.7-32.0 and 34.3-45.9/31.3-35.9 ms, n = 19 106/75 and
+# 151/106 ms.  Below 2^16 vertices a cube's trees are one walk anyway.
+_THREAD_MIN_VERTICES = 1 << 17
 
 
-def _groups(n: int) -> list[tuple[int, int]]:
-    """(first label, label count) of each group of labels 0..k, in label order."""
-    k = n // 2
-    size = max(1, min(k + 1, _GROUP_VERTICES >> n))
-    return [(first, min(size, k + 1 - first)) for first in range(0, k + 1, size)]
+def _check_leftover(labels: np.ndarray, n: int) -> tuple[int, int, int | None]:
+    """_check_labels of label 0, except that at even n it is only counted:
+    a matching iff its edges touch twice as many vertices, so it needs no
+    components."""
+    if n % 2:
+        return _check_labels(labels, 0, n)
+    lower, upper = _edge_ends(labels, 0, n)
+    return lower.size, np.unique(np.concatenate([lower, upper])).size, None
 
 
-# Tree labels are walked before they are hooked from this dimension up.
-# Measured as the median of 15 interleaved calls of verify on construct(n)
-# and on it with one edge of tree 1 moved to tree 2, hooking every label
-# against walking first over plane masks (two threads, 2-CPU shared VM):
-# n = 17 took 35/35 against 41/46 ms, n = 18 70-72/72-74 against 63-66/79-85
-# ms (the walk loses on the moved edge), n = 19 135/139 against 110/142 ms.
-_WALK_MIN_DIMENSION = 19
-
-
-def _check_group(labels: np.ndarray, first: int, count: int, n: int, planes) -> list[tuple]:
-    """_check_labels, except that two lone labels are not hooked: the even
-    leftover, a matching iff its edges touch twice as many vertices, is only
-    counted (no components), and given the labels' bit planes (or None), a
-    tree label is not hooked once its walk certifies it a spanning tree."""
-    if count == 1 and not first and n % 2 == 0:
-        lower, upper = _edge_ends(labels, 0, 1, n)
-        return [(lower.size, np.unique(np.concatenate([lower, upper])).size, None)]
-    if count == 1 and first and planes is not None:
-        found = _search(plane_masks(planes, [first], n).reshape(-1), n, 0)
-        if found is not None and not found[1]:
-            return [(num_vertices(n) - 1, num_vertices(n), 1)]
-    return _check_labels(labels, first, count, n)
+def _check_trees(labels: np.ndarray, planes: np.ndarray, trees, n: int) -> list[TreeCheck]:
+    """The checks of a group of tree labels, from one walk of the group from
+    vertex 0 over the labels' bit planes (_search).  A tree the walk reaches
+    whole is a spanning tree; one it reaches in part is not connected, and
+    only counted; one it cuts is hooked (_check_labels)."""
+    vertices = num_vertices(n)
+    masks = plane_masks(planes, trees, n)
+    depths, reach = _search(masks.reshape(-1), n, 0)
+    checks = []
+    for label, mask, depth, count in zip(trees, masks, depths, reach):
+        if depth is None:
+            edges, touched, components = _check_labels(labels, label, n)
+            connected = touched == vertices and components == 1
+        elif count == vertices - 1:
+            edges, touched, connected = vertices - 1, vertices, True
+        else:  # settled short of 2^n vertices
+            edges, touched, connected = int(np.count_nonzero(labels == label)), int(np.count_nonzero(mask)), False
+        checks.append(TreeCheck(label, edges, edges == vertices - 1, connected, touched == vertices))
+    return checks
 
 
 def _usable_cpus() -> int:
@@ -388,26 +356,19 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             f"label {int(labels.max())} exceeds tree count k={k}"
         )
 
-    vertices, groups, planes = num_vertices(n), _groups(n), None
-    threads = len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
+    # every label is below 2^k.bit_length(); the leftover's task goes first
+    vertices = num_vertices(n)
+    planes = np.empty((k.bit_length(), vertices), np.min_scalar_type(vertices - 1))
+    stacks = _stacks(range(1, k + 1), planes)
+    threads = len(stacks) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
     run = _on_two_threads if threads else lambda tasks: [task() for task in tasks]
-    if n >= _WALK_MIN_DIMENSION:  # every label is below 2^k.bit_length()
-        planes = np.empty((k.bit_length(), vertices), np.min_scalar_type(vertices - 1))
-        run([partial(bit_planes, labels, n, planes, slice(b, None, 2)) for b in (0, 1)])
-    by_group = run([partial(_check_group, labels, *group, n, planes) for group in groups])
-    checks = [check for group in by_group for check in group]
-
-    trees = tuple(
-        TreeCheck(
-            label=j,
-            edge_count=edges,
-            size_ok=edges == vertices - 1,
-            connected=touched == vertices and components == 1,
-            incident_to_all=touched == vertices,
-        )
-        for j, (edges, touched, components) in enumerate(checks[1:], 1)
-    )
-    edges, touched, components = checks[0]
+    rows = [slice(0, None, 2), slice(1, None, 2)] if threads else [slice(None)]
+    run([partial(bit_planes, labels, n, planes, part) for part in rows])
+    tasks = [partial(_check_leftover, labels, n)]
+    tasks += [partial(_check_trees, labels, planes, trees, n) for trees in stacks]
+    leftover, *by_stack = run(tasks)
+    trees = tuple(check for stack in by_stack for check in stack)
+    edges, touched, components = leftover
     even = n % 2 == 0
     leftover = LeftoverCheck(
         size=edges,
@@ -420,7 +381,7 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
     )
     # With one label per edge id, the labeling is a partition exactly when
     # the structural checks above hold; record the covering count anyway.
-    partition_ok = sum(check[0] for check in checks) == total
+    partition_ok = edges + sum(tree.edge_count for tree in trees) == total
 
     return VerifyReport(
         n=n,

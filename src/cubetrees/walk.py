@@ -14,12 +14,13 @@ expands the group.
 
 Without a visit array the search (_search) is a walk: in a tree every step
 leads to a new vertex, and a tree's depth is the last level holding one of
-its entries.  A walk into a cycle would never end, so it stops once a level
-holds more entries than the trees still walking can reach (2^n - 1 vertices
-per tree, less what each has reached).  So a label's walk from vertex 0
-ends having reached all 2^n vertices exactly when the label is a spanning
-tree.  With a visit array the search is breadth-first: each level passes a
-first-visit filter (_first_visits) that marks the indices it keeps.
+its entries.  A walk into a cycle would never end, so a tree whose entries
+pass 2^n - 1 is cut (a cycle) while the other trees walk on, and a level of
+more than 2^n - 1 entries per tree is dropped unfinished, cutting every tree
+still walking.  So a label's walk from vertex 0 settles having reached all
+2^n vertices exactly when the label is a spanning tree.  With a visit array
+the search is breadth-first: each level passes a first-visit filter
+(_first_visits) that marks the indices it keeps.
 """
 
 from __future__ import annotations
@@ -41,38 +42,40 @@ _WIDE_LEVEL = 64
 
 def _search(
     marks: np.ndarray, n: int, source: int, order: np.ndarray | None = None
-) -> tuple[list[int], float] | None:
-    """Each tree's depth in a search of a group from source, and what the
-    last trees searched did not reach.
+) -> tuple[list[int | None], list[int]]:
+    """(depths, reach) of each tree in a search of a group from source: the
+    last level that held its entries, and how many entries it had.
 
     marks stacks the group's masks, tree t's at offset t * 2^n, and every
     tree's search starts at source.  So an entry's index is t << n | vertex;
     a packed entry shifts its came-by bit above the tree number.
 
-    Without order the search is a walk that never steps back.  It returns
-    None once a level holds more entries than the trees still walking can
-    reach: 2^n - 1 vertices per tree, less what each has reached (a cycle).
-    A tree whose walk has ended gives up what it did not reach.  With order,
-    a zeroed int32 array of marks.size entries, every level keeps only first
-    visits (_first_visits), so a cycle cannot loop the search and it has no
-    limit.  For a walk of one tree, what was not reached is 0 exactly when
-    the tree spans the cube."""
+    Without order the search is a walk that never steps back.  A tree whose
+    reach passes 2^n - 1 holds a cycle: it is cut, its depth None and its
+    entries dropped, while the other trees walk on.  A level of more than
+    2^n - 1 entries per tree is not finished, and every tree still walking
+    is cut.  With order, a zeroed int32 array of marks.size entries, every
+    level keeps only first visits (_first_visits), so a cycle cannot loop
+    the search and it has no limit.  A tree of a walk spans the cube exactly
+    when it settles with a reach of 2^n - 1."""
     group = marks.size >> n
     tree = (1 << (group - 1).bit_length()) - 1  # an entry's tree number, shifted down by n
     shift = n + tree.bit_length()
     mask = memoryview(marks)
     full = num_vertices(n) - 1
-    left = group * full  # vertices the trees still walking can reach
+    limit = group * full  # more than any level of a walk over trees
     frontier = [t << n | source for t in range(group)]
     if order is not None:
-        seen, left = memoryview(order), math.inf
+        seen, limit = memoryview(order), math.inf
         order[frontier] = 1
     depths, reach, depth = [0] * group, [0] * group, 0
     alive = [*range(group)]  # the trees in frontier: a tree missing from a level has ended
     while True:
-        reached = _level(marks, mask, shift, frontier, left)
+        reached = _level(marks, mask, shift, frontier, limit)
         if reached is None:
-            return None
+            for t in alive:
+                depths[t] = None
+            return depths, reach
         if order is not None:
             reached = _first_visits(reached, order, seen, shift)
         wide = isinstance(reached, tuple)
@@ -80,17 +83,26 @@ def _search(
         if not size:
             for t in alive:
                 depths[t] = depth
-            return depths, left
-        left -= size
-        if len(alive) > 1:
+            return depths, reach
+        if len(alive) == 1:
+            reach[alive[0]] += size
+            if reach[alive[0]] > full:
+                depths[alive[0]] = None
+                return depths, reach
+        else:
             trees = reached[0] >> n if wide else np.asarray(reached) >> n & tree
             counts = np.bincount(trees, minlength=group).tolist()
             for t in alive:
                 reach[t] += counts[t]
                 if not counts[t]:
                     depths[t] = depth  # the last level that held its entries
-                    left -= full - reach[t]  # what an ended tree did not reach
-            alive = [t for t in alive if counts[t]]
+                elif reach[t] > full:
+                    depths[t] = None  # a cycle
+            cut = [t for t in alive if depths[t] is None]
+            if cut:
+                keep = ~np.isin(trees, cut)
+                reached = (reached[0][keep], reached[1][keep]) if wide else np.asarray(reached)[keep].tolist()
+            alive = [t for t in alive if counts[t] and depths[t] is not None]
         frontier, depth = reached, depth + 1
 
 
@@ -122,18 +134,18 @@ def _level(
 
 
 def _wide_walk_level(
-    marks: np.ndarray, index: np.ndarray, came: np.ndarray, left: float
+    marks: np.ndarray, index: np.ndarray, came: np.ndarray, limit: float
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """_level for a wide frontier of uint32 indices and their came-by bits:
     the lowest remaining bit of every frontier mask is peeled once per pass,
-    and the level is dropped as soon as it holds more than left entries."""
+    and the level is dropped as soon as it holds more than limit entries."""
     bits = marks.take(index) ^ came  # faster than marks[index] for a uint32 index
     indices, cames, size = [], [], 0
     while True:
         keep = bits != 0
         index, bits = index[keep], bits[keep]
         size += index.size
-        if size > left:
+        if size > limit:
             return None
         if not index.size:
             break

@@ -16,10 +16,17 @@ from cubetrees.hypercube import edge_endpoints, num_vertices
 
 def reference_tree_depths(dec: Decomposition, root: int) -> list[int]:
     """Eccentricity of root within each tree, by breadth-first traversal."""
+    return [depth for depth, _, _ in reference_tree_searches(dec, root)]
+
+
+def reference_tree_searches(dec: Decomposition, root: int) -> list[tuple[int, int, bool]]:
+    """(eccentricity of root, vertices reached, cyclic?) of root's component
+    in each tree, by breadth-first traversal; the component holds a cycle
+    iff it has as many edges as vertices or more."""
     vertices = num_vertices(dec.n)
     if not 0 <= root < vertices:
         raise ValueError(f"root {root} out of range for n={dec.n}")
-    depths = []
+    found = []
     for j in range(1, dec.k + 1):
         u, v = edge_endpoints(dec.tree_edge_ids(j), dec.n)
         adjacency: dict[int, list[int]] = {}
@@ -36,5 +43,6 @@ def reference_tree_depths(dec: Decomposition, root: int) -> list[int]:
                     depth[nxt] = depth[node] + 1
                     far = max(far, depth[nxt])
                     queue.append(nxt)
-        depths.append(far)
-    return depths
+        edges = sum(len(adjacency.get(x, ())) for x in depth) // 2
+        found.append((far, len(depth), edges >= len(depth)))
+    return found

@@ -14,12 +14,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubetrees.broadcast
+import cubetrees.cli
 import cubetrees.hypercube
 import cubetrees.walk
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
+from cubetrees.files import decomposition_to_bytes
 from cubetrees.hypercube import bit_planes, num_edges, plane_masks
-from broadcast_reference import reference_tree_depths
+from broadcast_reference import reference_tree_depths, reference_tree_searches
 from deadline import deadline
 from test_verify import best_of_three_each, gray_code_path, random_labels, single_mutation
 
@@ -168,6 +170,45 @@ def test_a_group_of_trees_is_walked_once(monkeypatch):
         calls.clear()
         tree_depths(dec, (1 << dec.n) - 1)
         assert [size for size, _, _ in calls] == ([4, 4] if dec.n == 16 else [dec.k])
+
+
+@deadline(SEARCH_SECONDS)
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_the_walk_cuts_only_cyclic_trees(n, seed, skew, data):
+    # A random stack of tree labels (repeats allowed) walked from a random
+    # source: a tree the walk settles has the reference's depth and reach,
+    # and it may leave a tree unsettled only when the source's component in
+    # it holds a cycle.  The marked search settles every tree.
+    dec = random_labels(n, seed, skew)
+    source = data.draw(st.integers(0, (1 << n) - 1))
+    trees = data.draw(st.lists(st.integers(1, dec.k), min_size=1, max_size=6))
+    want = reference_tree_searches(dec, source)
+    marks = plane_masks(bit_planes(dec.labels, n), trees, n).reshape(-1)
+    walked = cubetrees.walk._search(marks, n, source)
+    marked = cubetrees.walk._search(marks, n, source, np.zeros(marks.size, dtype=np.int32))
+    for t, (depth, reach) in enumerate(zip(*walked)):
+        far, reached, cyclic = want[trees[t] - 1]
+        if depth is None:
+            assert cyclic
+        else:
+            assert (depth, reach + 1) == (far, reached)
+    assert [(depth, reach + 1) for depth, reach in zip(*marked)] == [want[j - 1][:2] for j in trees]
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_one_moved_tree_edge_leaves_one_tree_unsettled(n):
+    # the tree that gains the edge holds a cycle; every other tree of the
+    # group, the one that lost it included, is settled by the same walk
+    dec = construct(n)
+    rng = np.random.default_rng(n)
+    for eid in rng.choice(np.flatnonzero(dec.labels), size=8, replace=False).tolist():
+        labels = dec.labels.copy()
+        new = 1 + (int(labels[eid]) + int(rng.integers(dec.k - 1))) % dec.k
+        labels[eid] = new
+        marks = plane_masks(bit_planes(labels, n), range(1, dec.k + 1), n).reshape(-1)
+        depths, reach = cubetrees.walk._search(marks, n, 0)
+        assert [j for j, depth in enumerate(depths, 1) if depth is None] == [new]
 
 
 @pytest.mark.slow
@@ -496,3 +537,43 @@ def test_metrics_bundle():
     assert metrics.total_time_model == 0.5 * (10 + 1)
     text = metrics.to_text()
     assert "depths" in text and "link load" in text
+
+
+def test_metrics_say_which_trees_fall_short(tmp_path, capsys):
+    n = 8
+    dec = construct(n)
+    # 40 edges of tree 1 moved to tree 2: tree 1 falls apart, tree 2 still
+    # reaches every vertex, over cycles
+    labels = dec.labels.copy()
+    labels[dec.tree_edge_ids(1)[:40]] = 2
+    moved = Decomposition(n=n, labels=labels)
+    empty = Decomposition(n=n, labels=np.zeros(num_edges(n), dtype=np.uint8))
+    for bad in (moved, empty):
+        metrics = broadcast_metrics(bad, 0)
+        want = reference_tree_searches(bad, 0)
+        assert metrics.reached == tuple(reached for _, reached, _ in want)
+        assert not metrics.ok
+        lines = metrics.to_text().splitlines()
+        short = [f"tree {j} reaches {count}" for j, count in enumerate(metrics.reached, 1) if count < 1 << n]
+        assert lines[-1] == f"  short of all 256 vertices: {', '.join(short)}"
+        path = tmp_path / "bad.dec"
+        path.write_bytes(decomposition_to_bytes(bad))
+        capsys.readouterr()
+        assert cubetrees.cli.main(["broadcast", str(path)]) == cubetrees.cli.EXIT_VERIFY
+        assert capsys.readouterr().out.splitlines()[-1] == lines[-1]
+    assert broadcast_metrics(moved, 0).reached[1] == 1 << n
+    assert broadcast_metrics(empty, 0).to_text().splitlines()[-1] == (
+        "  short of all 256 vertices: tree 1 reaches 1, tree 2 reaches 1, tree 3 reaches 1, tree 4 reaches 1"
+    )
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_metrics_of_a_valid_decomposition_keep_their_four_lines(n):
+    metrics = broadcast_metrics(construct(n), (1 << n) - 1, parts=3)
+    assert metrics.ok and metrics.reached == (1 << n,) * (n // 2)
+    assert metrics.to_text() == "\n".join([
+        f"broadcast metrics from root {(1 << n) - 1}:",
+        f"  tree depths: {list(metrics.depths)}",
+        "  max link load: 1",
+        f"  pipelined time estimate: {metrics.total_time_model}",
+    ])

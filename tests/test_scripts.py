@@ -13,8 +13,8 @@ def test_scripts_run_and_pass():
     for script, *args in (
         ("decomposition_sweep.py", "--max", "6"),
         ("stress_large.py", "-n", "8"),
-        ("stress_large.py", "-n", "16"),  # large enough for a helper thread
-        ("stress_large.py", "-n", "19"),  # large enough for verify to walk its trees
+        ("stress_large.py", "-n", "17"),  # large enough for a helper thread
+        ("stress_large.py", "-n", "19"),  # one tree per walk, beside an odd leftover to hook
     ):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), *args],

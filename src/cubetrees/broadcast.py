@@ -7,11 +7,11 @@ schedule: per-tree depth from the root, the worst-case per-link tree load
 (1 for any valid decomposition), and a first-order pipelined time estimate.
 It also reports how many vertices each tree reaches: a tree that reaches
 fewer than 2^n cannot carry its chunks to every vertex, and the metrics are
-not ok.  Depths and reach come from the level searches of walk.py.  Trees
-are searched in groups whose stacked masks, derived from one set of label
-bit planes, fit hypercube's stacking budget (_stacks); a group gets at most
-two searches: a walk, and only if that cuts a tree (a cycle), a marked
-search.
+not ok.  Depths and reach come from walk.py's driver (_search_trees), the
+one the verifier uses: trees are searched in groups whose stacked masks,
+derived from one set of label bit planes, fit its stacking budget; a group
+gets one walk, and each tree the walk cuts (a cycle) one marked search of
+its own mask row.  Large cubes run the groups on two threads.
 
 The time model is deliberately simple: the message is cut into k * parts
 equal chunks, each tree streams its chunks in a pipeline, hops have uniform
@@ -25,11 +25,9 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .construct import Decomposition
-from .hypercube import _stacks, bit_planes, check_integer, num_vertices, plane_masks
-from .walk import _search
+from .hypercube import check_integer, num_vertices
+from .walk import _search_trees
 
 
 class _Depths(list):
@@ -42,22 +40,13 @@ class _Depths(list):
 
 
 def tree_depths(dec: Decomposition, root: int) -> list[int]:
-    """Eccentricity of root within each tree: one walk that never steps back
-    per group of trees, and when the walk cuts a tree of the group (a
-    cycle), one marked search of that group (_search).  The list also
-    carries what each tree reaches (_Depths)."""
+    """Eccentricity of root within each tree (walk._search_trees).  The list
+    also carries what each tree reaches (_Depths)."""
     root = check_integer("root", root, 0)
     if root >= num_vertices(dec.n):
         raise ValueError(f"root {root} out of range for n={dec.n}")
-    planes, depths, reach = bit_planes(dec.labels, dec.n), [], []
-    for trees in _stacks(range(1, dec.k + 1), planes):
-        marks = plane_masks(planes, trees, dec.n).reshape(-1)
-        found = _search(marks, dec.n, root)
-        if None in found[0]:
-            found = _search(marks, dec.n, root, np.zeros(marks.size, dtype=np.int32))
-        depths += found[0]
-        reach += found[1]
-    return _Depths(depths, tuple(count + 1 for count in reach))
+    found = _search_trees(dec.labels, dec.n, root)
+    return _Depths([depth for depth, _, _ in found], tuple(reach + 1 for _, reach, _ in found))
 
 
 def link_load(dec: Decomposition) -> int:

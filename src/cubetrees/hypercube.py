@@ -17,8 +17,8 @@ label arrays and file formats throughout the package.
 An edge set can also be held per vertex: bit d of mask[x] marks the edge
 x -- x ^ 1<<d, in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.
 bit_planes builds one per label bit, plane_masks those of label values from
-them.  The searches of walk.py go through these masks: broadcast and the
-verifier walk groups of trees.
+them.  walk.py fills the planes and searches groups of trees over these
+masks, for broadcast and for the verifier.
 """
 
 from __future__ import annotations
@@ -30,21 +30,6 @@ import numpy as np
 # holds it there; verify alone took 5.0-7.6 s and 701-705 MB of peak RSS
 # on two CPUs, in five fresh scripts/stress_large.py -n 24 runs).
 DIMENSION_CAP = 24
-
-
-# Rows of 2^n masks are stacked up to this many bytes (one row at least,
-# _stacks): the planes bit_planes fills together, and the trees broadcast
-# walks together.  Both measured on a 2-CPU shared VM.  Four planes stacked
-# against one at a time, best of five: n = 8 took 0.06/0.14 ms, n = 16
-# 2.6/3.0 ms, n = 18 33/17 ms, n = 22 0.82/0.38 s.  So all k trees are walked
-# together up to n = 15, four at n = 16 (uint16 masks), one from n = 17 up
-# (uint32): median of tree_depths(construct(n), root) over 40-200 seeded
-# roots, every group size timed on each root in turn, n = 14 with 1/2/4/7
-# trees took 8.0/7.0/5.3/4.3 ms, n = 15 with 2/4/7 took 11.2/8.7/8.1 ms,
-# n = 16 with 1/2/3/4/8 took 21.8/20.2/19.5/17.4/17.7 ms, n = 17 with 1/2
-# took 30.7/31.5 ms and n = 18 with 1/2 took 63/74 ms.  1 MB of masks was
-# no faster at n = 16 and 17, and slower at n = 18.
-_STACK_BYTES = 1 << 19
 
 
 class CapExceededError(ValueError):
@@ -101,7 +86,8 @@ def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
 def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray | None = None, rows=slice(None)) -> np.ndarray:
     """Per-vertex masks of the label bits: bit d of planes[b, x] is bit b of
     the label of the edge x -- x ^ 1<<d, one row per bit of labels.max().
-    Given planes, only planes[rows] are filled, so two threads can share it.
+    Given planes, only planes[rows] are filled (rows a slice or a range),
+    so two threads can share it and fill a few rows at a time.
 
     Dimension block d of the edge-id layout, cut into rows of 2^d edges,
     has edge i of row r from vertex r * 2^(d+1) + i to the vertex 2^d above
@@ -111,23 +97,16 @@ def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray | None = None, row
     if planes is None:
         bits = int(labels.max(initial=0)).bit_length()
         planes = np.empty((bits, 1 << n), np.min_scalar_type((1 << n) - 1))
+    rows = slice(rows.start, rows.stop, rows.step)
+    stack = planes[rows]
+    bits = (np.uint8(1) << np.arange(len(planes), dtype=np.uint8)[rows]).reshape(-1, 1, 1)
     half = 1 << (n - 1)
-    for part in _stacks(range(len(planes))[rows], planes):
-        stack = planes[part.start : part.stop : part.step]
-        bits = (np.uint8(1) << np.array(part, dtype=np.uint8)).reshape(-1, 1, 1)
-        stack[:] = 0
-        for d in reversed(range(n)):
-            block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
-            stack <<= 1
-            stack |= np.repeat(block & bits != 0, 2, axis=1).reshape(len(part), -1)
+    stack[:] = 0
+    for d in reversed(range(n)):
+        block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
+        stack <<= 1
+        stack |= np.repeat(block & bits != 0, 2, axis=1).reshape(stack.shape)
     return planes
-
-
-def _stacks(items, planes: np.ndarray) -> list:
-    """items cut into runs of as many as fit _STACK_BYTES when each takes
-    one row of planes (one item per run at least)."""
-    size = max(1, _STACK_BYTES // (planes.itemsize * planes.shape[-1]))
-    return [items[i : i + size] for i in range(0, len(items), size)]
 
 
 def plane_masks(planes: np.ndarray, values, n: int) -> np.ndarray:

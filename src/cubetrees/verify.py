@@ -12,34 +12,27 @@ Every reported property is an integer identity on them.  Nothing is
 imported from the construction code, so a verified decomposition is
 certified by a second, unrelated route.
 
-Most labels are not hooked.  The tree labels are walked from vertex 0
-(walk.py) over masks from the labels' bit planes, in the groups that
-broadcast walks (_stacks).  A tree the walk settles with all 2^n vertices
-reached is a spanning tree, (2^n - 1, 2^n, connected), and one it settles
-short of them is not connected, so only its edges and touched vertices are
-counted.  Only a tree the walk cuts (a cycle) and the odd leftover are
-hooked.  The even leftover is only counted: its report is a matching test,
-which needs no components.
-
-The planes are built once per call.  The leftover's check and each group's
-walk are independent tasks, the leftover's first.  On a cube of at least
-2^17 vertices with two or more usable CPUs and two or more walks, a helper
-thread fills half the planes, then runs the first task and every second one
-after it while the calling thread runs the others; afterwards the freed
-heap is handed back to the OS (glibc's malloc_trim).
+No tree label is hooked.  The tree labels are searched from vertex 0
+by walk.py's driver (_search_trees), the one broadcast uses: a walk per
+group of trees over masks from the labels' bit planes, and a marked search
+of each tree a walk cuts (a cycle).  A tree the walk settles with all 2^n
+vertices reached is a spanning tree, (2^n - 1, 2^n, connected).  Any other
+tree is connected exactly when its search reaches all 2^n vertices, and
+only its edges and the vertices its mask touches are counted.  Only the odd
+leftover is hooked, in a task the driver runs ahead of the tree searches,
+on the same threads.  The even leftover is only counted: its report is a
+matching test, which needs no components.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
-from functools import partial
 from typing import TYPE_CHECKING, Iterable
 
 import numpy as np
 
-from .hypercube import MalformedEdgeError, _stacks, bit_planes, edge_endpoints, num_edges, num_vertices, plane_masks
-from .walk import _search
+from .hypercube import MalformedEdgeError, edge_endpoints, num_edges, num_vertices
+from .walk import _search_trees
 
 if TYPE_CHECKING:  # annotation only; the checker never calls into construct
     from .construct import Decomposition
@@ -258,15 +251,6 @@ def _mark(ok: bool) -> str:
     return "ok" if ok else "FAIL"
 
 
-# Cubes below this many vertices were measured no faster on two threads:
-# verify one thread against two, medians of 15-41 interleaved calls (2-CPU
-# shared VM), on construct(n) and on it with one tree-1 edge moved to tree 2.
-# n = 16 took 11.8-15.0/13.7-16.2 ms clean and 14.6-18.6/16.0-17.5 ms moved,
-# n = 17 26.8-32.6/27.7-32.0 and 34.3-45.9/31.3-35.9 ms, n = 19 106/75 and
-# 151/106 ms.  Below 2^16 vertices a cube's trees are one walk anyway.
-_THREAD_MIN_VERTICES = 1 << 17
-
-
 def _check_leftover(labels: np.ndarray, n: int) -> tuple[int, int, int | None]:
     """_check_labels of label 0, except that at even n it is only counted:
     a matching iff its edges touch twice as many vertices, so it needs no
@@ -275,67 +259,6 @@ def _check_leftover(labels: np.ndarray, n: int) -> tuple[int, int, int | None]:
         return _check_labels(labels, 0, n)
     lower, upper = _edge_ends(labels, 0, n)
     return lower.size, np.unique(np.concatenate([lower, upper])).size, None
-
-
-def _check_trees(labels: np.ndarray, planes: np.ndarray, trees, n: int) -> list[TreeCheck]:
-    """The checks of a group of tree labels, from one walk of the group from
-    vertex 0 over the labels' bit planes (_search).  A tree the walk reaches
-    whole is a spanning tree; one it reaches in part is not connected, and
-    only counted; one it cuts is hooked (_check_labels)."""
-    vertices = num_vertices(n)
-    masks = plane_masks(planes, trees, n)
-    depths, reach = _search(masks.reshape(-1), n, 0)
-    checks = []
-    for label, mask, depth, count in zip(trees, masks, depths, reach):
-        if depth is None:
-            edges, touched, components = _check_labels(labels, label, n)
-            connected = touched == vertices and components == 1
-        elif count == vertices - 1:
-            edges, touched, connected = vertices - 1, vertices, True
-        else:  # settled short of 2^n vertices
-            edges, touched, connected = int(np.count_nonzero(labels == label)), int(np.count_nonzero(mask)), False
-        checks.append(TreeCheck(label, edges, edges == vertices - 1, connected, touched == vertices))
-    return checks
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # not provided on every platform
-        return os.cpu_count() or 1
-
-
-def _on_two_threads(tasks: list) -> list:
-    """Every task's result, in task order.  The tasks are independent and
-    numpy releases the GIL inside them, so a helper thread runs the first
-    task and every second one after it while this thread runs the others.
-    An exception in the helper is raised again here by result()."""
-    from concurrent.futures import ThreadPoolExecutor
-
-    results = [None] * len(tasks)
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cubetrees-verify") as pool:
-        evens = pool.submit(lambda: [task() for task in tasks[0::2]])
-        results[1::2] = [task() for task in tasks[1::2]]
-        results[0::2] = evens.result()
-    _trim_heap()  # every task is done, so the helper's arena is all free
-    return results
-
-
-def _trim_heap() -> None:
-    """Return freed heap pages to the OS with glibc's malloc_trim, where it exists.
-
-    The helper thread's malloc arena otherwise keeps the tens of MB its
-    temporaries used, and later allocations land on top of them.
-    """
-    import ctypes
-
-    try:
-        malloc_trim = ctypes.CDLL(None).malloc_trim
-    except (AttributeError, OSError, TypeError):  # not glibc
-        return
-    malloc_trim.argtypes = [ctypes.c_size_t]
-    malloc_trim.restype = ctypes.c_int
-    malloc_trim(0)
 
 
 def verify_decomposition(dec: "Decomposition") -> VerifyReport:
@@ -356,18 +279,13 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
             f"label {int(labels.max())} exceeds tree count k={k}"
         )
 
-    # every label is below 2^k.bit_length(); the leftover's task goes first
-    vertices = num_vertices(n)
-    planes = np.empty((k.bit_length(), vertices), np.min_scalar_type(vertices - 1))
-    stacks = _stacks(range(1, k + 1), planes)
-    threads = len(stacks) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
-    run = _on_two_threads if threads else lambda tasks: [task() for task in tasks]
-    rows = [slice(0, None, 2), slice(1, None, 2)] if threads else [slice(None)]
-    run([partial(bit_planes, labels, n, planes, part) for part in rows])
-    tasks = [partial(_check_leftover, labels, n)]
-    tasks += [partial(_check_trees, labels, planes, trees, n) for trees in stacks]
-    leftover, *by_stack = run(tasks)
-    trees = tuple(check for stack in by_stack for check in stack)
+    full = num_vertices(n) - 1
+    leftover, *found = _search_trees(labels, n, 0, lambda: _check_leftover(labels, n))
+    trees = []
+    for label, (_, reach, touched) in enumerate(found, 1):
+        # touched is None for a spanning tree, by the walk's certificate (walk._search_group)
+        edges = full if touched is None else int(np.count_nonzero(labels == label))
+        trees.append(TreeCheck(label, edges, edges == full, reach == full, touched in (None, full + 1)))
     edges, touched, components = leftover
     even = n % 2 == 0
     leftover = LeftoverCheck(
@@ -388,6 +306,6 @@ def verify_decomposition(dec: "Decomposition") -> VerifyReport:
         k=k,
         kind="even" if even else "odd",
         partition_ok=partition_ok,
-        trees=trees,
+        trees=tuple(trees),
         leftover=leftover,
     )

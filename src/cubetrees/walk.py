@@ -15,21 +15,35 @@ expands the group.
 Without a visit array the search (_search) is a walk: in a tree every step
 leads to a new vertex, and a tree's depth is the last level holding one of
 its entries.  A walk into a cycle would never end, so a tree whose entries
-pass 2^n - 1 is cut (a cycle) while the other trees walk on, and a level of
-more than 2^n - 1 entries per tree is dropped unfinished, cutting every tree
-still walking.  So a label's walk from vertex 0 settles having reached all
-2^n vertices exactly when the label is a spanning tree.  With a visit array
-the search is breadth-first: each level passes a first-visit filter
-(_first_visits) that marks the indices it keeps.
+pass 2^n - 1 is cut (a cycle) while the other trees walk on.  A level of
+more than 2^n - 1 entries per tree is dropped unfinished; the trees it would
+carry past 2^n - 1 entries are cut, and the level is stepped again without
+them.  So only a tree whose component holds a cycle is cut, and a label's
+walk from vertex 0 settles having reached all 2^n vertices exactly when the
+label is a spanning tree.  With a visit array the search is breadth-first:
+each level passes a first-visit filter (_first_visits) that marks the
+indices it keeps.
+
+One driver (_search_trees) serves both callers, verify from vertex 0 and
+broadcast from any root.  It fills the labels' bit planes once and searches
+tree labels 1..n // 2 in groups (_stacks), one task per group: the group's
+masks, one walk of the group, and a marked search of the own mask row of
+each tree the walk cuts.  On a cube of at least _THREAD_MIN_VERTICES
+vertices with two or more groups and two usable CPUs, a helper thread fills
+half the planes, then runs the first task and every second one after it
+while the calling thread runs the others (_on_two_threads); afterwards the
+freed heap is handed back to the OS (glibc's malloc_trim).
 """
 
 from __future__ import annotations
 
 import math
+import os
+from functools import partial
 
 import numpy as np
 
-from .hypercube import num_vertices
+from .hypercube import bit_planes, num_vertices, plane_masks
 
 # A level with at least this many entries is expanded by numpy, a narrower
 # one by the interpreter loop.  Measured on slices of the widest level of
@@ -38,6 +52,114 @@ from .hypercube import num_vertices
 # 128 took 17-40 us and 15-36 us, 256 took 33-85 us and 22-64 us.  The two
 # cross between 64 and 128 entries; a tree has only a few levels in that band.
 _WIDE_LEVEL = 64
+
+# Rows of 2^n masks are stacked up to this many bytes (one row at least,
+# _stacks): the planes filled together, and the trees walked together.  Both
+# measured on a 2-CPU shared VM.  Four planes stacked against one at a time,
+# best of five: n = 8 took 0.06/0.14 ms, n = 16 2.6/3.0 ms, n = 18 33/17 ms,
+# n = 22 0.82/0.38 s.  So all k trees are walked together up to n = 15, four
+# at n = 16 (uint16 masks), one from n = 17 up (uint32): median of
+# tree_depths(construct(n), root) over 40-200 seeded roots, every group size
+# timed on each root in turn, n = 14 with 1/2/4/7 trees took 8.0/7.0/5.3/4.3
+# ms, n = 15 with 2/4/7 took 11.2/8.7/8.1 ms, n = 16 with 1/2/3/4/8 took
+# 21.8/20.2/19.5/17.4/17.7 ms, n = 17 with 1/2 took 30.7/31.5 ms and n = 18
+# with 1/2 took 63/74 ms.  1 MB of masks was no faster at n = 16 and 17, and
+# slower at n = 18.
+_STACK_BYTES = 1 << 19
+
+# Cubes below this many vertices are searched on one thread.  One thread
+# against two, medians of 21-31 interleaved calls per run (2-CPU shared VM),
+# on construct(n) / with one tree-1 edge moved to tree 2.  tree_depths from
+# root 12345: n = 16 11.4-13.3/12.9-14.1 and 15.5-16.2/15.8-17.6 ms, n = 17
+# 21.9-33.0/25.8-33.4 and 27.0-31.8/30.5-34.4 ms (slower on two in 5 of 6),
+# n = 18 56.4-57.1/45.1-49.3 and 48.5-55.0/44.7-47.4 ms.  verify: n = 16
+# 12.0-12.5/12.5-13.6 and 19.5-22.1/17.5-21.3 ms, n = 17 25.0-38.2/26.9-33.4
+# and 29.3-41.2/29.3-33.5 ms (a wash), n = 18 42.4-65.8/40.8-53.3 and
+# 52.6-58.2/42.8-50.2 ms.
+_THREAD_MIN_VERTICES = 1 << 18
+
+
+def _stacks(items, planes: np.ndarray) -> list:
+    """items cut into runs of as many as fit _STACK_BYTES when each takes
+    one row of planes (one item per run at least)."""
+    size = max(1, _STACK_BYTES // (planes.itemsize * planes.shape[-1]))
+    return [items[i : i + size] for i in range(0, len(items), size)]
+
+
+def _search_trees(labels: np.ndarray, n: int, root: int, *head) -> list:
+    """The results of the tasks head, then (depth, reach, touched) of each
+    tree label 1..n // 2 searched from root (_search_group), over masks from
+    one set of the labels' bit planes, as many as labels.max() has bits.
+
+    The planes are filled as many at a time as fit _STACK_BYTES, one task
+    per stack; from 2^17 vertices up that is one plane per task, so on two
+    threads the helper fills the even-numbered planes."""
+    vertices = num_vertices(n)
+    planes = np.empty((int(labels.max(initial=0)).bit_length(), vertices), np.min_scalar_type(vertices - 1))
+    groups = _stacks(range(1, n // 2 + 1), planes)
+    threads = len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
+    run = _on_two_threads if threads else lambda tasks: [task() for task in tasks]
+    run([partial(bit_planes, labels, n, planes, rows) for rows in _stacks(range(len(planes)), planes)])
+    found = run([*head, *(partial(_search_group, planes, trees, n, root) for trees in groups)])
+    return found[: len(head)] + [tree for group in found[len(head) :] for tree in group]
+
+
+def _search_group(planes: np.ndarray, trees, n: int, root: int) -> list[tuple[int, int, int | None]]:
+    """(depth, reach, touched) of each of trees searched from root: one walk
+    of the group, then a marked search of the own mask row of each tree the
+    walk cuts.  reach counts the vertices reached past root.  touched, the
+    vertices the tree's edges touch (its mask's non-zero entries), is None
+    for a tree the walk settles with every vertex reached: a spanning tree,
+    which touches them all."""
+    masks = plane_masks(planes, trees, n)
+    full = num_vertices(n) - 1
+    found = []
+    for mask, depth, reach in zip(masks, *_search(masks.reshape(-1), n, root)):
+        spanning = depth is not None and reach == full
+        if depth is None:
+            (depth,), (reach,) = _search(mask, n, root, np.zeros(mask.size, dtype=np.int32))
+        found.append((depth, reach, None if spanning else int(np.count_nonzero(mask))))
+    return found
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not provided on every platform
+        return os.cpu_count() or 1
+
+
+def _on_two_threads(tasks: list) -> list:
+    """Every task's result, in task order.  The tasks are independent and
+    numpy releases the GIL inside them, so a helper thread runs the first
+    task and every second one after it while this thread runs the others.
+    An exception in the helper is raised again here by result()."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    results = [None] * len(tasks)
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="cubetrees-walk") as pool:
+        evens = pool.submit(lambda: [task() for task in tasks[0::2]])
+        results[1::2] = [task() for task in tasks[1::2]]
+        results[0::2] = evens.result()
+    _trim_heap()  # every task is done, so the helper's arena is all free
+    return results
+
+
+def _trim_heap() -> None:
+    """Return freed heap pages to the OS with glibc's malloc_trim, where it exists.
+
+    The helper thread's malloc arena otherwise keeps the tens of MB its
+    temporaries used, and later allocations land on top of them.
+    """
+    import ctypes
+
+    try:
+        malloc_trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc
+        return
+    malloc_trim.argtypes = [ctypes.c_size_t]
+    malloc_trim.restype = ctypes.c_int
+    malloc_trim(0)
 
 
 def _search(
@@ -53,11 +175,13 @@ def _search(
     Without order the search is a walk that never steps back.  A tree whose
     reach passes 2^n - 1 holds a cycle: it is cut, its depth None and its
     entries dropped, while the other trees walk on.  A level of more than
-    2^n - 1 entries per tree is not finished, and every tree still walking
-    is cut.  With order, a zeroed int32 array of marks.size entries, every
-    level keeps only first visits (_first_visits), so a cycle cannot loop
-    the search and it has no limit.  A tree of a walk spans the cube exactly
-    when it settles with a reach of 2^n - 1."""
+    2^n - 1 entries per tree is not finished: the trees it would carry past
+    2^n - 1 entries are cut by a count of their frontier's mask bits, and
+    the level is stepped again without them.  With order, a zeroed int32
+    array of marks.size entries, every level keeps only first visits
+    (_first_visits), so a cycle cannot loop the search and it has no limit.
+    A tree of a walk spans the cube exactly when it settles with a reach of
+    2^n - 1."""
     group = marks.size >> n
     tree = (1 << (group - 1).bit_length()) - 1  # an entry's tree number, shifted down by n
     shift = n + tree.bit_length()
@@ -72,10 +196,17 @@ def _search(
     alive = [*range(group)]  # the trees in frontier: a tree missing from a level has ended
     while True:
         reached = _level(marks, mask, shift, frontier, limit)
-        if reached is None:
+        if reached is None:  # cut each tree the level carries past 2^n - 1 entries, and step again
+            wide = isinstance(frontier, tuple)
+            x = frontier[1].astype(np.int64) << shift | frontier[0] if wide else np.asarray(frontier)
+            trees, bits = x >> n & tree, marks[x & (1 << shift) - 1] ^ (x >> shift)
+            counts = np.bincount(trees, sum(bits >> d & 1 for d in range(n)), group)  # popcounts per tree
             for t in alive:
-                depths[t] = None
-            return depths, reach
+                if reach[t] + counts[t] > full:
+                    depths[t] = None  # a cycle
+            alive = [t for t in alive if depths[t] is not None]
+            frontier = x[np.isin(trees, alive)].tolist()
+            continue
         if order is not None:
             reached = _first_visits(reached, order, seen, shift)
         wide = isinstance(reached, tuple)

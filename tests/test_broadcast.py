@@ -5,6 +5,7 @@ import re
 import resource
 import subprocess
 import sys
+import threading
 import time
 from collections import Counter
 from pathlib import Path
@@ -15,7 +16,6 @@ from hypothesis import given, settings, strategies as st
 
 import cubetrees.broadcast
 import cubetrees.cli
-import cubetrees.hypercube
 import cubetrees.walk
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
@@ -23,7 +23,7 @@ from cubetrees.files import decomposition_to_bytes
 from cubetrees.hypercube import bit_planes, num_edges, plane_masks
 from broadcast_reference import reference_tree_depths, reference_tree_searches
 from deadline import deadline
-from test_verify import best_of_three_each, gray_code_path, random_labels, single_mutation
+from test_verify import assert_same_report, best_of_three_each, gray_code_path, random_labels, single_mutation
 
 # A search on cyclic or random labels that never ends fails its test after
 # this many seconds instead of hanging the suite; each such test takes a
@@ -128,13 +128,13 @@ def test_a_cycle_stops_the_walk_inside_its_level():
 
 def searches(mp):
     """(group size, source, marked?) of every search tree_depths makes."""
-    calls, search = [], cubetrees.broadcast._search
+    calls, search = [], cubetrees.walk._search
 
     def counted(marks, n, source, order=None):
         calls.append((marks.size >> n, source, order is not None))
         return search(marks, n, source, order)
 
-    mp.setattr(cubetrees.broadcast, "_search", counted)
+    mp.setattr(cubetrees.walk, "_search", counted)
     return calls
 
 
@@ -154,12 +154,13 @@ def test_only_a_cyclic_component_gets_a_marked_search(monkeypatch):
 @deadline(SEARCH_SECONDS)
 def test_a_deep_cyclic_component_costs_two_group_searches(monkeypatch):
     # The Gray-code Hamiltonian cycle of Q_12 in tree 1: the group walk goes
-    # half way round before it stops, then one marked search of the group.
+    # half way round before it cuts tree 1, then one marked search of tree
+    # 1's own mask row.
     dec = gray_path_tree(12)
     dec.labels[11 << 11] = 1  # the edge 0 - 2^11 closes the path
     calls = searches(monkeypatch)
     assert tree_depths(dec, 0) == reference_tree_depths(dec, 0) == [2048, 0, 0, 0, 0, 0]
-    assert calls == [(6, 0, False), (6, 0, True)]
+    assert calls == [(6, 0, False), (1, 0, True)]
 
 
 def test_a_group_of_trees_is_walked_once(monkeypatch):
@@ -196,6 +197,18 @@ def test_the_walk_cuts_only_cyclic_trees(n, seed, skew, data):
     assert [(depth, reach + 1) for depth, reach in zip(*marked)] == [want[j - 1][:2] for j in trees]
 
 
+def test_a_level_past_the_budget_cuts_only_the_trees_it_overfills():
+    # Two copies of a cyclic tree 1 fill one level past the group's budget
+    # of 3 * 63 entries while acyclic tree 2 is still walking: the copies
+    # are cut, and tree 2 walks on to its own depth and reach.
+    dec = random_labels(6, 22247, 1)
+    marks = plane_masks(bit_planes(dec.labels, 6), [1, 1, 2], 6).reshape(-1)
+    depths, reach = cubetrees.walk._search(marks, 6, 6)
+    far, reached, cyclic = reference_tree_searches(dec, 6)[1]
+    assert depths == [None, None, far] and reach[2] + 1 == reached and not cyclic
+    assert max(reach[:2]) < (1 << 6) - 1  # the budget cut the copies, not their own reach
+
+
 @pytest.mark.parametrize("n", range(8, 15))
 def test_one_moved_tree_edge_leaves_one_tree_unsettled(n):
     # the tree that gains the edge holds a cycle; every other tree of the
@@ -209,6 +222,66 @@ def test_one_moved_tree_edge_leaves_one_tree_unsettled(n):
         marks = plane_masks(bit_planes(labels, n), range(1, dec.k + 1), n).reshape(-1)
         depths, reach = cubetrees.walk._search(marks, n, 0)
         assert [j for j, depth in enumerate(depths, 1) if depth is None] == [new]
+
+
+@pytest.mark.parametrize("n", range(8, 15))
+def test_one_moved_tree_edge_costs_verify_one_marked_search(monkeypatch, n):
+    # verify's twin of the test above: the walk cuts only the tree that
+    # gains the edge, which alone gets a marked search, of its own mask row
+    dec = construct(n)
+    rng = np.random.default_rng(n)
+    calls = searches(monkeypatch)
+    for eid in rng.choice(np.flatnonzero(dec.labels), size=8, replace=False).tolist():
+        labels = dec.labels.copy()
+        labels[eid] = 1 + (int(labels[eid]) + int(rng.integers(dec.k - 1))) % dec.k
+        calls.clear()
+        assert not assert_same_report(Decomposition(n=n, labels=labels)).overall
+        assert [call for call in calls if call[2]] == [(1, 0, True)]
+
+
+def helper_searches(mp):
+    """Take the two-thread path at every size, one tree per group; return the
+    idents of the threads that search a group (walk._search_group)."""
+    idents, search = [], cubetrees.walk._search_group
+
+    def recorded(*args):
+        idents.append(threading.get_ident())
+        return search(*args)
+
+    mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
+    mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
+    mp.setattr(cubetrees.walk, "_search_group", recorded)
+    return idents
+
+
+def assert_depths_on_two_threads_match_reference(dec, data):
+    roots = data.draw(st.lists(st.integers(0, (1 << dec.n) - 1), min_size=1, max_size=3))
+    with pytest.MonkeyPatch.context() as mp:
+        grouped(mp, 1, dec)
+        idents = helper_searches(mp)
+        for root in roots:
+            depths, want = tree_depths(dec, root), reference_tree_searches(dec, root)
+            assert depths == [depth for depth, _, _ in want]
+            assert depths.reached == tuple(reached for _, reached, _ in want)
+    # a helper thread searches every second group from the first on, so one
+    # ran exactly when there were two or more groups (trees)
+    here = threading.get_ident()
+    assert len(idents) == len(roots) * dec.k
+    assert len(idents) - idents.count(here) == len(roots) * ((dec.k + 1) // 2 if dec.k >= 2 else 0)
+
+
+@deadline(SEARCH_SECONDS)
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
+def test_random_labels_match_dict_bfs_reference_on_two_threads(n, seed, skew, data):
+    assert_depths_on_two_threads_match_reference(random_labels(n, seed, skew), data)
+
+
+@deadline(SEARCH_SECONDS)
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_single_mutations_match_dict_bfs_reference_on_two_threads(data):
+    assert_depths_on_two_threads_match_reference(single_mutation(data), data)
 
 
 @pytest.mark.slow
@@ -279,15 +352,15 @@ def test_single_mutations_match_dict_bfs_reference(data):
 
 
 # Group g makes tree_depths walk and build the masks of min(k, g) trees
-# together; None groups all k.  Cyclic labels make a group walk fail
-# partway, and the same group then gets one marked search.  The stacking
-# budget is shared, so bit_planes then fills planes in stacks of g too.
+# together; None groups all k.  Cyclic labels make a group walk cut a tree,
+# and that tree then gets one marked search of its own mask row.  The
+# stacking budget is shared, so the planes are then filled in stacks of g too.
 GROUPS = [1, 2, None]
 
 
 def grouped(mp, group, dec):
     row = plane_masks(bit_planes(dec.labels, dec.n), [0], dec.n).nbytes
-    mp.setattr(cubetrees.hypercube, "_STACK_BYTES", (group or dec.k) * row)
+    mp.setattr(cubetrees.walk, "_STACK_BYTES", (group or dec.k) * row)
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -482,12 +555,12 @@ def test_broadcast_time_model():
 
 
 def test_broadcast_time_errors(monkeypatch):
-    def no_search(labels, n):
+    def no_search(*args):
         raise AssertionError("a tree was searched before the arguments were checked")
 
     # bad arguments are rejected before any tree is searched: the root by
     # tree_depths, before it builds the bit planes of the masks
-    monkeypatch.setattr(cubetrees.broadcast, "bit_planes", no_search)
+    monkeypatch.setattr(cubetrees.walk, "bit_planes", no_search)
     with pytest.raises(ValueError, match="zero trees"):
         broadcast_metrics(construct(1), 0)  # zero trees: model undefined
     for parts in (0, -3, 1.5, 2.0, True, np.bool_(True), np.float64(2.0)):

@@ -145,6 +145,34 @@ def test_every_private_name_is_loaded_in_the_package():
     assert private and sorted(private - loaded) == []
 
 
+# How trees are searched lives in walk.py alone: the walk, the masks and the
+# planes they come from, the groups, and the two-thread schedule.
+SEARCH_INTERNALS = {"_search", "plane_masks", "bit_planes", "_stacks", "_usable_cpus", "_on_two_threads", "_trim_heap"}
+
+
+def used_names(tree):
+    """Names a module's source reads or imports: f, module.f and from m import f."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            used.update(alias.name for alias in node.names)
+    return used
+
+
+def test_only_walk_calls_the_search_internals():
+    package = Path(cubetrees.__file__).parent
+    callers = {path.name: used_names(ast.parse(path.read_text())) & SEARCH_INTERNALS for path in package.glob("*.py")}
+    assert callers.pop("walk.py") == SEARCH_INTERNALS
+    assert {name: found for name, found in callers.items() if found} == {}
+    # the scan sees every form of use
+    code = "from .walk import _search\nrun = _on_two_threads\nwalk.plane_masks(p, t, n)"
+    assert used_names(ast.parse(code)) & SEARCH_INTERNALS == {"_search", "_on_two_threads", "plane_masks"}
+
+
 def test_import_loads_no_executor_or_ctypes_of_its_own():
     # numpy may load ctypes itself; the package must add neither module.
     code = (

@@ -13,8 +13,8 @@ def test_scripts_run_and_pass():
     for script, *args in (
         ("decomposition_sweep.py", "--max", "6"),
         ("stress_large.py", "-n", "8"),
-        ("stress_large.py", "-n", "17"),  # large enough for a helper thread
-        ("stress_large.py", "-n", "19"),  # one tree per walk, beside an odd leftover to hook
+        ("stress_large.py", "-n", "17"),  # one tree per walk, just below the two-thread crossover
+        ("stress_large.py", "-n", "19"),  # two threads, beside an odd leftover to hook
     ):
         proc = subprocess.run(
             [sys.executable, str(ROOT / "scripts" / script), *args],
@@ -31,8 +31,9 @@ def test_scripts_run_and_pass():
                 r"^peak RSS: +\d+ MB, verify minor page faults: \d+$", proc.stdout, re.M
             ), proc.stdout
             result = json.loads(proc.stdout.splitlines()[-1])
-            keys = ["n", "construct_s", "verify_s", "broadcast_s", "peak_rss_mb", "verify_minflt"]
+            keys = ["n", "construct_s", "verify_s", "broadcast_s", "peak_rss_mb", "verify_minflt", "broadcast_minflt"]
             assert list(result) == keys, result
             assert result["n"] == int(args[-1])
-            assert isinstance(result["verify_minflt"], int) and result["verify_minflt"] >= 0
+            for key in keys[-2:]:
+                assert isinstance(result[key], int) and result[key] >= 0, result
             assert all(result[key] >= 0 for key in keys[1:4]) and result["peak_rss_mb"] > 0

@@ -12,18 +12,18 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import cubetrees.cli
-import cubetrees.hypercube
 import cubetrees.verify
 import cubetrees.walk
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_from_bytes, decomposition_to_bytes
-from cubetrees.hypercube import MalformedEdgeError, _stacks, edge_endpoints, num_edges, plane_masks
+from cubetrees.hypercube import MalformedEdgeError, edge_endpoints, num_edges, plane_masks
 from cubetrees.verify import (
     MalformedDecompositionError,
     forest_components,
     is_matching,
     verify_decomposition,
 )
+from cubetrees.walk import _stacks
 from construct_reference import leftover_edge_ids
 from deadline import deadline
 from mask_reference import reference_edge_masks
@@ -373,7 +373,7 @@ def labels_per_group(mp, n, size):
     last); the stacking budget is shared, so the planes are filled in
     stacks of `size` too."""
     itemsize = np.min_scalar_type((1 << n) - 1).itemsize
-    mp.setattr(cubetrees.hypercube, "_STACK_BYTES", size * itemsize << n)
+    mp.setattr(cubetrees.walk, "_STACK_BYTES", size * itemsize << n)
 
 
 @pytest.mark.parametrize("size", GROUP_SIZES)
@@ -407,7 +407,7 @@ def test_an_even_leftover_alone_is_counted_not_hooked(monkeypatch, n):
         return roots(lower, upper, vertices)
 
     monkeypatch.setattr(cubetrees.verify, "_roots", recorded)
-    monkeypatch.setattr(cubetrees.verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cubetrees.walk, "_usable_cpus", lambda: 1)
     assert assert_same_report(construct(n)).overall
     assert spaces == [1 << n] * (n % 2)
 
@@ -420,7 +420,7 @@ def walk_groups(n):
 
 def test_group_plan():
     """Walks cover tree labels 1..k once, in order, with stacked indices that fit uint32."""
-    bound = cubetrees.hypercube._STACK_BYTES
+    bound = cubetrees.walk._STACK_BYTES
     for n in range(1, 25):
         k = n // 2
         groups = walk_groups(n)
@@ -438,7 +438,7 @@ def test_group_plan():
 def label_check_threads(mp):
     """Take the two-thread path at every size; return the idents of the
     threads that run a task: the leftover's check (_check_leftover), then
-    one walk of a group of trees each (_check_trees)."""
+    one search of a group of trees each (walk._search_group)."""
     idents = []
 
     def recorded(check):
@@ -448,10 +448,10 @@ def label_check_threads(mp):
 
         return run
 
-    mp.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
-    mp.setattr(cubetrees.verify, "_usable_cpus", lambda: 2)
-    for name in ("_check_leftover", "_check_trees"):
-        mp.setattr(cubetrees.verify, name, recorded(getattr(cubetrees.verify, name)))
+    mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
+    mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
+    for module, name in ((cubetrees.verify, "_check_leftover"), (cubetrees.walk, "_search_group")):
+        mp.setattr(module, name, recorded(getattr(module, name)))
     return idents
 
 
@@ -485,15 +485,16 @@ def test_single_mutations_match_union_find_reference_on_two_threads(data, size):
 def assert_same_report_through_the_walk(dec):
     """assert_same_report with one tree label per walk; each walk must
     certify exactly the labels that are spanning trees."""
-    certified, search = [], cubetrees.verify._search
+    certified, search = [], cubetrees.walk._search
 
-    def recorded(marks, n, source):
-        depths, reach = search(marks, n, source)
-        certified.append(depths[0] is not None and reach[0] == (1 << n) - 1)
+    def recorded(marks, n, source, order=None):
+        depths, reach = search(marks, n, source, order)
+        if order is None:  # a walk, not the marked search of a tree it cut
+            certified.append(depths[0] is not None and reach[0] == (1 << n) - 1)
         return depths, reach
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cubetrees.verify, "_search", recorded)
+        mp.setattr(cubetrees.walk, "_search", recorded)
         labels_per_group(mp, dec.n, 1)
         report = assert_same_report(dec)
     assert certified == [tree.ok for tree in report.trees]
@@ -560,50 +561,55 @@ def test_only_labels_the_walk_cannot_certify_are_hooked(monkeypatch):
         assert verify_decomposition(dec).overall
         assert hooked == odd
         # one edge of tree 1 moved to tree 2: tree 1 falls short and is only
-        # counted, tree 2 holds a cycle; then one leftover edge moved to tree 3
+        # counted, tree 2 holds a cycle and gets a marked search, not hooking;
+        # then one leftover edge moved to tree 3
         for old, new in [(1, 2), (0, 3)]:
             labels = dec.labels.copy()
             labels[np.flatnonzero(labels == old)[0]] = new
             mutated = Decomposition(n=n, labels=labels)
             hooked.clear()
             assert not assert_same_report(mutated).overall
-            assert sorted(hooked) == odd + [new]
+            assert sorted(hooked) == odd
 
 
 def test_planes_filled_on_two_threads_give_the_reference_masks(monkeypatch):
-    # the helper fills the even-numbered planes, this thread the others, and
-    # every label's mask taken from them equals the slow per-value build
+    # one plane per fill: the helper fills the even-numbered planes, this
+    # thread the others, and every label's mask taken from them equals the
+    # slow per-value build
     n, fills, masks = 9, [], []
-    fill = cubetrees.verify.bit_planes
+    fill = cubetrees.walk.bit_planes
 
     def recorded_fill(labels, n, planes, rows):
         fills.append((rows.start, threading.get_ident()))
         return fill(labels, n, planes, rows)
 
     label_check_threads(monkeypatch)
-    check = cubetrees.verify._check_trees
+    check = cubetrees.walk._search_group
 
-    def recorded_check(labels, planes, trees, n):
+    def recorded_check(planes, trees, n, root):
         masks.append(plane_masks(planes, range(n // 2 + 1), n))
-        return check(labels, planes, trees, n)
+        return check(planes, trees, n, root)
 
     labels_per_group(monkeypatch, n, 1)
-    monkeypatch.setattr(cubetrees.verify, "bit_planes", recorded_fill)
-    monkeypatch.setattr(cubetrees.verify, "_check_trees", recorded_check)
+    monkeypatch.setattr(cubetrees.walk, "bit_planes", recorded_fill)
+    monkeypatch.setattr(cubetrees.walk, "_search_group", recorded_check)
     for seed in range(4):
         dec = random_labels(n, seed, seed % 4)
         fills.clear()
         masks.clear()
         assert_same_report(dec)
-        by_rows = dict(fills)  # the first row each call fills -> its thread
-        assert len(fills) == 2 and by_rows[1] == threading.get_ident() != by_rows[0]
+        by_rows = dict(fills)  # the plane each call fills -> its thread
+        here = threading.get_ident()
+        assert len(fills) == len(by_rows) == int(dec.labels.max()).bit_length() >= 2
+        assert all((by_rows[row] == here) == (row % 2 == 1) for row in by_rows)
+        assert by_rows[1] == here != by_rows[0]
         want = reference_edge_masks(dec.labels, range(dec.k + 1), n)
         assert len(masks) == dec.k
         assert all(np.array_equal(got, want) for got in masks)
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("an edge set was checked outside _check_leftover and _check_trees")
+    raise AssertionError("an edge set was checked outside _check_leftover and the tree searches")
 
 
 @pytest.mark.parametrize(
@@ -648,18 +654,18 @@ def test_no_helper_thread_for_small_cubes_one_tree_or_one_cpu(monkeypatch):
     def no_helper(*args, **kwargs):
         raise AssertionError("a helper thread was started")
 
-    crossover = cubetrees.verify._THREAD_MIN_VERTICES
+    crossover = cubetrees.walk._THREAD_MIN_VERTICES
     idents = label_check_threads(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_helper)
-    monkeypatch.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", crossover)
+    monkeypatch.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", crossover)
     labels_per_group(monkeypatch, 16, 1)
     assert_same_report(construct(16))  # 2^16 vertices: below the crossover
     assert len(idents) == 9  # the leftover, then trees 1..8 one per walk
-    monkeypatch.setattr(cubetrees.verify, "_THREAD_MIN_VERTICES", 1)
+    monkeypatch.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
     for n in (2, 3):  # k = 1: the leftover and one walk
         assert_same_report(construct(n))
     assert len(idents) == 9 + 2 + 2
-    monkeypatch.setattr(cubetrees.verify, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(cubetrees.walk, "_usable_cpus", lambda: 1)
     labels_per_group(monkeypatch, 8, 1)
     assert_same_report(construct(8))
     assert len(idents) == 9 + 2 + 2 + 5

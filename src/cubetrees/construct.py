@@ -35,14 +35,18 @@ across the copies with one selected cross edge each; tree k threads copy
 matching; the leftover collects copy 1's matching, one selected cross
 edge, and copy 2's last tree, which form a forest with k components.
 
-Labels are kept in a flat uint8 array in dense edge-id order, and each
-extension step is pure block arithmetic on that array.  Copy c of the
-smaller cube (c = the new top coordinates read as a number: Gray order
-puts copies 1..4 at c = 0, 1, 3, 2) shifts every dimension block by
-c * 2^(m-1), so the first m output blocks are an (m, copies, 2^(m-1))
-reshape of the copies' labels.  The cross matchings are whole blocks plus
-one fancy-index write of the selected edges per matching, and the step runs
-in O(edges) with no per-edge Python work.
+Labels are kept in a flat uint8 array in dense edge-id order, and both
+steps are one routine, _extend, of pure block arithmetic on that array.
+Copy c of the smaller cube (c = the new top coordinates read as a number:
+Gray order puts copies 1..4 at c = 0, 1, 3, 2) shifts every dimension block
+by c * 2^(m-1), so the first m output blocks are an (m, copies, 2^(m-1))
+reshape of the copies' labels.  The cross matchings follow as consecutive
+runs of 2^m edges: (1,2), (3,4), (1,4), (2,3) in the even step, the one
+matching in the odd step.  So a step is a table: the number of copies, the
+label the other copies' last tree takes, and per run its bulk label and the
+label of the selected edge paired with the last leftover edge, if the run
+selects any.  Each run is one block write plus one fancy-index write of its
+selected edges, and the step runs in O(edges) with no per-edge Python work.
 """
 
 from __future__ import annotations
@@ -117,79 +121,38 @@ def _matching_starts(sub_k: int) -> np.ndarray:
     return (4 ** np.arange(1, sub_k + 1, dtype=np.int64) - 4) // 3
 
 
-def _place_copies(
-    out: np.ndarray, sub_labels: np.ndarray, m: int, copies: int, moved: np.ndarray
-) -> None:
-    """Write the copies' labels into dimension blocks 0..m-1 of out.
+def _extend(sub_labels: np.ndarray, sub_k: int, copies: int, last: int, crossings: list) -> np.ndarray:
+    """One step: labels of Q_{2*sub_k} -> labels of the cube made of copies
+    copies joined by the cross matchings listed in crossings.
 
-    Output block d holds copy c's block d at offset c * 2^(m-1), so those
-    blocks form an (m, copies, 2^(m-1)) view.  The copy at offset 0 keeps
-    sub_labels; every other copy relabels them through moved.
+    Output block d < m holds copy c's block d at offset c * 2^(m-1), so those
+    blocks form an (m, copies, 2^(m-1)) view.  The first copy keeps
+    sub_labels; in every other copy the leftover feeds tree sub_k and the
+    last tree becomes last.  The cross matchings follow as consecutive runs
+    of 2^m edges, each edge at the local vertex of its lower end.  A run's
+    (bulk, final) puts every edge in tree bulk except the selected ones:
+    the edge paired with leftover edge i joins tree i, and the one paired
+    with the last leftover edge joins final; final None selects no edges.
     """
-    half = 1 << (m - 1)
-    blocks = out[: m * copies * half].reshape(m, copies, half)
+    m = 2 * sub_k
+    half, run = 1 << (m - 1), 1 << m
+    start = m * copies * half
+    out = np.empty(start + len(crossings) * run, dtype=np.uint8)
+
+    moved = np.arange(sub_k + 1, dtype=np.uint8)
+    moved[LEFTOVER] = sub_k
+    moved[sub_k] = last
+    blocks = out[:start].reshape(m, copies, half)
     blocks[:, 0] = sub_labels.reshape(m, half)
     blocks[:, 1:] = moved[sub_labels].reshape(m, 1, half)
 
-
-def _extend_even(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
-    """One even step: labels of Q_{2*sub_k} -> labels of Q_{2*sub_k + 2}."""
-    m = 2 * sub_k
-    full = 1 << (m + 1)  # output dimension-block size
-    out = np.empty((m + 2) * full, dtype=np.uint8)
-
-    # Copy 1 keeps every label; in copies 2..4 the leftover feeds the new
-    # tree sub_k and the last tree becomes the new final tree sub_k + 1.
-    moved = np.arange(sub_k + 2, dtype=np.uint8)
-    moved[LEFTOVER] = sub_k
-    moved[sub_k] = sub_k + 1
-    _place_copies(out, sub_labels, m, 4, moved)
-
-    # Cross matchings.  Dimension m holds the copy pairs (1,2) and (3,4),
-    # dimension m+1 holds (1,4) and (2,3); within each half-block the offset
-    # is the local vertex of the lower endpoint.
-    q = 1 << m
-    m12 = m * full
-    m34 = m * full + q
-    m14 = (m + 1) * full
-    m23 = (m + 1) * full + q
-    out[m12:m34] = sub_k  # bulk of (1,2) joins the new tree sub_k
-    out[m34 : m34 + q] = sub_k
-    out[m14:m23] = sub_k + 1  # the (1,4) matching belongs entirely to the final tree
-    out[m23 : m23 + q] = sub_k
-
-    # The selected edge paired with leftover edge j joins tree j in every
-    # pair; the last one goes to the final tree in (1,2) and (3,4) and
-    # stays leftover in (2,3).
     chosen = _matching_starts(sub_k)
     selected = np.arange(1, sub_k + 1, dtype=np.uint8)
-    selected[-1] = sub_k + 1
-    out[m12 + chosen] = selected
-    out[m34 + chosen] = selected
-    selected[-1] = LEFTOVER
-    out[m23 + chosen] = selected
-    return out
-
-
-def _extend_odd(sub_labels: np.ndarray, sub_k: int) -> np.ndarray:
-    """Odd step: labels of Q_{2*sub_k} -> labels of Q_{2*sub_k + 1}."""
-    m = 2 * sub_k
-    full = 1 << m
-    out = np.empty((m + 1) * full, dtype=np.uint8)
-
-    # Copy 2 donates its leftover to tree sub_k and its last tree to the
-    # new leftover forest; copy 1 keeps every label.
-    moved = np.arange(sub_k + 1, dtype=np.uint8)
-    moved[LEFTOVER] = sub_k
-    moved[sub_k] = LEFTOVER
-    _place_copies(out, sub_labels, m, 2, moved)
-
-    cross = m * full
-    out[cross : cross + full] = sub_k
-    chosen = _matching_starts(sub_k)
-    selected = np.arange(1, sub_k + 1, dtype=np.uint8)
-    selected[-1] = LEFTOVER
-    out[cross + chosen] = selected
+    for cross, (bulk, final) in zip(out[start:].reshape(-1, run), crossings):
+        cross[:] = bulk
+        if final is not None:
+            selected[-1] = final
+            cross[chosen] = selected
     return out
 
 
@@ -205,8 +168,9 @@ def construct(n: int) -> Decomposition:
     if k == 0:
         return Decomposition(n=1, labels=np.zeros(1, dtype=np.uint8))
     labels = base_q2().labels
-    for sub_k in range(1, k):
-        labels = _extend_even(labels, sub_k)
+    for j in range(1, k):
+        # Cross matchings (1,2), (3,4), (1,4), (2,3) of the Gray-ordered copies.
+        labels = _extend(labels, j, 4, j + 1, [(j, j + 1), (j, j + 1), (j + 1, None), (j, LEFTOVER)])
     if n % 2:
-        labels = _extend_odd(labels, k)
+        labels = _extend(labels, k, 2, LEFTOVER, [(k, LEFTOVER)])
     return Decomposition(n=n, labels=labels)

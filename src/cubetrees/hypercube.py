@@ -27,8 +27,8 @@ import numpy as np
 
 # The largest n that construct + verify has been run at: n = 24 is ~201M
 # one-byte edge labels, verified in under a minute and 2 GB (a slow test
-# holds it there; verify alone took 5.0-7.6 s and 701-705 MB of peak RSS
-# on two CPUs, in five fresh scripts/stress_large.py -n 24 runs).
+# holds it there; verify alone took 4.2-4.7 s and 709-710 MB of peak RSS
+# on two CPUs, in fresh scripts/stress_large.py -n 24 runs).
 DIMENSION_CAP = 24
 
 
@@ -83,20 +83,17 @@ def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray | None = None, rows=slice(None)) -> np.ndarray:
-    """Per-vertex masks of the label bits: bit d of planes[b, x] is bit b of
-    the label of the edge x -- x ^ 1<<d, one row per bit of labels.max().
-    Given planes, only planes[rows] are filled (rows a slice or a range),
-    so two threads can share it and fill a few rows at a time.
+def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray, rows) -> None:
+    """Fill planes[rows] (rows a slice or a range) with per-vertex masks of
+    the label bits: bit d of planes[b, x] is bit b of the label of the edge
+    x -- x ^ 1<<d.  Filling a few rows at a time lets two threads share the
+    planes.
 
     Dimension block d of the edge-id layout, cut into rows of 2^d edges,
     has edge i of row r from vertex r * 2^(d+1) + i to the vertex 2^d above
     it, so its bit b, every row repeated twice, gives bit d to both ends of
     every edge in the block; the bits go in from the highest dimension down.
     """
-    if planes is None:
-        bits = int(labels.max(initial=0)).bit_length()
-        planes = np.empty((bits, 1 << n), np.min_scalar_type((1 << n) - 1))
     rows = slice(rows.start, rows.stop, rows.step)
     stack = planes[rows]
     bits = (np.uint8(1) << np.arange(len(planes), dtype=np.uint8)[rows]).reshape(-1, 1, 1)
@@ -106,7 +103,6 @@ def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray | None = None, row
         block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
         stack <<= 1
         stack |= np.repeat(block & bits != 0, 2, axis=1).reshape(stack.shape)
-    return planes
 
 
 def plane_masks(planes: np.ndarray, values, n: int) -> np.ndarray:

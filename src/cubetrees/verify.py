@@ -5,11 +5,13 @@ the cube's own structure: dimension block d of the edge-id layout lists the
 edges along d by their lower end with bit d squeezed out, so each edge set
 becomes a (lower, upper) pair of uint32 vertex arrays, read block by block.
 Connected components come from min-label hooking with pointer jumping over
-those edges, whose round count does not grow with the depth of a tree.  One
-routine, _check_labels, reduces a label's edge set to three integers: its
-edges, the vertices they touch and the components among those vertices.
-Every reported property is an integer identity on them.  Nothing is
-imported from the construction code, so a verified decomposition is
+those edges, whose round count does not grow with the depth of a tree.
+The hooking routine, _check_labels, reduces an edge set to three
+integers: its edges, the vertices they touch and the components among those
+vertices.  It serves two callers only, the odd leftover (label 0 at odd n)
+and forest_components.  Every reported property is an integer identity on
+such counts, whether hooking or the tree searches below give them.  Nothing
+is imported from the construction code, so a verified decomposition is
 certified by a second, unrelated route.
 
 No tree label is hooked.  The tree labels are searched from vertex 0

@@ -3,12 +3,15 @@
 This is how `cubetrees.hypercube` built edge masks before it derived them
 from bit planes (`bit_planes`, `plane_masks`): every value compares the whole
 label array again.  The property tests require the plane-derived masks to
-equal it.
+equal it.  all_planes fills every plane of a label array at once, for the
+tests that take their masks from the planes.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from cubetrees.hypercube import bit_planes
 
 
 def reference_edge_masks(labels: np.ndarray, values, n: int) -> np.ndarray:
@@ -30,3 +33,12 @@ def reference_edge_masks(labels: np.ndarray, values, n: int) -> np.ndarray:
         masks <<= 1
         masks |= np.repeat(block == values, 2, axis=1).reshape(len(values), -1)
     return masks
+
+
+def all_planes(labels: np.ndarray, n: int) -> np.ndarray:
+    """Every bit plane of labels, filled at once: one row per bit of
+    labels.max(), in the smallest unsigned dtype that holds n bits, as the
+    search driver sizes them."""
+    planes = np.empty((int(labels.max(initial=0)).bit_length(), 1 << n), np.min_scalar_type((1 << n) - 1))
+    bit_planes(labels, n, planes, range(len(planes)))
+    return planes

@@ -20,9 +20,10 @@ import cubetrees.walk
 from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_to_bytes
-from cubetrees.hypercube import bit_planes, num_edges, plane_masks
+from cubetrees.hypercube import num_edges, plane_masks
 from broadcast_reference import reference_tree_depths, reference_tree_searches
 from deadline import deadline
+from mask_reference import all_planes
 from test_verify import assert_same_report, best_of_three_each, gray_code_path, random_labels, single_mutation
 
 # A search on cyclic or random labels that never ends fails its test after
@@ -185,7 +186,7 @@ def test_the_walk_cuts_only_cyclic_trees(n, seed, skew, data):
     source = data.draw(st.integers(0, (1 << n) - 1))
     trees = data.draw(st.lists(st.integers(1, dec.k), min_size=1, max_size=6))
     want = reference_tree_searches(dec, source)
-    marks = plane_masks(bit_planes(dec.labels, n), trees, n).reshape(-1)
+    marks = plane_masks(all_planes(dec.labels, n), trees, n).reshape(-1)
     walked = cubetrees.walk._search(marks, n, source)
     marked = cubetrees.walk._search(marks, n, source, np.zeros(marks.size, dtype=np.int32))
     for t, (depth, reach) in enumerate(zip(*walked)):
@@ -202,7 +203,7 @@ def test_a_level_past_the_budget_cuts_only_the_trees_it_overfills():
     # of 3 * 63 entries while acyclic tree 2 is still walking: the copies
     # are cut, and tree 2 walks on to its own depth and reach.
     dec = random_labels(6, 22247, 1)
-    marks = plane_masks(bit_planes(dec.labels, 6), [1, 1, 2], 6).reshape(-1)
+    marks = plane_masks(all_planes(dec.labels, 6), [1, 1, 2], 6).reshape(-1)
     depths, reach = cubetrees.walk._search(marks, 6, 6)
     far, reached, cyclic = reference_tree_searches(dec, 6)[1]
     assert depths == [None, None, far] and reach[2] + 1 == reached and not cyclic
@@ -219,7 +220,7 @@ def test_one_moved_tree_edge_leaves_one_tree_unsettled(n):
         labels = dec.labels.copy()
         new = 1 + (int(labels[eid]) + int(rng.integers(dec.k - 1))) % dec.k
         labels[eid] = new
-        marks = plane_masks(bit_planes(labels, n), range(1, dec.k + 1), n).reshape(-1)
+        marks = plane_masks(all_planes(labels, n), range(1, dec.k + 1), n).reshape(-1)
         depths, reach = cubetrees.walk._search(marks, n, 0)
         assert [j for j, depth in enumerate(depths, 1) if depth is None] == [new]
 
@@ -359,7 +360,7 @@ GROUPS = [1, 2, None]
 
 
 def grouped(mp, group, dec):
-    row = plane_masks(bit_planes(dec.labels, dec.n), [0], dec.n).nbytes
+    row = plane_masks(all_planes(dec.labels, dec.n), [0], dec.n).nbytes
     mp.setattr(cubetrees.walk, "_STACK_BYTES", (group or dec.k) * row)
 
 

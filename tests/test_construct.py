@@ -183,14 +183,14 @@ def _reference_odd_labels(sub, n_out):
     return labels
 
 
-@pytest.mark.parametrize("k", [2, 3, 4])
+@pytest.mark.parametrize("k", range(2, 9))
 def test_even_step_matches_reference_assembly(k):
     sub = construct(2 * k - 2)
     expected = _reference_even_labels(sub, 2 * k)
     assert np.array_equal(construct(2 * k).labels, expected)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("k", range(1, 8))
 def test_odd_step_matches_reference_assembly(k):
     sub = construct(2 * k)
     expected = _reference_odd_labels(sub, 2 * k + 1)

@@ -15,7 +15,7 @@ from cubetrees.hypercube import (
     plane_masks,
 )
 from construct_reference import embed
-from mask_reference import reference_edge_masks
+from mask_reference import all_planes, reference_edge_masks
 from cube_reference import Edge, edge_from_id, edge_id, squeeze_bit, unsqueeze_bit
 from test_verify import random_labels
 
@@ -137,7 +137,7 @@ def test_vectorized_decode_matches_scalar(n):
 
 
 def edge_masks(labels, values, n):
-    return plane_masks(bit_planes(labels, n), values, n)
+    return plane_masks(all_planes(labels, n), values, n)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,7 +171,7 @@ def test_plane_masks_equal_the_reference(n, seed, top, values):
     # the labels' bits and a value with a bit above them gets a zero row
     labels = np.random.default_rng(seed).integers(0, top, num_edges(n)).astype(np.uint8)
     values += [0, 1, top - 1, min(top, 255), 16 + n // 2]
-    planes = bit_planes(labels, n)
+    planes = all_planes(labels, n)
     assert len(planes) == int(labels.max()).bit_length()
     masks = plane_masks(planes, values, n)
     want = reference_edge_masks(labels, values, n)
@@ -182,7 +182,7 @@ def test_plane_masks_equal_the_reference(n, seed, top, values):
 @pytest.mark.parametrize("n", [3, 9, 17])
 def test_planes_filled_by_rows_equal_planes_filled_at_once(n):
     labels = np.random.default_rng(n).integers(0, 13, num_edges(n)).astype(np.uint8)
-    planes = bit_planes(labels, n)
+    planes = all_planes(labels, n)
     parts = np.full_like(planes, 0xAB)
     for rows in (slice(1, None, 2), slice(0, None, 2)):
         bit_planes(labels, n, parts, rows)
@@ -195,12 +195,12 @@ def test_planes_filled_by_rows_equal_planes_filled_at_once(n):
 def test_edge_masks_take_the_narrowest_dtype(n, dtype):
     # every edge labelled 1: all n bits set at every vertex
     labels = np.ones(num_edges(n), dtype=np.uint8)
-    planes = bit_planes(labels, n)
+    planes = all_planes(labels, n)
     masks = plane_masks(planes, [0, 1], n)
     assert planes.dtype == masks.dtype == dtype and masks.shape == (2, num_vertices(n))
     assert not masks[0].any() and (masks[1] == (1 << n) - 1).all()
     # no label above 0: no plane, and every edge carries 0
-    none = bit_planes(labels - 1, n)
+    none = all_planes(labels - 1, n)
     assert none.shape == (0, num_vertices(n)) and none.dtype == dtype
     assert (plane_masks(none, [0, 1], n) == [[(1 << n) - 1], [0]]).all()
 

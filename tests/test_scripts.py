@@ -37,3 +37,31 @@ def test_scripts_run_and_pass():
             for key in keys[-2:]:
                 assert isinstance(result[key], int) and result[key] >= 0, result
             assert all(result[key] >= 0 for key in keys[1:4]) and result["peak_rss_mb"] > 0
+
+
+def test_loc_counts_code_lines_only(tmp_path):
+    source = tmp_path / "sample.py"
+    source.write_text(
+        '"""Module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "x = (1,\n"
+        "     2)  # code with a comment\n"
+        "\n"
+        "class A:\n"
+        '    """Class docstring."""\n'
+        "    def f(self):\n"
+        '        """Function docstring."""\n'
+        '        return "not a docstring"\n'
+    )
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "loc.py"), str(tmp_path), str(ROOT / "src" / "cubetrees")],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    counts = {path: int(count) for count, path in (line.split() for line in proc.stdout.splitlines())}
+    assert counts.pop(str(source)) == 5
+    assert counts.pop("total") == 5 + sum(counts.values())
+    assert {Path(path).name for path in counts} >= {"construct.py", "verify.py", "walk.py"}

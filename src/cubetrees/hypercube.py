@@ -16,9 +16,10 @@ label arrays and file formats throughout the package.
 
 An edge set can also be held per vertex: bit d of mask[x] marks the edge
 x -- x ^ 1<<d, in uint8 up to n = 8, uint16 up to n = 16 and uint32 above.
-bit_planes builds one per label bit, plane_masks those of label values from
-them.  walk.py fills the planes and searches groups of trees over these
-masks, for broadcast and for the verifier.
+bit_planes builds one per label bit, a block of vertices at a time, and
+plane_masks those of label values from them.  walk.py fills the planes and
+searches groups of trees over these masks, for broadcast and for the
+verifier.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ import numpy as np
 
 # The largest n that construct + verify has been run at: n = 24 is ~201M
 # one-byte edge labels, verified in under a minute and 2 GB (a slow test
-# holds it there; verify alone took 4.2-4.7 s and 709-710 MB of peak RSS
-# on two CPUs, in fresh scripts/stress_large.py -n 24 runs).
+# holds it there; verify alone took 3.2-3.5 s and 712-718 MB of peak RSS
+# on two CPUs, in three fresh scripts/stress_large.py -n 24 runs).
 DIMENSION_CAP = 24
 
 
@@ -83,26 +84,38 @@ def edge_endpoints(ids: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
     return u, v
 
 
-def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray, rows) -> None:
-    """Fill planes[rows] (rows a slice or a range) with per-vertex masks of
-    the label bits: bit d of planes[b, x] is bit b of the label of the edge
-    x -- x ^ 1<<d.  Filling a few rows at a time lets two threads share the
-    planes.
+def bit_planes(labels: np.ndarray, n: int, planes: np.ndarray, vertices: range) -> None:
+    """Fill the columns vertices of planes, an aligned block of a power of
+    two vertices, with per-vertex masks of the label bits: bit d of
+    planes[b, x] is bit b of the label of the edge x -- x ^ 1<<d.  Filling
+    one block at a time lets two threads share the planes.
 
     Dimension block d of the edge-id layout, cut into rows of 2^d edges,
     has edge i of row r from vertex r * 2^(d+1) + i to the vertex 2^d above
-    it, so its bit b, every row repeated twice, gives bit d to both ends of
-    every edge in the block; the bits go in from the highest dimension down.
+    it.  So where bit d is fixed in the block, the block's edges along d are
+    one run of as many labels as it has vertices; where bit d varies, they
+    are half as many, every row repeated twice.  Each dimension's run is
+    taken once and ANDed with every plane's bit.  From the highest dimension
+    down, eight at a time collect in one byte per plane and vertex, shifted
+    by doubling it (uint8 <<= is not vectorized); the planes then shift up
+    a byte and take it in.
     """
-    rows = slice(rows.start, rows.stop, rows.step)
-    stack = planes[rows]
-    bits = (np.uint8(1) << np.arange(len(planes), dtype=np.uint8)[rows]).reshape(-1, 1, 1)
+    start, size = vertices.start, len(vertices)
+    block = planes[:, start : start + size]
+    bits = (np.uint8(1) << np.arange(len(planes), dtype=np.uint8)).reshape(-1, 1)
     half = 1 << (n - 1)
-    stack[:] = 0
+    byte = np.zeros(block.shape, np.uint8)  # a full group of eight doublings clears it
+    block[...] = 0
     for d in reversed(range(n)):
-        block = labels[d * half : (d + 1) * half].reshape(half >> d, 1 << d)
-        stack <<= 1
-        stack |= np.repeat(block & bits != 0, 2, axis=1).reshape(stack.shape)
+        at = d * half + (start >> d + 1 << d) + (start & (1 << d) - 1)  # start's edge along d
+        run = labels[at : at + size]
+        if size >> d > 1:  # bit d varies in the block
+            run = np.repeat(labels[at : at + size // 2].reshape(-1, 1 << d), 2, axis=0).reshape(-1)
+        np.add(byte, byte, out=byte)
+        byte |= (run & bits != 0).view(np.uint8)
+        if d % 8 == 0:
+            block <<= 8
+            block |= byte
 
 
 def plane_masks(planes: np.ndarray, values, n: int) -> np.ndarray:

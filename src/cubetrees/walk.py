@@ -28,11 +28,13 @@ One driver (_search_trees) serves both callers, verify from vertex 0 and
 broadcast from any root.  It fills the labels' bit planes once and searches
 tree labels 1..n // 2 in groups (_stacks), one task per group: the group's
 masks, one walk of the group, and a marked search of the own mask row of
-each tree the walk cuts.  On a cube of at least _THREAD_MIN_VERTICES
-vertices with two or more groups and two usable CPUs, a helper thread fills
-half the planes, then runs the first task and every second one after it
-while the calling thread runs the others (_on_two_threads); afterwards the
-freed heap is handed back to the OS (glibc's malloc_trim).
+each tree the walk cuts.  The planes are filled one task per block of
+_BLOCK_VERTICES vertices.  On a cube of at least _THREAD_MIN_VERTICES
+vertices with two or more groups and two usable CPUs, a helper thread runs
+the first fill task and every second one after it while the calling thread
+fills the other blocks, and then the search tasks are shared the same way
+(_on_two_threads); afterwards the freed heap is handed back to the OS
+(glibc's malloc_trim).
 """
 
 from __future__ import annotations
@@ -53,29 +55,35 @@ from .hypercube import bit_planes, num_vertices, plane_masks
 # cross between 64 and 128 entries; a tree has only a few levels in that band.
 _WIDE_LEVEL = 64
 
-# Rows of 2^n masks are stacked up to this many bytes (one row at least,
-# _stacks): the planes filled together, and the trees walked together.  Both
-# measured on a 2-CPU shared VM.  Four planes stacked against one at a time,
-# best of five: n = 8 took 0.06/0.14 ms, n = 16 2.6/3.0 ms, n = 18 33/17 ms,
-# n = 22 0.82/0.38 s.  So all k trees are walked together up to n = 15, four
-# at n = 16 (uint16 masks), one from n = 17 up (uint32): median of
-# tree_depths(construct(n), root) over 40-200 seeded roots, every group size
-# timed on each root in turn, n = 14 with 1/2/4/7 trees took 8.0/7.0/5.3/4.3
-# ms, n = 15 with 2/4/7 took 11.2/8.7/8.1 ms, n = 16 with 1/2/3/4/8 took
-# 21.8/20.2/19.5/17.4/17.7 ms, n = 17 with 1/2 took 30.7/31.5 ms and n = 18
-# with 1/2 took 63/74 ms.  1 MB of masks was no faster at n = 16 and 17, and
-# slower at n = 18.
+# The masks of the trees walked together are stacked up to this many bytes
+# (one tree's row at least, _stacks).  So all k trees are walked together up
+# to n = 15, four at n = 16 (uint16 masks), one from n = 17 up (uint32),
+# measured on a 2-CPU shared VM: median of tree_depths(construct(n), root)
+# over 40-200 seeded roots, every group size timed on each root in turn,
+# n = 14 with 1/2/4/7 trees took 8.0/7.0/5.3/4.3 ms, n = 15 with 2/4/7 took
+# 11.2/8.7/8.1 ms, n = 16 with 1/2/3/4/8 took 21.8/20.2/19.5/17.4/17.7 ms,
+# n = 17 with 1/2 took 30.7/31.5 ms and n = 18 with 1/2 took 63/74 ms.  1 MB
+# of masks was no faster at n = 16 and 17, and slower at n = 18.
 _STACK_BYTES = 1 << 19
 
+# Vertices per plane-fill task (hypercube.bit_planes).  Small blocks lose on
+# two threads: their many short numpy calls pass the GIL back and forth.
+# Filling construct(n)'s four planes, one thread / two, medians of 7
+# interleaved runs (2-CPU shared VM): n = 20 with blocks of 2^13 took
+# 55/83 ms, 2^15 37/35 ms, 2^16 36/27 ms, 2^17 37/25 ms, 2^18 42/27 ms;
+# n = 22 175/311, 112/128, 109/89, 120/83 and 155/94 ms.  One plane per
+# task over the whole cube took 79/42 ms at n = 20 and 296/190 ms at n = 22.
+_BLOCK_VERTICES = 1 << 17
+
 # Cubes below this many vertices are searched on one thread.  One thread
-# against two, medians of 21-31 interleaved calls per run (2-CPU shared VM),
-# on construct(n) / with one tree-1 edge moved to tree 2.  tree_depths from
-# root 12345: n = 16 11.4-13.3/12.9-14.1 and 15.5-16.2/15.8-17.6 ms, n = 17
-# 21.9-33.0/25.8-33.4 and 27.0-31.8/30.5-34.4 ms (slower on two in 5 of 6),
-# n = 18 56.4-57.1/45.1-49.3 and 48.5-55.0/44.7-47.4 ms.  verify: n = 16
-# 12.0-12.5/12.5-13.6 and 19.5-22.1/17.5-21.3 ms, n = 17 25.0-38.2/26.9-33.4
-# and 29.3-41.2/29.3-33.5 ms (a wash), n = 18 42.4-65.8/40.8-53.3 and
-# 52.6-58.2/42.8-50.2 ms.
+# against two with the blocked plane fill, medians of 15-25 interleaved calls
+# per run (2-CPU shared VM), on construct(n) / with one tree-1 edge moved to
+# tree 2.  verify: n = 16 13.2/14.8 and 17.4/17.1 ms, n = 17 32.4/31.8 and
+# 39.0/34.1 ms, n = 18 in three runs 41.5-50.1/49.1-49.9 and
+# 51.6-60.6/53.7-61.6 ms (a wash), n = 19 121/74 and 147/88 ms.  tree_depths
+# from root 12345: n = 16 11.0/14.5 and 15.0/16.5 ms, n = 17 28.4/29.9 and
+# 31.1/33.0 ms, n = 18 37.9-50.0/49.1-52.8 and 44.6-59.8/55.2-55.5 ms (a
+# wash), n = 19 97/69 and 122/86 ms.
 _THREAD_MIN_VERTICES = 1 << 18
 
 
@@ -91,15 +99,16 @@ def _search_trees(labels: np.ndarray, n: int, root: int, *head) -> list:
     tree label 1..n // 2 searched from root (_search_group), over masks from
     one set of the labels' bit planes, as many as labels.max() has bits.
 
-    The planes are filled as many at a time as fit _STACK_BYTES, one task
-    per stack; from 2^17 vertices up that is one plane per task, so on two
-    threads the helper fills the even-numbered planes."""
+    Every plane is filled a block of _BLOCK_VERTICES vertices at a time (the
+    whole cube if smaller), one task per block, so on two threads the helper
+    fills the even-numbered blocks."""
     vertices = num_vertices(n)
     planes = np.empty((int(labels.max(initial=0)).bit_length(), vertices), np.min_scalar_type(vertices - 1))
     groups = _stacks(range(1, n // 2 + 1), planes)
     threads = len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
     run = _on_two_threads if threads else lambda tasks: [task() for task in tasks]
-    run([partial(bit_planes, labels, n, planes, rows) for rows in _stacks(range(len(planes)), planes)])
+    size = min(vertices, _BLOCK_VERTICES)
+    run([partial(bit_planes, labels, n, planes, range(start, start + size)) for start in range(0, vertices, size)])
     found = run([*head, *(partial(_search_group, planes, trees, n, root) for trees in groups)])
     return found[: len(head)] + [tree for group in found[len(head) :] for tree in group]
 

@@ -241,8 +241,9 @@ def test_one_moved_tree_edge_costs_verify_one_marked_search(monkeypatch, n):
 
 
 def helper_searches(mp):
-    """Take the two-thread path at every size, one tree per group; return the
-    idents of the threads that search a group (walk._search_group)."""
+    """Take the two-thread path at every size, the planes filled in blocks
+    of 8 vertices; return the idents of the threads that search a group
+    (walk._search_group)."""
     idents, search = [], cubetrees.walk._search_group
 
     def recorded(*args):
@@ -250,6 +251,7 @@ def helper_searches(mp):
         return search(*args)
 
     mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
+    mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", 8)
     mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
     mp.setattr(cubetrees.walk, "_search_group", recorded)
     return idents
@@ -354,8 +356,7 @@ def test_single_mutations_match_dict_bfs_reference(data):
 
 # Group g makes tree_depths walk and build the masks of min(k, g) trees
 # together; None groups all k.  Cyclic labels make a group walk cut a tree,
-# and that tree then gets one marked search of its own mask row.  The
-# stacking budget is shared, so the planes are then filled in stacks of g too.
+# and that tree then gets one marked search of its own mask row.
 GROUPS = [1, 2, None]
 
 

@@ -15,7 +15,7 @@ from cubetrees.hypercube import (
     plane_masks,
 )
 from construct_reference import embed
-from mask_reference import all_planes, reference_edge_masks
+from mask_reference import all_planes, reference_bit_planes, reference_edge_masks
 from cube_reference import Edge, edge_from_id, edge_id, squeeze_bit, unsqueeze_bit
 from test_verify import random_labels
 
@@ -179,14 +179,28 @@ def test_plane_masks_equal_the_reference(n, seed, top, values):
     assert np.array_equal(masks, want)
 
 
-@pytest.mark.parametrize("n", [3, 9, 17])
-def test_planes_filled_by_rows_equal_planes_filled_at_once(n):
-    labels = np.random.default_rng(n).integers(0, 13, num_edges(n)).astype(np.uint8)
-    planes = all_planes(labels, n)
-    parts = np.full_like(planes, 0xAB)
-    for rows in (slice(1, None, 2), slice(0, None, 2)):
-        bit_planes(labels, n, parts, rows)
-    assert np.array_equal(parts, planes)
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 17), st.integers(0, 2**32 - 1), st.integers(1, 256), st.data())
+def test_planes_filled_in_blocks_equal_the_reference(n, seed, top, data):
+    # Labels below top, so 0..8 planes, filled in blocks of a power-of-two
+    # size from one vertex (every bit fixed in the block) to the whole cube
+    # (every bit varies), in shuffled order, into planes pre-filled with
+    # 0xAB.  At most 64 blocks are filled; the others must stay untouched.
+    rng = np.random.default_rng(seed)
+    labels = rng.integers(0, top, num_edges(n)).astype(np.uint8)
+    want = np.empty((int(labels.max()).bit_length(), num_vertices(n)), np.min_scalar_type(num_vertices(n) - 1))
+    reference_bit_planes(labels, n, want, range(len(want)))
+    size = 1 << data.draw(st.integers(0, n))
+    starts = rng.permutation(num_vertices(n) // size)[:64] * size
+    planes = np.full_like(want, 0xAB)
+    for start in starts.tolist():
+        bit_planes(labels, n, planes, range(start, start + size))
+    filled = np.isin(np.arange(num_vertices(n)) // size, starts // size)
+    assert np.array_equal(planes[:, filled], want[:, filled])
+    assert (planes[:, ~filled] == 0xAB).all()
+    values = [0, 1, top - 1, min(top, 255), *data.draw(st.lists(st.integers(0, 255), max_size=4))]
+    masks = plane_masks(planes, values, n)
+    assert np.array_equal(masks[:, filled], reference_edge_masks(labels, values, n)[:, filled])
 
 
 @pytest.mark.parametrize(

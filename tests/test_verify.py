@@ -370,8 +370,7 @@ GROUP_SIZES = (1, 2, 13)
 
 def labels_per_group(mp, n, size):
     """Make verify walk Q_n's tree labels in groups of `size` (fewer in the
-    last); the stacking budget is shared, so the planes are filled in
-    stacks of `size` too."""
+    last)."""
     itemsize = np.min_scalar_type((1 << n) - 1).itemsize
     mp.setattr(cubetrees.walk, "_STACK_BYTES", size * itemsize << n)
 
@@ -436,9 +435,10 @@ def test_group_plan():
 
 
 def label_check_threads(mp):
-    """Take the two-thread path at every size; return the idents of the
-    threads that run a task: the leftover's check (_check_leftover), then
-    one search of a group of trees each (walk._search_group)."""
+    """Take the two-thread path at every size, the planes filled in blocks
+    of 8 vertices; return the idents of the threads that run a task: the
+    leftover's check (_check_leftover), then one search of a group of trees
+    each (walk._search_group)."""
     idents = []
 
     def recorded(check):
@@ -449,6 +449,7 @@ def label_check_threads(mp):
         return run
 
     mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
+    mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", 8)
     mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
     for module, name in ((cubetrees.verify, "_check_leftover"), (cubetrees.walk, "_search_group")):
         mp.setattr(module, name, recorded(getattr(module, name)))
@@ -573,15 +574,16 @@ def test_only_labels_the_walk_cannot_certify_are_hooked(monkeypatch):
 
 
 def test_planes_filled_on_two_threads_give_the_reference_masks(monkeypatch):
-    # one plane per fill: the helper fills the even-numbered planes, this
-    # thread the others, and every label's mask taken from them equals the
-    # slow per-value build
-    n, fills, masks = 9, [], []
+    # four blocks of 2^7 vertices: each is filled once, the helper fills the
+    # even-numbered blocks, this thread the others, and every label's mask
+    # taken from the planes equals the slow per-value build
+    n, size, fills, masks = 9, 1 << 7, [], []
     fill = cubetrees.walk.bit_planes
 
-    def recorded_fill(labels, n, planes, rows):
-        fills.append((rows.start, threading.get_ident()))
-        return fill(labels, n, planes, rows)
+    def recorded_fill(labels, n, planes, vertices):
+        fills.append((vertices.start // size, threading.get_ident()))
+        assert len(vertices) == size and vertices.start % size == 0
+        return fill(labels, n, planes, vertices)
 
     label_check_threads(monkeypatch)
     check = cubetrees.walk._search_group
@@ -591,6 +593,7 @@ def test_planes_filled_on_two_threads_give_the_reference_masks(monkeypatch):
         return check(planes, trees, n, root)
 
     labels_per_group(monkeypatch, n, 1)
+    monkeypatch.setattr(cubetrees.walk, "_BLOCK_VERTICES", size)
     monkeypatch.setattr(cubetrees.walk, "bit_planes", recorded_fill)
     monkeypatch.setattr(cubetrees.walk, "_search_group", recorded_check)
     for seed in range(4):
@@ -598,11 +601,11 @@ def test_planes_filled_on_two_threads_give_the_reference_masks(monkeypatch):
         fills.clear()
         masks.clear()
         assert_same_report(dec)
-        by_rows = dict(fills)  # the plane each call fills -> its thread
+        by_block = dict(fills)  # the block each call fills -> its thread
         here = threading.get_ident()
-        assert len(fills) == len(by_rows) == int(dec.labels.max()).bit_length() >= 2
-        assert all((by_rows[row] == here) == (row % 2 == 1) for row in by_rows)
-        assert by_rows[1] == here != by_rows[0]
+        assert len(fills) == len(by_block) == (1 << n) // size >= 4
+        assert all((by_block[block] == here) == (block % 2 == 1) for block in by_block)
+        assert by_block[1] == here != by_block[0]
         want = reference_edge_masks(dec.labels, range(dec.k + 1), n)
         assert len(masks) == dec.k
         assert all(np.array_equal(got, want) for got in masks)

@@ -179,6 +179,18 @@ def test_plane_masks_equal_the_reference(n, seed, top, values):
     assert np.array_equal(masks, want)
 
 
+@pytest.mark.parametrize("n", [3, 9, 17])
+def test_planes_filled_by_rows_equal_planes_filled_at_once(n):
+    # the row-wise reference fill, odd rows then even rows, against the
+    # package's fill of every plane as one block of the whole cube
+    labels = np.random.default_rng(n).integers(0, 13, num_edges(n)).astype(np.uint8)
+    planes = all_planes(labels, n)
+    parts = np.full_like(planes, 0xAB)
+    for rows in (slice(1, None, 2), slice(0, None, 2)):
+        reference_bit_planes(labels, n, parts, rows)
+    assert np.array_equal(parts, planes)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 17), st.integers(0, 2**32 - 1), st.integers(1, 256), st.data())
 def test_planes_filled_in_blocks_equal_the_reference(n, seed, top, data):

@@ -49,8 +49,9 @@ FILES_PUBLIC = [
 
 # The names cubetrees.verify defines: the error, the three report classes, one
 # entry point and the two edge-set checks the tests and the benchmark call.
-# verify_decomposition reaches every edge set through one private routine, so
-# a second leftover path or a spanning-tree predicate would show up here.
+# verify_decomposition reaches every edge set through one private routine
+# (_check_labels, guarded below), so a second leftover path or a
+# spanning-tree predicate would show up here.
 VERIFY_PUBLIC = [
     "LeftoverCheck",
     "MalformedDecompositionError",
@@ -171,6 +172,17 @@ def test_only_walk_calls_the_search_internals():
     # the scan sees every form of use
     code = "from .walk import _search\nrun = _on_two_threads\nwalk.plane_masks(p, t, n)"
     assert used_names(ast.parse(code)) & SEARCH_INTERNALS == {"_search", "_on_two_threads", "plane_masks"}
+
+
+# Inside verify.py the edge ends of a label and their hooking are read by
+# _check_labels alone, so every label set it counts is counted one way.
+EDGE_SET_INTERNALS = {"_edge_ends", "_roots"}
+
+
+def test_only_check_labels_reads_the_edge_ends_and_the_hooking():
+    tree = ast.parse(Path(cubetrees.verify.__file__).read_text())
+    found = [(getattr(node, "name", None), used_names(node) & EDGE_SET_INTERNALS) for node in tree.body]
+    assert [(name, names) for name, names in found if names] == [("_check_labels", EDGE_SET_INTERNALS)]
 
 
 def test_import_loads_no_executor_or_ctypes_of_its_own():

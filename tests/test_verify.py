@@ -31,6 +31,7 @@ from cube_reference import Edge, edge_id, squeeze_bit
 from union_find_reference import (
     UnionFind,
     reference_forest_components,
+    reference_is_matching,
     reference_is_spanning_tree,
     reference_report,
 )
@@ -120,6 +121,16 @@ def test_structural_errors_are_distinct():
     object.__setattr__(bad, "labels", labels)
     with pytest.raises(MalformedDecompositionError):
         verify_decomposition(bad)
+    # A label array that is not uint8 is refused, not read: the bit planes
+    # would take a tree-3 edge labelled -5 for label 3 and pass Q_6, and a
+    # float array would fail inside numpy with a TypeError.
+    signed = construct(6).labels.astype(np.int64)
+    signed[np.flatnonzero(signed == 3)[0]] = -5
+    for labels in (signed, construct(6).labels.astype(np.float64)):
+        bare = types.SimpleNamespace(n=6, labels=labels)
+        for check in (verify_decomposition, reference_report):
+            with pytest.raises(MalformedDecompositionError):
+                check(bare)
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -437,8 +448,8 @@ def test_group_plan():
 def label_check_threads(mp):
     """Take the two-thread path at every size, the planes filled in blocks
     of 8 vertices; return the idents of the threads that run a task: the
-    leftover's check (_check_leftover), then one search of a group of trees
-    each (walk._search_group)."""
+    leftover's check (_check_labels of label 0), then one search of a group
+    of trees each (walk._search_group)."""
     idents = []
 
     def recorded(check):
@@ -451,7 +462,7 @@ def label_check_threads(mp):
     mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", 8)
     mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
-    for module, name in ((cubetrees.verify, "_check_leftover"), (cubetrees.walk, "_search_group")):
+    for module, name in ((cubetrees.verify, "_check_labels"), (cubetrees.walk, "_search_group")):
         mp.setattr(module, name, recorded(getattr(module, name)))
     return idents
 
@@ -542,14 +553,19 @@ def test_cycles_stop_the_walk(n):
 
 
 def hooked_labels(mp):
-    """The labels _check_labels hooks."""
-    hooked, check = [], cubetrees.verify._check_labels
+    """The label of each _check_labels call that hooks (reaches _roots)."""
+    hooked, checking, check, roots = [], [], cubetrees.verify._check_labels, cubetrees.verify._roots
 
-    def recorded(labels, label, n):
-        hooked.append(label)
+    def recorded_check(labels, label, n):
+        checking[:] = [label]
         return check(labels, label, n)
 
-    mp.setattr(cubetrees.verify, "_check_labels", recorded)
+    def recorded_roots(lower, upper, vertices):
+        hooked.append(checking[0])
+        return roots(lower, upper, vertices)
+
+    mp.setattr(cubetrees.verify, "_check_labels", recorded_check)
+    mp.setattr(cubetrees.verify, "_roots", recorded_roots)
     return hooked
 
 
@@ -612,7 +628,7 @@ def test_planes_filled_on_two_threads_give_the_reference_masks(monkeypatch):
 
 
 def refuse(*args, **kwargs):
-    raise AssertionError("an edge set was checked outside _check_leftover and the tree searches")
+    raise AssertionError("an edge set was checked outside _check_labels and the tree searches")
 
 
 @pytest.mark.parametrize(
@@ -690,6 +706,46 @@ def test_edge_sets_match_union_find_reference(data):
     ids = sorted(ids)
     assert spans_the_cube(ids, n) == reference_is_spanning_tree(ids, n)
     assert forest_components(ids, n) == reference_forest_components(ids, n)
+
+
+def drawn_edge_set(data, n):
+    """Edge ids of a perfect matching along one dimension, a random
+    sub-matching or a random set, with a few ids repeated."""
+    half, total = 1 << (n - 1), num_edges(n)
+    kind = data.draw(st.sampled_from(["perfect", "sub-matching", "any"]))
+    if kind == "perfect":
+        d = data.draw(st.integers(0, n - 1))
+        ids = list(range(d * half, (d + 1) * half))
+    elif kind == "sub-matching":  # random edges, each kept if both its ends are free
+        u, v = edge_endpoints(np.arange(total), n)
+        order = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1))).permutation(total)
+        used, ids = set(), []
+        for eid in order[: data.draw(st.integers(0, total))].tolist():
+            if u[eid] not in used and v[eid] not in used:
+                used.update((u[eid], v[eid]))
+                ids.append(eid)
+    else:
+        ids = data.draw(st.lists(st.integers(0, total - 1), max_size=min(total, 2 << n)))
+    if ids:
+        ids += data.draw(st.lists(st.sampled_from(ids), max_size=3))
+    return ids
+
+
+def never_hooked(lower, upper, vertices):
+    raise AssertionError("a matching was hooked")
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_a_matching_is_counted_not_hooked(data):
+    # edges that touch twice as many vertices are a matching, one component
+    # per distinct edge; only other sets reach _roots
+    n = data.draw(st.integers(1, 10))
+    ids = drawn_edge_set(data, n)
+    with pytest.MonkeyPatch.context() as mp:
+        if reference_is_matching(sorted(set(ids)), n):
+            mp.setattr(cubetrees.verify, "_roots", never_hooked)
+        assert forest_components(ids, n) == reference_forest_components(ids, n)
 
 
 def test_repeated_edge_ids_count_as_a_cycle():

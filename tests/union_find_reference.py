@@ -82,7 +82,7 @@ def reference_report(dec) -> VerifyReport:
     the library, it reads only dec.n and dec.labels."""
     n, labels = dec.n, dec.labels
     k = n // 2
-    if labels.shape != (num_edges(n),) or (labels.size and int(labels.max()) > k):
+    if labels.dtype != np.uint8 or labels.shape != (num_edges(n),) or (labels.size and int(labels.max()) > k):
         raise MalformedDecompositionError("malformed label array")
     vertices = num_vertices(n)
     trees = []

@@ -8,10 +8,12 @@ schedule: per-tree depth from the root, the worst-case per-link tree load
 It also reports how many vertices each tree reaches: a tree that reaches
 fewer than 2^n cannot carry its chunks to every vertex, and the metrics are
 not ok.  Depths and reach come from walk.py's driver (_search_trees), the
-one the verifier uses: trees are searched in groups whose stacked masks,
-derived from one set of label bit planes, fit its stacking budget; a group
-gets one walk, and each tree the walk cuts (a cycle) one marked search of
-its own mask row.  Large cubes run the groups on two threads.
+one the verifier uses.  A cube of at most 2^12 vertices searches all its
+trees at once, breadth-first over vertex sets.  A larger cube, or a tree
+deeper than that search's depth guard, is searched in groups whose stacked
+masks, derived from one set of label bit planes, fit the stacking budget; a
+group gets one walk, and each tree the walk cuts (a cycle) one marked
+search of its own mask row.  Large cubes run the groups on two threads.
 
 The time model is deliberately simple: the message is cut into k * parts
 equal chunks, each tree streams its chunks in a pipeline, hops have uniform

@@ -16,15 +16,18 @@ give them.  Nothing is imported from the construction code, so a verified
 decomposition is certified by a second, unrelated route.
 
 No tree label is hooked.  The tree labels are searched from vertex 0
-by walk.py's driver (_search_trees), the one broadcast uses: a walk per
-group of trees over masks from the labels' bit planes, and a marked search
-of each tree a walk cuts (a cycle).  A tree the walk settles with all 2^n
-vertices reached is a spanning tree, (2^n - 1, 2^n, connected).  Any other
-tree is connected exactly when its search reaches all 2^n vertices, and
-only its edges and the vertices its mask touches are counted.  Label 0 is
-checked in a task the driver runs ahead of the tree searches, on the same
-threads: the even leftover, a matching, is only counted, and the odd
-leftover, a forest, is hooked.
+by walk.py's driver (_search_trees), the one broadcast uses.  A cube of at
+most 2^12 vertices has all its trees searched at once as vertex sets, and
+every tree's edges and the vertices they touch are counted.  A larger cube
+(or a tree deeper than the set search's depth guard) gets a walk per group
+of trees over masks from the labels' bit planes, and a marked search of
+each tree a walk cuts (a cycle).  A tree the walk settles with all 2^n
+vertices reached is a spanning tree, (2^n - 1, 2^n, connected), with
+nothing to count.  Any other tree is connected exactly when its search
+reaches all 2^n vertices, and only its edges and the vertices they touch
+are counted.  Label 0 is checked in a task the driver runs ahead of the
+tree searches, on the same threads: the even leftover, a matching, is only
+counted, and the odd leftover, a forest, is hooked.
 """
 
 from __future__ import annotations
@@ -35,7 +38,7 @@ from typing import TYPE_CHECKING, Iterable
 import numpy as np
 
 from .hypercube import MalformedEdgeError, edge_endpoints, num_edges, num_vertices
-from .walk import _search_trees
+from .walk import _BLOCK_VERTICES, _search_trees
 
 if TYPE_CHECKING:  # annotation only; the checker never calls into construct
     from .construct import Decomposition
@@ -92,13 +95,20 @@ def _first_round(lower: np.ndarray, upper: np.ndarray, vertices: int) -> np.ndar
     changing, at most ceil(log2 n) + 1 passes, and every vertex ends up
     pointing at the end of its chain.  Every index is a vertex id, so
     np.take's mode="clip" never clips; it only spares numpy the bounds check
-    and the buffered copy.
+    and the buffered copy.  np.take converts its index to intp, 8 bytes a
+    vertex, so each pass jumps a block of _BLOCK_VERTICES at a time into one
+    second array, and the two arrays swap after every pass.
     """
     root = np.arange(vertices, dtype=np.uint32)
     np.minimum.at(root, upper, lower)
-    while not np.array_equal(jumped := np.take(root, root, mode="clip"), root):
-        root = jumped
-    return root
+    jumped = np.empty_like(root)
+    while True:
+        for start in range(0, vertices, _BLOCK_VERTICES):
+            block = slice(start, start + _BLOCK_VERTICES)
+            np.take(root, root[block], out=jumped[block], mode="clip")
+        if np.array_equal(jumped, root):
+            return root
+        root, jumped = jumped, root
 
 
 def _roots(lower: np.ndarray, upper: np.ndarray, vertices: int) -> np.ndarray:

@@ -1,16 +1,32 @@
-"""Level searches over per-vertex edge masks (hypercube.plane_masks).
+"""The tree searches verify and broadcast share: one driver, two searches.
 
-Every search shares one level step (_level).  A frontier entry is a mask
-index and the mask bit it was reached by; each of its other mask bits gives
-one entry of the next level.  A narrow level is a list of Python ints, the
-came-by bit shifted above the index, for an interpreter loop, so a deep,
-thin tree (a Hamiltonian path has 2^n - 1 levels of one vertex) does not
-pay numpy's fixed cost per call at every level.  A wide level is a pair of
-arrays, uint32 indices and came-by bits in the masks' dtype, for a few
-dozen whole-array calls.  A search covers a group of trees stacked in one
-flat array, tree t's masks at offset t * 2^n, so an entry of tree t has
-index t << n | vertex (below 2^24 under the dimension cap) and one step
-expands the group.
+One driver (_search_trees) serves both callers, verify from vertex 0 and
+broadcast from any root.  It runs the caller's head tasks and returns
+(depth, reach, touched) of each tree label 1..n // 2.
+
+A cube of at most _DENSE_MAX_VERTICES vertices searches all its trees at
+once, breadth-first, over Python-int vertex sets (_search_sets): bit
+t * 2^n + x stands for vertex x of tree t + 1, each dimension has the set of
+the lower and of the upper ends of its tree edges, and one level is a few
+shifts and ANDs of the frontier per dimension.  So a level costs one pass
+over k * 2^n bits however narrow it is, and the search gives up after 4n
+levels (the depth guard), deeper than any tree of the construction reaches
+from any root up to 2^12 vertices; a deeper tree, such as a Hamiltonian
+path, falls back to the walk below.  This path builds no planes or masks
+and starts no thread.
+
+A larger cube is searched by level steps over per-vertex edge masks
+(hypercube.plane_masks).  Every such search shares one level step (_level).
+A frontier entry is a mask index and the mask bit it was reached by; each
+of its other mask bits gives one entry of the next level.  A narrow level
+is a list of Python ints, the came-by bit shifted above the index, for an
+interpreter loop, so a deep, thin tree (a Hamiltonian path has 2^n - 1
+levels of one vertex) does not pay numpy's fixed cost per call at every
+level.  A wide level is a pair of arrays, uint32 indices and came-by bits
+in the masks' dtype, for a few dozen whole-array calls.  A search covers a
+group of trees stacked in one flat array, tree t's masks at offset t * 2^n,
+so an entry of tree t has index t << n | vertex (below 2^24 under the
+dimension cap) and one step expands the group.
 
 Without a visit array the search (_search) is a walk: in a tree every step
 leads to a new vertex, and a tree's depth is the last level holding one of
@@ -24,17 +40,16 @@ label is a spanning tree.  With a visit array the search is breadth-first:
 each level passes a first-visit filter (_first_visits) that marks the
 indices it keeps.
 
-One driver (_search_trees) serves both callers, verify from vertex 0 and
-broadcast from any root.  It fills the labels' bit planes once and searches
-tree labels 1..n // 2 in groups (_stacks), one task per group: the group's
-masks, one walk of the group, and a marked search of the own mask row of
-each tree the walk cuts.  The planes are filled one task per block of
+On the mask path the driver fills the labels' bit planes once and searches
+the tree labels in groups (_stacks), one task per group: the group's masks,
+one walk of the group, and a marked search of the own mask row of each tree
+the walk cuts.  The planes are filled one task per block of
 _BLOCK_VERTICES vertices.  On a cube of at least _THREAD_MIN_VERTICES
 vertices with two or more groups and two usable CPUs, a helper thread runs
 the first fill task and every second one after it while the calling thread
-fills the other blocks, and then the search tasks are shared the same way
-(_on_two_threads); afterwards the freed heap is handed back to the OS
-(glibc's malloc_trim).
+fills the other blocks, and then the head and search tasks are shared the
+same way (_on_two_threads); afterwards the freed heap is handed back to the
+OS (glibc's malloc_trim).
 """
 
 from __future__ import annotations
@@ -86,6 +101,18 @@ _BLOCK_VERTICES = 1 << 17
 # wash), n = 19 97/69 and 122/86 ms.
 _THREAD_MIN_VERTICES = 1 << 18
 
+# Cubes of at most this many vertices search all their trees at once as
+# Python-int vertex sets (_search_sets), with no planes, masks or walk.  Walk
+# against sets, in-process medians of 21 calls (best of two alternating
+# runs, 2-CPU shared VM), on construct(n) / with one label changed, verify
+# and tree_depths from root 2^n // 3: n = 8 verify 0.95/0.35 and 1.18/0.20
+# ms, depths 0.74/0.10 and 1.10/0.09 ms; n = 10 verify 1.12/0.79 and
+# 2.04/0.80, depths 1.53/0.45 and 2.45/0.45; n = 12 verify 2.83/2.85 and
+# 4.97/2.82, depths 2.55/1.28 and 4.21/1.44; n = 13 verify 5.65/6.27 and
+# 7.78/6.27, depths 3.49/5.01 and 6.79/4.91; n = 14 verify 6.80/10.63 and
+# 9.77/11.39, depths 3.99/7.76 and 8.00/9.47 ms.
+_DENSE_MAX_VERTICES = 1 << 12
+
 
 def _stacks(items, planes: np.ndarray) -> list:
     """items cut into runs of as many as fit _STACK_BYTES when each takes
@@ -96,13 +123,22 @@ def _stacks(items, planes: np.ndarray) -> list:
 
 def _search_trees(labels: np.ndarray, n: int, root: int, *head) -> list:
     """The results of the tasks head, then (depth, reach, touched) of each
-    tree label 1..n // 2 searched from root (_search_group), over masks from
-    one set of the labels' bit planes, as many as labels.max() has bits.
+    tree label 1..n // 2 searched from root.
 
-    Every plane is filled a block of _BLOCK_VERTICES vertices at a time (the
-    whole cube if smaller), one task per block, so on two threads the helper
-    fills the even-numbered blocks."""
-    vertices = num_vertices(n)
+    A cube of at most _DENSE_MAX_VERTICES vertices runs the head tasks, then
+    one search of all its trees as vertex sets (_search_sets).  A larger
+    cube, or one whose set search passes its depth guard, is searched in
+    groups (_search_group), over masks from one set of the labels' bit
+    planes, as many as labels.max() has bits.  Every plane is filled a block
+    of _BLOCK_VERTICES vertices at a time (the whole cube if smaller), one
+    task per block, so on two threads the helper fills the even-numbered
+    blocks."""
+    vertices, done = num_vertices(n), []
+    if vertices <= _DENSE_MAX_VERTICES:
+        done, head = [task() for task in head], ()
+        found = _search_sets(labels, n, root)
+        if found is not None:
+            return done + found
     planes = np.empty((int(labels.max(initial=0)).bit_length(), vertices), np.min_scalar_type(vertices - 1))
     groups = _stacks(range(1, n // 2 + 1), planes)
     threads = len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
@@ -110,7 +146,50 @@ def _search_trees(labels: np.ndarray, n: int, root: int, *head) -> list:
     size = min(vertices, _BLOCK_VERTICES)
     run([partial(bit_planes, labels, n, planes, range(start, start + size)) for start in range(0, vertices, size)])
     found = run([*head, *(partial(_search_group, planes, trees, n, root) for trees in groups)])
-    return found[: len(head)] + [tree for group in found[len(head) :] for tree in group]
+    return done + found[: len(head)] + [tree for group in found[len(head) :] for tree in group]
+
+
+def _search_sets(labels: np.ndarray, n: int, root: int) -> list[tuple[int, int, int]] | None:
+    """(depth, reach, touched) of each tree label 1..n // 2 searched from
+    root breadth-first over Python-int vertex sets, or None once the search
+    passes 4n levels.
+
+    Bit t * 2^n + x of a set is vertex x of tree t + 1.  Each dimension d
+    has the set of the lower ends of the tree edges along d, one packbits of
+    the labels' matches written at the lower ends, and the set of their
+    upper ends, 2^d above.  One level is a few shifts and ANDs of the
+    frontier per dimension, whatever its width."""
+    k, half, size = n // 2, 1 << (n - 1), 1 << n
+    hit = labels.reshape(n, half) == np.arange(1, k + 1, dtype=labels.dtype).reshape(-1, 1, 1)
+    ends = np.zeros((n, k, size), bool)
+    for d in range(n):
+        ends[d].reshape(k, half >> d, 2, 1 << d)[:, :, 0] = hit[:, d].reshape(k, half >> d, 1 << d)
+    steps = []
+    for d, row in enumerate(np.packbits(ends.reshape(n, -1), axis=1, bitorder="little")):
+        lower = int.from_bytes(row, "little")
+        steps.append((1 << d, lower, lower << (1 << d)))
+    frontier = seen = sum(1 << (t * size + root) for t in range(k))
+    levels = []  # the frontier of every level, root level first
+    while frontier:
+        if len(levels) > 4 * n:
+            return None
+        levels.append(frontier)
+        reached = 0
+        for shift, lower, upper in steps:
+            reached |= (frontier & lower) << shift | (frontier & upper) >> shift
+        frontier = reached & ~seen
+        seen |= frontier
+    touched, tree = 0, (1 << size) - 1
+    for _, lower, upper in steps:
+        touched |= lower | upper
+    return [
+        (
+            next(depth for depth in reversed(range(len(levels))) if levels[depth] >> t * size & tree),
+            (seen >> t * size & tree).bit_count() - 1,
+            (touched >> t * size & tree).bit_count(),
+        )
+        for t in range(k)
+    ]
 
 
 def _search_group(planes: np.ndarray, trees, n: int, root: int) -> list[tuple[int, int, int | None]]:

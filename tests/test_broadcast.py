@@ -21,6 +21,7 @@ from cubetrees.broadcast import broadcast_metrics, link_load, tree_depths
 from cubetrees.construct import Decomposition, construct
 from cubetrees.files import decomposition_to_bytes
 from cubetrees.hypercube import num_edges, plane_masks
+from cubetrees.verify import verify_decomposition
 from broadcast_reference import reference_tree_depths, reference_tree_searches
 from deadline import deadline
 from mask_reference import all_planes
@@ -128,13 +129,15 @@ def test_a_cycle_stops_the_walk_inside_its_level():
 
 
 def searches(mp):
-    """(group size, source, marked?) of every search tree_depths makes."""
+    """(group size, source, marked?) of every search tree_depths makes, with
+    small cubes searched by the walk too."""
     calls, search = [], cubetrees.walk._search
 
     def counted(marks, n, source, order=None):
         calls.append((marks.size >> n, source, order is not None))
         return search(marks, n, source, order)
 
+    mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
     mp.setattr(cubetrees.walk, "_search", counted)
     return calls
 
@@ -240,16 +243,104 @@ def test_one_moved_tree_edge_costs_verify_one_marked_search(monkeypatch, n):
         assert [call for call in calls if call[2]] == [(1, 0, True)]
 
 
+def small_cube(data):
+    """A labeling of Q_n, n = 1..12, that the vertex-set search takes:
+    construct(n), one label of it changed, a skewed random labeling, or
+    every edge in tree 1."""
+    n = data.draw(st.integers(1, 12))
+    kind = data.draw(st.sampled_from(["construct", "mutation", "random", "ones"]))
+    if kind == "random":
+        return random_labels(n, data.draw(st.integers(0, 2**32 - 1)), data.draw(st.integers(0, 3)))
+    labels = np.full(num_edges(n), min(1, n // 2), np.uint8) if kind == "ones" else construct(n).labels.copy()
+    if kind == "mutation" and n > 1:
+        eid = data.draw(st.integers(0, num_edges(n) - 1))
+        labels[eid] = data.draw(st.integers(0, n // 2).filter(lambda j: j != labels[eid]))
+    return Decomposition(n=n, labels=labels)
+
+
+def searched(dec, root):
+    """tree_depths from root with its reach, and the verify report."""
+    depths = tree_depths(dec, root)
+    return list(depths), depths.reached, verify_decomposition(dec).to_dict()
+
+
+@deadline(SEARCH_SECONDS)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_small_cubes_search_their_vertex_sets_like_the_references(data):
+    # Up to 2^12 vertices every tree label is searched at once as vertex
+    # sets; the depths, reach and reports equal the dict-of-lists search,
+    # the union-find verifier, and the walk forced on the same input.
+    dec = small_cube(data)
+    root = data.draw(st.integers(0, (1 << dec.n) - 1))
+    want = reference_tree_searches(dec, root)
+    depths = tree_depths(dec, root)
+    assert depths == [depth for depth, _, _ in want]
+    assert depths.reached == tuple(reached for _, reached, _ in want)
+    assert_same_report(dec)
+    got = searched(dec, root)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
+        assert searched(dec, root) == got
+
+
+def walked_cubes(mp):
+    """The dimension of every walk or marked search, the size cut left as it is."""
+    calls, search = [], cubetrees.walk._search
+
+    def recorded(*args):
+        calls.append(args[1])
+        return search(*args)
+
+    mp.setattr(cubetrees.walk, "_search", recorded)
+    return calls
+
+
+def test_only_cubes_above_the_size_cut_are_walked(monkeypatch):
+    # construct(12) has 2^12 vertices: no planes, no walk; construct(13) is walked
+    calls = walked_cubes(monkeypatch)
+    for n in (12, 13):
+        dec = construct(n)
+        assert tree_depths(dec, (1 << n) // 3) == reference_tree_depths(dec, (1 << n) // 3)
+        assert verify_decomposition(dec).overall
+    assert calls and set(calls) == {13}
+
+
+def walked(dec, root):
+    """tree_depths with the walk forced on a small cube."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
+        return tree_depths(dec, root)
+
+
+@pytest.mark.parametrize("closed", [False, True])
+@deadline(SEARCH_SECONDS)
+def test_a_deep_tree_falls_back_to_the_walk(monkeypatch, closed):
+    # The Gray-code Hamiltonian path of Q_12, and the cycle that closes it:
+    # the vertex-set search gives up after 4n levels and the walk takes over,
+    # so the depth guard costs little next to the walk alone.
+    dec = gray_path_tree(12)
+    if closed:
+        dec.labels[11 << 11] = 1  # the edge 0 - 2^11
+    calls = walked_cubes(monkeypatch)
+    assert tree_depths(dec, 0) == reference_tree_depths(dec, 0) == [2048 if closed else 4095] + [0] * 5
+    assert calls
+    got, fast, want, slow = best_of_three_each(tree_depths, walked, dec, 0)
+    assert got == want
+    assert fast <= 1.5 * slow
+
+
 def helper_searches(mp):
-    """Take the two-thread path at every size, the planes filled in blocks
-    of 8 vertices; return the idents of the threads that search a group
-    (walk._search_group)."""
+    """Take the walk's two-thread path at every size, the planes filled in
+    blocks of 8 vertices; return the idents of the threads that search a
+    group (walk._search_group)."""
     idents, search = [], cubetrees.walk._search_group
 
     def recorded(*args):
         idents.append(threading.get_ident())
         return search(*args)
 
+    mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
     mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", 8)
     mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)

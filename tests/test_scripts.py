@@ -25,6 +25,11 @@ def test_scripts_run_and_pass():
         )
         assert proc.returncode == 0, proc.stderr
         assert "PASS" in proc.stdout and "FAIL" not in proc.stdout, proc.stdout
+        if script == "decomposition_sweep.py":
+            result = json.loads(proc.stdout.splitlines()[-1])
+            assert list(result) == ["min", "max", "verify_ms", "reject_ms", "depths_ms"], result
+            assert (result["min"], result["max"]) == (1, 6)
+            assert all(result[key] > 0 for key in ("verify_ms", "reject_ms", "depths_ms")), result
         if script == "stress_large.py":
             assert "\nbroadcast: " in proc.stdout, proc.stdout
             assert re.search(

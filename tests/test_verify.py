@@ -381,8 +381,9 @@ GROUP_SIZES = (1, 2, 13)
 
 def labels_per_group(mp, n, size):
     """Make verify walk Q_n's tree labels in groups of `size` (fewer in the
-    last)."""
+    last), small cubes included."""
     itemsize = np.min_scalar_type((1 << n) - 1).itemsize
+    mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
     mp.setattr(cubetrees.walk, "_STACK_BYTES", size * itemsize << n)
 
 
@@ -446,10 +447,10 @@ def test_group_plan():
 
 
 def label_check_threads(mp):
-    """Take the two-thread path at every size, the planes filled in blocks
-    of 8 vertices; return the idents of the threads that run a task: the
-    leftover's check (_check_labels of label 0), then one search of a group
-    of trees each (walk._search_group)."""
+    """Take the walk's two-thread path at every size, the planes filled in
+    blocks of 8 vertices; return the idents of the threads that run a task:
+    the leftover's check (_check_labels of label 0), then one search of a
+    group of trees each (walk._search_group)."""
     idents = []
 
     def recorded(check):
@@ -459,6 +460,7 @@ def label_check_threads(mp):
 
         return run
 
+    mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
     mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", 8)
     mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
@@ -819,9 +821,12 @@ def chain_ends(lower, upper, vertices):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
 def test_first_round_jumps_every_chain_to_its_end(n, seed, skew, data):
+    # jumped in blocks of any power of two vertices, the whole cube included
     labels = random_labels(n, seed, skew).labels
     lower, upper = cubetrees.verify._edge_ends(labels, data.draw(st.integers(0, n // 2)), n)
-    root = cubetrees.verify._first_round(lower, upper, 1 << n)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cubetrees.verify, "_BLOCK_VERTICES", 1 << data.draw(st.integers(0, n + 1)))
+        root = cubetrees.verify._first_round(lower, upper, 1 << n)
     assert root.dtype == np.uint32
     assert root.tolist() == chain_ends(lower, upper, 1 << n)
 

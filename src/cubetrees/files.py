@@ -21,8 +21,9 @@ Export formats render the same labeling as DOT (edge attribute tree=j, with
 tree=0 marking leftover edges), a plain "u v label" edge list, or a JSON
 document mirroring the binary fields with explicit endpoints.  One table
 holds each format's head, edge line and tail.  All three format 4096 edges
-at a time in numpy: the digits come from a table of 0..9999 and are laid out
-in a byte matrix with the format's literal text.
+at a time in numpy: each edge is one row of uint32 words, the format's
+literal text and the digits from two word tables, padded with NUL bytes,
+and one bytes.translate deletes the padding.
 """
 
 from __future__ import annotations
@@ -159,70 +160,60 @@ _EXPORT_BLOCK = 4096
 
 
 @functools.cache
-def _digit_tables() -> tuple[np.ndarray, np.ndarray]:
-    """The ASCII digits of 0..9999, zero-padded to four, one uint32 per value;
-    and the smallest value whose digit lands in each of eight right-aligned
-    columns (0 for the last column, which every value fills)."""
-    v = np.arange(10_000)
-    digits = np.stack([v // 1000, v // 100 % 10, v // 10 % 10, v % 10], axis=1) + ord("0")
-    lowest = 10 ** np.arange(7, -1, -1)
-    lowest[-1] = 0
-    return digits.astype(np.uint8).view(np.uint32).ravel(), lowest
+def _digit_words() -> tuple[np.ndarray, np.ndarray]:
+    """Decimal digits as uint32 words of four ASCII bytes, NUL in place of a
+    leading zero.
 
-
-def _decimal(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
-    """Write values (each below 10^8) right-aligned into the columns of chars,
-    and mark in keep the columns that hold a digit, not a leading pad.
-
-    A field of up to four columns is one lookup in the digit table; a wider
-    one is two, the high and low four digits side by side.
+    low[x], for x below 2 * 10^4, holds the last four digits of x: below
+    10^4 with its leading zeros as NUL (0 keeps its last digit), from 10^4
+    up all four.  high[x], for x below 10^4, holds the digits of x with 0
+    all NUL, for the high half of a wider value.
     """
-    table, lowest = _digit_tables()
-    width = chars.shape[1]
-    if width <= 4:
-        digits = table[values].view(np.uint8).reshape(-1, 4)
-    else:
-        digits = np.stack([table[values // 10_000], table[values % 10_000]], axis=1)
-        digits = digits.view(np.uint8)
-    digits, lowest = digits[:, -width:], lowest[-width:]
-    # Column by column: numpy is slow on a broadcast whose inner axis is a few bytes.
-    for col in range(width):
-        chars[:, col] = digits[:, col]
-        np.greater_equal(values, lowest[col], out=keep[:, col])
+    place = 10 ** np.arange(3, -1, -1)
+    values = np.arange(20_000)[:, None]
+    digits = (values // place % 10 + ord("0")).astype(np.uint8)
+    low = np.where(values >= place, digits, np.uint8(0))
+    high = low[:10_000].copy()
+    low[0, -1] = ord("0")
+    return low.view(np.uint32).ravel(), high.view(np.uint32).ravel()
 
 
 def _edge_blocks(dec: Decomposition, line: str) -> list[str]:
     """line % (u, v, label) for every edge, in dense edge-id order, as one
     string per block of edges.
 
-    A block is laid out as a (rows, columns) byte matrix: the literal pieces
-    of line fill fixed columns, and each %d field gets as many columns as its
-    widest possible value.  One boolean mask drops the leading pad of the
-    shorter values, and the bytes left, read row by row, are the block's text.
+    A block is laid out as rows of uint32 words, one row per edge: the
+    literal pieces of line, NUL-padded to whole words, fill fixed words, and
+    each %d field is one word of digits, or two for a vertex of more than
+    four digits (one below 2^24 has at most eight), with its leading zeros
+    as NUL.  Deleting every NUL from the rows' bytes leaves the block's text.
     """
-    vertex_width = len(str((1 << dec.n) - 1))
-    widths = (vertex_width, vertex_width, len(str(int(dec.labels.max()))))
-    first, *pieces = [np.frombuffer(p.encode(), dtype=np.uint8) for p in line.split("%d")]
-    rows = min(_EXPORT_BLOCK, dec.num_edges)
-    chars = np.empty((rows, first.size + sum(widths) + sum(p.size for p in pieces)), np.uint8)
-    keep = np.ones(chars.shape, dtype=bool)
-    chars[:, : first.size] = first
-    fields = []
-    col = first.size
-    for width, piece in zip(widths, pieces):
-        fields.append(slice(col, col + width))
-        col += width
-        chars[:, col : col + piece.size] = piece
-        col += piece.size
+    low, high = _digit_words()
+    wide = (1 << dec.n) > 10_000
+    template, fields = [], []
+    for piece, field_words in zip(line.encode().split(b"%d"), (1 + wide, 1 + wide, 1, 0)):
+        padded = piece.ljust((len(piece) + 3) // 4 * 4, b"\0")
+        template.extend(np.frombuffer(padded, dtype=np.uint32).tolist())
+        fields.append(len(template))
+        template.extend([0] * field_words)
+    rows = np.empty((min(_EXPORT_BLOCK, dec.num_edges), len(template)), dtype=np.uint32)
+    rows[:] = template
 
     blocks = []
     for start in range(0, dec.num_edges, _EXPORT_BLOCK):
         stop = min(start + _EXPORT_BLOCK, dec.num_edges)
         u, v = edge_endpoints(np.arange(start, stop), dec.n)
         m = stop - start
-        for values, field in zip((u, v, dec.labels[start:stop]), fields):
-            _decimal(values, chars[:m, field], keep[:m, field])
-        blocks.append(chars[:m][keep[:m]].tobytes().decode("ascii"))
+        for x, at in zip((u, v), fields):
+            if wide:
+                upper, lower = np.divmod(x, 10_000)
+                rows[:m, at] = high[upper]
+                # x itself below 10^4, else its last four digits, all kept.
+                rows[:m, at + 1] = low[np.minimum(x, lower + 10_000)]
+            else:
+                rows[:m, at] = low[x]
+        rows[:m, fields[2]] = low[dec.labels[start:stop]]
+        blocks.append(rows[:m].tobytes().translate(None, b"\0").decode("ascii"))
     return blocks
 
 

@@ -1,7 +1,7 @@
 """Slow reference for the text exports: one Python `%` format per edge.
 
-This is the formatter `cubetrees.files` used before it laid out the digits
-of a whole block in a byte matrix, with the wrappers of the three formats as
+This is the formatter `cubetrees.files` used before it formatted a whole
+block of edges at once in numpy, with the wrappers of the three formats as
 they were then.  It turns every endpoint and label into a Python int, so it
 shares no formatting code with the library; the property tests require the
 library's text to equal its text.

@@ -305,16 +305,38 @@ def test_exports_equal_the_reference_over_many_blocks(n):
         assert_same_text(export_decomposition(dec, fmt), reference_export(dec, fmt))
 
 
+@pytest.mark.parametrize("n", [13, 14])
+def test_exports_equal_the_reference_on_random_labels_at_both_vertex_widths(n):
+    # n = 13 writes a vertex as one word of digits, n = 14 as two.
+    rng = np.random.default_rng(n)
+    dec = Decomposition(n=n, labels=rng.integers(0, 255, size=num_edges(n), endpoint=True).astype(np.uint8))
+    for fmt in FORMATS:
+        assert_same_text(export_decomposition(dec, fmt), reference_export(dec, fmt))
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+def test_export_peak_memory_is_at_most_twice_the_text(fmt):
+    dec = construct(16)
+    tracemalloc.start()
+    try:
+        text = export_decomposition(dec, fmt)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * len(text) + (1 << 20), (peak, len(text))
+
+
 def test_digits_of_values_at_every_width():
-    values = np.array([0, 9, 10, 99, 100, 9999, 10000, 99999, 100000, (1 << 24) - 1])
-    for width in range(1, 9):
-        fits = values[values < 10**width]
-        chars = np.empty((fits.size, width), dtype=np.uint8)
-        keep = np.empty((fits.size, width), dtype=bool)
-        files._decimal(fits, chars, keep)
-        assert [row[mask].tobytes().decode() for row, mask in zip(chars, keep)] == [
-            str(v) for v in fits.tolist()
-        ]
+    low, high = files._digit_words()
+
+    def text(*words):
+        return np.array(words, dtype=np.uint32).tobytes().translate(None, b"\0").decode()
+
+    for v in [0, 9, 10, 99, 100, 9999, 10000, 99999, 100000, (1 << 24) - 1]:
+        upper, lower = divmod(v, 10_000)
+        if upper == 0:
+            assert text(low[v]) == str(v)
+        assert text(high[upper], low[min(v, lower + 10_000)]) == str(v)
 
 
 def test_two_digit_labels():

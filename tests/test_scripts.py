@@ -27,21 +27,25 @@ def test_scripts_run_and_pass():
         assert "PASS" in proc.stdout and "FAIL" not in proc.stdout, proc.stdout
         if script == "decomposition_sweep.py":
             result = json.loads(proc.stdout.splitlines()[-1])
-            assert list(result) == ["min", "max", "verify_ms", "reject_ms", "depths_ms"], result
+            timings = ["verify_ms", "reject_ms", "depths_ms", "export_ms"]
+            assert list(result) == ["min", "max", *timings], result
             assert (result["min"], result["max"]) == (1, 6)
-            assert all(result[key] > 0 for key in ("verify_ms", "reject_ms", "depths_ms")), result
+            assert all(result[key] > 0 for key in timings), result
         if script == "stress_large.py":
             assert "\nbroadcast: " in proc.stdout, proc.stdout
             assert re.search(
                 r"^peak RSS: +\d+ MB, verify minor page faults: \d+$", proc.stdout, re.M
             ), proc.stdout
             result = json.loads(proc.stdout.splitlines()[-1])
-            keys = ["n", "construct_s", "verify_s", "broadcast_s", "peak_rss_mb", "verify_minflt", "broadcast_minflt"]
+            assert re.search(r"^export: +\d+\.\d+s \(edge list\)", proc.stdout, re.M), proc.stdout
+            keys = ["n", "construct_s", "verify_s", "broadcast_s", "peak_rss_mb", "verify_minflt", "broadcast_minflt",
+                    "export_s", "export_peak_rss_mb"]
             assert list(result) == keys, result
             assert result["n"] == int(args[-1])
-            for key in keys[-2:]:
+            for key in keys[5:7]:
                 assert isinstance(result[key], int) and result[key] >= 0, result
-            assert all(result[key] >= 0 for key in keys[1:4]) and result["peak_rss_mb"] > 0
+            assert all(result[key] >= 0 for key in keys[1:4]) and result["export_s"] > 0
+            assert 0 < result["peak_rss_mb"] <= result["export_peak_rss_mb"], result
 
 
 def test_loc_counts_code_lines_only(tmp_path):

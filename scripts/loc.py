@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
 """Count code lines of Python files: lines holding a token that is not a
 comment, with blank lines and the docstrings of modules, classes and
-functions left out.  Prints one line per file and the total.
+functions left out.  Prints one line per file and the total.  With no
+path it counts the package, src/cubetrees.
 
-    python scripts/loc.py src/cubetrees
+    python scripts/loc.py [path ...]
 """
 
 import argparse
 import ast
 import tokenize
 from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "cubetrees"
 
 SKIPPED = {tokenize.ENCODING, tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 
@@ -37,7 +40,7 @@ def code_lines(path: Path) -> int:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("paths", nargs="+", type=Path, help="Python files or directories searched for *.py")
+    parser.add_argument("paths", nargs="*", type=Path, default=[PACKAGE], help="Python files or directories searched for *.py")
     args = parser.parse_args()
     files = [f for p in args.paths for f in (sorted(p.rglob("*.py")) if p.is_dir() else [p])]
     total = 0

@@ -126,7 +126,11 @@ def open_replacing(path: str | Path, mode: str) -> Iterator[IO]:
         return
     head, tail = os.path.split(path)
     temp = os.path.join(head, f".{tail}.{os.urandom(4).hex()}.tmp")
-    fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(temp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as error:
+        error.filename = path  # name the file asked for, not the hidden temporary one
+        raise
     try:
         if info is not None:
             os.fchmod(fd, stat.S_IMODE(info.st_mode))

@@ -40,16 +40,18 @@ label is a spanning tree.  With a visit array the search is breadth-first:
 each level passes a first-visit filter (_first_visits) that marks the
 indices it keeps.
 
-On the mask path the driver fills the labels' bit planes once and searches
-the tree labels in groups (_stacks), one task per group: the group's masks,
+On the mask path the driver fills the labels' bit planes once and runs one
+search task per group of tree labels (_search_group): the group's masks,
 one walk of the group, and a marked search of the own mask row of each tree
-the walk cuts.  The planes are filled one task per block of
-_BLOCK_VERTICES vertices.  On a cube of at least _THREAD_MIN_VERTICES
-vertices with two or more groups and two usable CPUs, a helper thread runs
-the first fill task and every second one after it while the calling thread
-fills the other blocks, and then the head and search tasks are shared the
-same way (_on_two_threads); afterwards the freed heap is handed back to the
-OS (glibc's malloc_trim).
+the walk cuts.  _BLOCK_VERTICES is the one task size.  A cube below one
+block is one fill task and one search task of all its trees; from one block
+up the planes are filled one block per task and the trees are searched one
+per task.  On a cube of at least two blocks with two or more search
+tasks and two usable CPUs, a helper thread runs the first fill task and
+every second one after it while the calling thread fills the other blocks,
+and then the head and search tasks are shared the same way
+(_on_two_threads); afterwards the freed heap is handed back to the OS
+(glibc's malloc_trim).
 """
 
 from __future__ import annotations
@@ -62,44 +64,50 @@ import numpy as np
 
 from .hypercube import bit_planes, num_vertices, plane_masks
 
-# A level with at least this many entries is expanded by numpy, a narrower
-# one by the interpreter loop.  Measured on slices of the widest level of
-# trees 1, 4 and 8 of construct(16), median of 500-2000 calls each: 8 entries
-# took 2-4 us in the loop and 8-28 us in numpy, 64 took 5-18 us and 6-30 us,
-# 128 took 17-40 us and 15-36 us, 256 took 33-85 us and 22-64 us.  The two
-# cross between 64 and 128 entries; a tree has only a few levels in that band.
+# A level with at least this many entries is expanded by numpy
+# (_wide_walk_level), a narrower one by the interpreter loop.  Measured on
+# slices of the widest walk level of trees 1, 4 and 8 of construct(16), one
+# tree per mask, medians of 2000 calls each in two runs (2-CPU shared VM),
+# loop / numpy: 8 entries took 1.6-3.5/4.5-20 us, 32 took 5.1-10/7.8-22 us,
+# 64 took 10-17/12-15 us, 128 took 24-35/14-24 us and 256 took 44-82/14-40
+# us.  The two cross between 48 and 96 entries; a tree of construct(16) has
+# two to five levels of 32 to 127 entries.
 _WIDE_LEVEL = 64
 
-# The masks of the trees walked together are stacked up to this many bytes
-# (one tree's row at least, _stacks).  So all k trees are walked together up
-# to n = 15, four at n = 16 (uint16 masks), one from n = 17 up (uint32),
-# measured on a 2-CPU shared VM: median of tree_depths(construct(n), root)
-# over 40-200 seeded roots, every group size timed on each root in turn,
-# n = 14 with 1/2/4/7 trees took 8.0/7.0/5.3/4.3 ms, n = 15 with 2/4/7 took
-# 11.2/8.7/8.1 ms, n = 16 with 1/2/3/4/8 took 21.8/20.2/19.5/17.4/17.7 ms,
-# n = 17 with 1/2 took 30.7/31.5 ms and n = 18 with 1/2 took 63/74 ms.  1 MB
-# of masks was no faster at n = 16 and 17, and slower at n = 18.
-_STACK_BYTES = 1 << 19
-
-# Vertices per plane-fill task (hypercube.bit_planes).  Small blocks lose on
-# two threads: their many short numpy calls pass the GIL back and forth.
-# Filling construct(n)'s four planes, one thread / two, medians of 7
-# interleaved runs (2-CPU shared VM): n = 20 with blocks of 2^13 took
-# 55/83 ms, 2^15 37/35 ms, 2^16 36/27 ms, 2^17 37/25 ms, 2^18 42/27 ms;
-# n = 22 175/311, 112/128, 109/89, 120/83 and 155/94 ms.  One plane per
-# task over the whole cube took 79/42 ms at n = 20 and 296/190 ms at n = 22.
+# The one task size of the search driver (_search_trees), in vertices: a
+# cube below one block is one fill task and one search task of all its trees
+# stacked, a larger one is filled a block per task and searched a tree per
+# task, and two threads share the tasks from two blocks up.  Measured on a
+# 2-CPU shared VM:
+# - Fill blocks.  Small blocks lose on two threads: their many short numpy
+#   calls pass the GIL back and forth.  Filling construct(n)'s four planes,
+#   one thread / two, medians of 7 interleaved runs: n = 20 with blocks of
+#   2^13 took 55/83 ms, 2^15 37/35 ms, 2^16 36/27 ms, 2^17 37/25 ms, 2^18
+#   42/27 ms; n = 22 175/311, 112/128, 109/89, 120/83 and 155/94 ms.  One
+#   plane per task over the whole cube took 79/42 ms at n = 20 and 296/190
+#   ms at n = 22.
+# - Trees per search task.  Median of tree_depths(construct(n), root) over
+#   40-200 seeded roots, every group size timed on each root in turn: n = 14
+#   with 1/2/4/7 trees took 8.0/7.0/5.3/4.3 ms, n = 15 with 2/4/7 took
+#   11.2/8.7/8.1 ms, n = 16 with 1/2/3/4/8 took 21.8/20.2/19.5/17.4/17.7 ms,
+#   n = 17 with 1/2 took 30.7/31.5 ms and n = 18 with 1/2 took 63/74 ms;
+#   1 MB of stacked masks was no faster at n = 16 and 17, slower at 18.
+#   Medians of 41 in-process calls, eight alternating fresh-process pairs
+#   at n = 16, all eight trees in one task against two tasks of four:
+#   verify 10.4-16.0 (median 11.5) against 10.9-16.3 (11.5) ms, tree_depths
+#   10.6-15.0 (11.0) against 11.2-12.2 (11.4) ms.  At n = 17, one block, all
+#   eight in one task lost to one per task, 21 calls in four pairs: verify
+#   27.0-28.8 against 24.7-40.0 ms, tree_depths 24.8-27.7 against 21.0-23.0
+#   ms.
+# - Two threads.  One thread against two with the blocked plane fill,
+#   medians of 15-25 interleaved calls per run, on construct(n) / with one
+#   tree-1 edge moved to tree 2.  verify: n = 16 13.2/14.8 and 17.4/17.1 ms, n = 17
+#   32.4/31.8 and 39.0/34.1 ms, n = 18 in three runs 41.5-50.1/49.1-49.9 and
+#   51.6-60.6/53.7-61.6 ms (a wash), n = 19 121/74 and 147/88 ms.
+#   tree_depths from root 12345: n = 16 11.0/14.5 and 15.0/16.5 ms, n = 17
+#   28.4/29.9 and 31.1/33.0 ms, n = 18 37.9-50.0/49.1-52.8 and
+#   44.6-59.8/55.2-55.5 ms (a wash), n = 19 97/69 and 122/86 ms.
 _BLOCK_VERTICES = 1 << 17
-
-# Cubes below this many vertices are searched on one thread.  One thread
-# against two with the blocked plane fill, medians of 15-25 interleaved calls
-# per run (2-CPU shared VM), on construct(n) / with one tree-1 edge moved to
-# tree 2.  verify: n = 16 13.2/14.8 and 17.4/17.1 ms, n = 17 32.4/31.8 and
-# 39.0/34.1 ms, n = 18 in three runs 41.5-50.1/49.1-49.9 and
-# 51.6-60.6/53.7-61.6 ms (a wash), n = 19 121/74 and 147/88 ms.  tree_depths
-# from root 12345: n = 16 11.0/14.5 and 15.0/16.5 ms, n = 17 28.4/29.9 and
-# 31.1/33.0 ms, n = 18 37.9-50.0/49.1-52.8 and 44.6-59.8/55.2-55.5 ms (a
-# wash), n = 19 97/69 and 122/86 ms.
-_THREAD_MIN_VERTICES = 1 << 18
 
 # Cubes of at most this many vertices search all their trees at once as
 # Python-int vertex sets (_search_sets), with no planes, masks or walk.  Walk
@@ -114,24 +122,18 @@ _THREAD_MIN_VERTICES = 1 << 18
 _DENSE_MAX_VERTICES = 1 << 12
 
 
-def _stacks(items, planes: np.ndarray) -> list:
-    """items cut into runs of as many as fit _STACK_BYTES when each takes
-    one row of planes (one item per run at least)."""
-    size = max(1, _STACK_BYTES // (planes.itemsize * planes.shape[-1]))
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def _search_trees(labels: np.ndarray, n: int, root: int, *head) -> list:
     """The results of the tasks head, then (depth, reach, touched) of each
     tree label 1..n // 2 searched from root.
 
     A cube of at most _DENSE_MAX_VERTICES vertices runs the head tasks, then
     one search of all its trees as vertex sets (_search_sets).  A larger
-    cube, or one whose set search passes its depth guard, is searched in
-    groups (_search_group), over masks from one set of the labels' bit
-    planes, as many as labels.max() has bits.  Every plane is filled a block
-    of _BLOCK_VERTICES vertices at a time (the whole cube if smaller), one
-    task per block, so on two threads the helper fills the even-numbered
+    cube, or one whose set search passes its depth guard, is searched over
+    masks from one set of the labels' bit planes, as many as labels.max()
+    has bits.  Every plane is filled a block of _BLOCK_VERTICES vertices at
+    a time (the whole cube if smaller), one task per block.  Below one block
+    all the trees are one search task (_search_group), from one block up
+    each tree is one.  On two threads the helper fills the even-numbered
     blocks."""
     vertices, done = num_vertices(n), []
     if vertices <= _DENSE_MAX_VERTICES:
@@ -140,12 +142,13 @@ def _search_trees(labels: np.ndarray, n: int, root: int, *head) -> list:
         if found is not None:
             return done + found
     planes = np.empty((int(labels.max(initial=0)).bit_length(), vertices), np.min_scalar_type(vertices - 1))
-    groups = _stacks(range(1, n // 2 + 1), planes)
-    threads = len(groups) >= 2 and vertices >= _THREAD_MIN_VERTICES and _usable_cpus() >= 2
+    trees, size = range(1, n // 2 + 1), min(vertices, _BLOCK_VERTICES)
+    step = 1 if size == _BLOCK_VERTICES else n  # trees per search task: one, or all of the n // 2
+    groups = [trees[i : i + step] for i in range(0, len(trees), step)]
+    threads = vertices >= 2 * _BLOCK_VERTICES and len(groups) >= 2 and _usable_cpus() >= 2
     run = _on_two_threads if threads else lambda tasks: [task() for task in tasks]
-    size = min(vertices, _BLOCK_VERTICES)
     run([partial(bit_planes, labels, n, planes, range(start, start + size)) for start in range(0, vertices, size)])
-    found = run([*head, *(partial(_search_group, planes, trees, n, root) for trees in groups)])
+    found = run([*head, *(partial(_search_group, planes, group, n, root) for group in groups)])
     return done + found[: len(head)] + [tree for group in found[len(head) :] for tree in group]
 
 

@@ -168,13 +168,13 @@ def test_a_deep_cyclic_component_costs_two_group_searches(monkeypatch):
 
 
 def test_a_group_of_trees_is_walked_once(monkeypatch):
-    # All trees of a decomposition in one walk up to n = 15, four per walk at
-    # n = 16, and no group searched again.
+    # All trees of a decomposition in one walk below one block of 2^17
+    # vertices, one tree per walk from there, and no group searched again.
     calls = searches(monkeypatch)
-    for dec in [construct(n) for n in range(2, 17)] + [gray_path_tree(12)]:
+    for dec in [construct(n) for n in range(2, 18)] + [gray_path_tree(12)]:
         calls.clear()
         tree_depths(dec, (1 << dec.n) - 1)
-        assert [size for size, _, _ in calls] == ([4, 4] if dec.n == 16 else [dec.k])
+        assert [size for size, _, _ in calls] == ([1] * dec.k if dec.n >= 17 else [dec.k])
 
 
 @deadline(SEARCH_SECONDS)
@@ -331,9 +331,9 @@ def test_a_deep_tree_falls_back_to_the_walk(monkeypatch, closed):
 
 
 def helper_searches(mp):
-    """Take the walk's two-thread path at every size, the planes filled in
-    blocks of 8 vertices; return the idents of the threads that search a
-    group (walk._search_group)."""
+    """Take the walk's two-thread path at every size of two or more trees:
+    the planes filled in blocks of 8 vertices, one tree per walk; return the
+    idents of the threads that search a group (walk._search_group)."""
     idents, search = [], cubetrees.walk._search_group
 
     def recorded(*args):
@@ -341,7 +341,6 @@ def helper_searches(mp):
         return search(*args)
 
     mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
-    mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", 8)
     mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
     mp.setattr(cubetrees.walk, "_search_group", recorded)
@@ -351,7 +350,6 @@ def helper_searches(mp):
 def assert_depths_on_two_threads_match_reference(dec, data):
     roots = data.draw(st.lists(st.integers(0, (1 << dec.n) - 1), min_size=1, max_size=3))
     with pytest.MonkeyPatch.context() as mp:
-        grouped(mp, 1, dec)
         idents = helper_searches(mp)
         for root in roots:
             depths, want = tree_depths(dec, root), reference_tree_searches(dec, root)
@@ -445,15 +443,22 @@ def test_single_mutations_match_dict_bfs_reference(data):
     assert_depths_match_reference(Decomposition(n=n, labels=labels), data)
 
 
-# Group g makes tree_depths walk and build the masks of min(k, g) trees
-# together; None groups all k.  Cyclic labels make a group walk cut a tree,
-# and that tree then gets one marked search of its own mask row.
-GROUPS = [1, 2, None]
+# The two groupings the walk makes: 1 walks and builds the masks of one tree
+# per task (a cube of one block), None all k trees together (a cube below
+# one block).  Cyclic labels make a group walk cut a tree, and that tree
+# then gets one marked search of its own mask row.
+GROUPS = [1, None]
 
 
-def grouped(mp, group, dec):
-    row = plane_masks(all_planes(dec.labels, dec.n), [0], dec.n).nbytes
-    mp.setattr(cubetrees.walk, "_STACK_BYTES", (group or dec.k) * row)
+def assert_depths_in_groups_match_reference(dec, group, data):
+    """assert_depths_match_reference with dec walked in the given grouping,
+    small cubes included, and every walk covering one group."""
+    with pytest.MonkeyPatch.context() as mp:
+        calls = searches(mp)
+        mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", (1 if group == 1 else 2) << dec.n)
+        assert_depths_match_reference(dec, data)
+    walks = {size for size, _, marked in calls if not marked}
+    assert walks == {min(group or dec.k, dec.k)} - {0}  # Q_1 has no tree to walk
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -461,10 +466,7 @@ def grouped(mp, group, dec):
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.data())
 def test_random_labels_match_dict_bfs_reference_in_groups(group, n, seed, skew, data):
-    dec = random_labels(n, seed, skew)
-    with pytest.MonkeyPatch.context() as mp:
-        grouped(mp, group, dec)
-        assert_depths_match_reference(dec, data)
+    assert_depths_in_groups_match_reference(random_labels(n, seed, skew), group, data)
 
 
 @pytest.mark.parametrize("group", GROUPS)
@@ -472,10 +474,7 @@ def test_random_labels_match_dict_bfs_reference_in_groups(group, n, seed, skew, 
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_single_mutations_match_dict_bfs_reference_in_groups(group, data):
-    dec = single_mutation(data)
-    with pytest.MonkeyPatch.context() as mp:
-        grouped(mp, group, dec)
-        assert_depths_match_reference(dec, data)
+    assert_depths_in_groups_match_reference(single_mutation(data), group, data)
 
 
 def pairs(level, shift):

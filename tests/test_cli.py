@@ -106,9 +106,23 @@ def test_verify_parse_and_io_errors(tmp_path):
     assert run("verify", str(tmp_path / "missing.dec")) == EXIT_IO
 
 
-def test_construct_io_error(tmp_path):
-    target = tmp_path / "not-a-dir" / "q2.dec"
-    assert run("construct", "-n", "2", "-o", str(target)) == EXIT_IO
+def assert_write_names_its_target(capsys, target, *argv):
+    """A write into a missing directory exits EXIT_IO and names the file
+    asked for, not the temporary file it would have been written to first."""
+    capsys.readouterr()
+    assert run(*argv, "-o", str(target)) == EXIT_IO
+    err = capsys.readouterr().err
+    assert f"No such file or directory: '{target}'" in err and ".tmp" not in err
+
+
+def test_construct_io_error(tmp_path, capsys):
+    assert_write_names_its_target(capsys, tmp_path / "not-a-dir" / "q2.dec", "construct", "-n", "2")
+
+
+def test_export_io_error(tmp_path, capsys):
+    source = tmp_path / "q5.dec"
+    assert run("construct", "-n", "5", "-o", str(source)) == EXIT_OK
+    assert_write_names_its_target(capsys, tmp_path / "not-a-dir" / "x.dot", "export", str(source), "--format", "dot")
 
 
 def test_info_reports_bounds(capsys):

@@ -147,8 +147,8 @@ def test_every_private_name_is_loaded_in_the_package():
 
 
 # How trees are searched lives in walk.py alone: the walk, the masks and the
-# planes they come from, the groups, and the two-thread schedule.
-SEARCH_INTERNALS = {"_search", "plane_masks", "bit_planes", "_stacks", "_usable_cpus", "_on_two_threads", "_trim_heap"}
+# planes they come from, the search of a group, and the two-thread schedule.
+SEARCH_INTERNALS = {"_search", "plane_masks", "bit_planes", "_search_group", "_usable_cpus", "_on_two_threads", "_trim_heap"}
 
 
 def used_names(tree):

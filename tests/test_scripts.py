@@ -74,3 +74,11 @@ def test_loc_counts_code_lines_only(tmp_path):
     assert counts.pop(str(source)) == 5
     assert counts.pop("total") == 5 + sum(counts.values())
     assert {Path(path).name for path in counts} >= {"construct.py", "verify.py", "walk.py"}
+    # with no path it counts the package, from any working directory
+    package = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "loc.py")], capture_output=True, text=True, timeout=60, cwd=tmp_path
+    )
+    assert package.returncode == 0, package.stderr
+    lines = package.stdout.splitlines()
+    assert lines[:-1] == [line for line in proc.stdout.splitlines()[:-1] if str(source) not in line]
+    assert lines[-1].split() == [str(sum(counts.values())), "total"]

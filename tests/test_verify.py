@@ -23,7 +23,6 @@ from cubetrees.verify import (
     is_matching,
     verify_decomposition,
 )
-from cubetrees.walk import _stacks
 from construct_reference import leftover_edge_ids
 from deadline import deadline
 from mask_reference import reference_edge_masks
@@ -374,17 +373,17 @@ def test_larger_cubes_match_union_find_reference(n):
         assert not assert_same_report(Decomposition(n=n, labels=labels)).overall
 
 
-# Trees per walk to monkeypatch in: one, two, and 13, which holds all k <= 12
-# trees of any cube up to Q_24.
-GROUP_SIZES = (1, 2, 13)
+# Trees per walk to monkeypatch in, the two groupings the walk makes: one,
+# and 13, which holds all k <= 12 trees of any cube up to Q_24.
+GROUP_SIZES = (1, 13)
 
 
 def labels_per_group(mp, n, size):
-    """Make verify walk Q_n's tree labels in groups of `size` (fewer in the
-    last), small cubes included."""
-    itemsize = np.min_scalar_type((1 << n) - 1).itemsize
+    """Make verify walk Q_n's tree labels one per walk (size 1) or all in
+    one, small cubes included, on one thread: the cube is one block of
+    _BLOCK_VERTICES, or below one."""
     mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
-    mp.setattr(cubetrees.walk, "_STACK_BYTES", size * itemsize << n)
+    mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", (1 if size == 1 else 2) << n)
 
 
 @pytest.mark.parametrize("size", GROUP_SIZES)
@@ -423,34 +422,36 @@ def test_an_even_leftover_alone_is_counted_not_hooked(monkeypatch, n):
     assert spaces == [1 << n] * (n % 2)
 
 
-def walk_groups(n):
-    """The groups of tree labels verify walks together on Q_n (_stacks)."""
-    planes = np.empty((0, 1 << n), np.min_scalar_type((1 << n) - 1))  # no rows: sizes only
-    return _stacks(range(1, n // 2 + 1), planes)
-
-
-def test_group_plan():
-    """Walks cover tree labels 1..k once, in order, with stacked indices that fit uint32."""
-    bound = cubetrees.walk._STACK_BYTES
+def test_group_plan(monkeypatch):
+    """The tasks walk._search_trees makes on Q_n with two usable CPUs, each
+    recorded and none run.  Below one block of 2^17 vertices a cube is one
+    fill task and one walk of all k trees; from one block up it is filled a
+    block per task and walked a tree per task; two threads share the tasks
+    from two blocks up.  The walks cover tree labels 1..k once, in order,
+    with stacked indices that fit uint32."""
+    fills, groups, threaded = [], [], []
+    monkeypatch.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
+    monkeypatch.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(cubetrees.walk, "bit_planes", lambda labels, n, planes, vertices: fills.append(vertices))
+    monkeypatch.setattr(cubetrees.walk, "_search_group", lambda planes, trees, n, root: groups.append([*trees]) or [*trees])
+    monkeypatch.setattr(cubetrees.walk, "_on_two_threads", lambda tasks: threaded.append(len(tasks)) or [t() for t in tasks])
     for n in range(1, 25):
-        k = n // 2
-        groups = walk_groups(n)
-        assert [j for trees in groups for j in trees] == list(range(1, k + 1))
-        itemsize = np.min_scalar_type((1 << n) - 1).itemsize
-        for trees in groups:
-            assert len(trees) == 1 or len(trees) * itemsize << n <= bound
-            assert len(trees) << n <= 1 << 32
-        if n >= 17:
-            assert all(len(trees) == 1 for trees in groups)
-        if 1 < n <= 6:  # the exhaustive single-mutation rejection walks one group
-            assert groups == [range(1, k + 1)]
+        k, size = n // 2, min(1 << n, 1 << 17)
+        del fills[:], groups[:], threaded[:]
+        # labels with no bit set: the planes have no rows, so Q_24 costs nothing
+        assert cubetrees.walk._search_trees(np.zeros(1, np.uint8), n, 0) == [*range(1, k + 1)]
+        assert fills == [range(start, start + size) for start in range(0, 1 << n, size)]
+        assert groups == ([[*range(1, k + 1)]] if n < 17 and k else [[t] for t in range(1, k + 1)])
+        assert threaded == ([len(fills), k] if n >= 18 else [])
+        assert all(len(trees) << n <= 1 << 32 for trees in groups)
 
 
 def label_check_threads(mp):
-    """Take the walk's two-thread path at every size, the planes filled in
-    blocks of 8 vertices; return the idents of the threads that run a task:
-    the leftover's check (_check_labels of label 0), then one search of a
-    group of trees each (walk._search_group)."""
+    """Take the walk's two-thread path at every size of two or more trees:
+    the planes filled in blocks of 8 vertices, one tree per walk; return the
+    idents of the threads that run a task: the leftover's check
+    (_check_labels of label 0), then one search of a tree each
+    (walk._search_group)."""
     idents = []
 
     def recorded(check):
@@ -461,7 +462,6 @@ def label_check_threads(mp):
         return run
 
     mp.setattr(cubetrees.walk, "_DENSE_MAX_VERTICES", 0)
-    mp.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
     mp.setattr(cubetrees.walk, "_BLOCK_VERTICES", 8)
     mp.setattr(cubetrees.walk, "_usable_cpus", lambda: 2)
     for module, name in ((cubetrees.verify, "_check_labels"), (cubetrees.walk, "_search_group")):
@@ -469,11 +469,10 @@ def label_check_threads(mp):
     return idents
 
 
-def assert_same_report_on_two_threads(dec, size=1):
+def assert_same_report_on_two_threads(dec):
     with pytest.MonkeyPatch.context() as mp:
         idents = label_check_threads(mp)
-        labels_per_group(mp, dec.n, size)
-        tasks = 1 + len(walk_groups(dec.n))
+        tasks = 1 + dec.k
         report = assert_same_report(dec)
     # with two or more walks the helper takes the leftover and every second
     # task after it, the calling thread the others; otherwise no helper runs
@@ -485,15 +484,15 @@ def assert_same_report_on_two_threads(dec, size=1):
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3), st.sampled_from(GROUP_SIZES))
-def test_random_labels_match_union_find_reference_on_two_threads(n, seed, skew, size):
-    assert_same_report_on_two_threads(random_labels(n, seed, skew), size)
+@given(st.integers(1, 10), st.integers(0, 2**32 - 1), st.integers(0, 3))
+def test_random_labels_match_union_find_reference_on_two_threads(n, seed, skew):
+    assert_same_report_on_two_threads(random_labels(n, seed, skew))
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.data(), st.sampled_from(GROUP_SIZES))
-def test_single_mutations_match_union_find_reference_on_two_threads(data, size):
-    assert not assert_same_report_on_two_threads(single_mutation(data), size).overall
+@given(st.data())
+def test_single_mutations_match_union_find_reference_on_two_threads(data):
+    assert not assert_same_report_on_two_threads(single_mutation(data)).overall
 
 
 def assert_same_report_through_the_walk(dec):
@@ -610,7 +609,6 @@ def test_planes_filled_on_two_threads_give_the_reference_masks(monkeypatch):
         masks.append(plane_masks(planes, range(n // 2 + 1), n))
         return check(planes, trees, n, root)
 
-    labels_per_group(monkeypatch, n, 1)
     monkeypatch.setattr(cubetrees.walk, "_BLOCK_VERTICES", size)
     monkeypatch.setattr(cubetrees.walk, "bit_planes", recorded_fill)
     monkeypatch.setattr(cubetrees.walk, "_search_group", recorded_check)
@@ -651,8 +649,7 @@ def test_every_edge_set_is_checked_by_one_routine(monkeypatch, check):
 
 
 def test_a_helper_thread_failure_is_raised_on_the_calling_thread(monkeypatch, tmp_path, capsys):
-    label_check_threads(monkeypatch)
-    labels_per_group(monkeypatch, 7, 1)  # four tasks, so the helper hooks the leftover and walks tree 2
+    label_check_threads(monkeypatch)  # Q_7 has four tasks, so the helper hooks the leftover and walks tree 2
     check = cubetrees.verify._check_labels
 
     def exhausted_off_the_main_thread(labels, label, n):
@@ -675,19 +672,16 @@ def test_no_helper_thread_for_small_cubes_one_tree_or_one_cpu(monkeypatch):
     def no_helper(*args, **kwargs):
         raise AssertionError("a helper thread was started")
 
-    crossover = cubetrees.walk._THREAD_MIN_VERTICES
     idents = label_check_threads(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_helper)
-    monkeypatch.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", crossover)
-    labels_per_group(monkeypatch, 16, 1)
-    assert_same_report(construct(16))  # 2^16 vertices: below the crossover
+    monkeypatch.setattr(cubetrees.walk, "_BLOCK_VERTICES", 1 << 16)
+    assert_same_report(construct(16))  # one block: below two
     assert len(idents) == 9  # the leftover, then trees 1..8 one per walk
-    monkeypatch.setattr(cubetrees.walk, "_THREAD_MIN_VERTICES", 1)
+    monkeypatch.setattr(cubetrees.walk, "_BLOCK_VERTICES", 1)
     for n in (2, 3):  # k = 1: the leftover and one walk
         assert_same_report(construct(n))
     assert len(idents) == 9 + 2 + 2
     monkeypatch.setattr(cubetrees.walk, "_usable_cpus", lambda: 1)
-    labels_per_group(monkeypatch, 8, 1)
     assert_same_report(construct(8))
     assert len(idents) == 9 + 2 + 2 + 5
     assert set(idents) == {threading.get_ident()}
